@@ -114,15 +114,18 @@ def _etabar(field: Field, s: int) -> int:
 # Gauss sums
 # ----------------------------------------------------------------------
 
+def quadratic_gauss_sum(q: int, m: int) -> GaussValue:
+    """The quadratic Gauss sum of F_{q^m}: (-1)^(m-1) i^((q-1)^2 m / 4) q^(m/2)."""
+    sign = -1 if (m - 1) % 2 else 1
+    return GaussValue(q, sign, ((q - 1) ** 2 * m // 4) % 4, m)
+
+
 def gauss_sum_closed(field: Field, level: str = "extension") -> GaussValue:
     """Symbolic quadratic Gauss sum over F_{q^m} (extension) or F_q (base)."""
-    q = field.q
     if level == "base":
-        return GaussValue(q, 1, ((q - 1) ** 2 // 4) % 4, 1)
+        return quadratic_gauss_sum(field.q, 1)
     if level == "extension":
-        m = field.m
-        sign = -1 if (m - 1) % 2 else 1
-        return GaussValue(q, sign, ((q - 1) ** 2 * m // 4) % 4, m)
+        return quadratic_gauss_sum(field.q, field.m)
     raise ValueError("level must be 'extension' or 'base'")
 
 

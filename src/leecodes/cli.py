@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from ._budget import DEFAULT_OPS_BUDGET
 from . import charsums, codes, sss
-from .errors import BudgetExceededError, LeecodesError
-from .gf import make_field
+from .errors import BudgetExceededError, DegenerateSpectrumError, LeecodesError
+from .gf import _is_prime, make_field
 
 ENV_PREFIX = "LEECODES_"
 
@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads", type=int,
             default=_env_default("THREADS", os.cpu_count() or 1, int),
-            help="worker threads for enumeration",
+            help="accepted for compatibility and echoed in params; ignored, since "
+                 "enumeration runs in one thread",
         )
         p.add_argument(
             "--format", dest="output_format",
@@ -99,14 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    if args.q < 3 or args.q % 2 == 0:
+    if args.q < 3 or not _is_prime(args.q):
         parser.error(f"--q must be an odd prime, got {args.q}")
-    n = args.q
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            parser.error(f"--q must be an odd prime, got {args.q}")
-        d += 1
     if args.m < 1:
         parser.error(f"--m must be >= 1, got {args.m}")
     if args.budget < MIN_BUDGET:
@@ -273,15 +268,22 @@ def _cwe_results(cfg: RunConfig) -> tuple[list[dict], dict]:
 
 def _minimality_results(cfg: RunConfig) -> tuple[list[dict], dict]:
     spectrum = codes.lee_spectrum_closed(cfg.q, cfg.m)
-    report = sss.ab_check(spectrum, cfg.q)
-    results = {
-        "w_min": report.w_min,
-        "w_max": report.w_max,
-        "ab_ratio": [report.ab_ratio.numerator, report.ab_ratio.denominator],
-        "ab_threshold": [report.ab_threshold.numerator, report.ab_threshold.denominator],
-        "ab_holds": report.ab_holds,
-        "module_generators": cfg.m,
-    }
+    try:
+        report = sss.ab_check(spectrum, cfg.q)
+    except DegenerateSpectrumError:
+        # an empty defining set (every m = 2, q = 1 mod 4) gives the zero code:
+        # there is no weight ratio to test, but the scan still runs
+        report = None
+        results = {"degenerate": True}
+    else:
+        results = {
+            "w_min": report.w_min,
+            "w_max": report.w_max,
+            "ab_ratio": [report.ab_ratio.numerator, report.ab_ratio.denominator],
+            "ab_threshold": [report.ab_threshold.numerator, report.ab_threshold.denominator],
+            "ab_holds": report.ab_holds,
+        }
+    results["module_generators"] = cfg.m
     # ab_holds is a finding, not a check; the verifiable check is soundness:
     # whenever the ratio condition holds, the exhaustive scan must agree.
     verdicts = []
@@ -290,9 +292,9 @@ def _minimality_results(cfg: RunConfig) -> tuple[list[dict], dict]:
         count, all_min = sss.minimal_codewords_exhaustive(D, budget=cfg.budget)
         results["minimal_count"] = count
         results["all_minimal"] = all_min
-        sound = (not report.ab_holds) or all_min
+        sound = report is None or not report.ab_holds or all_min
         verdicts.append({"check": "ab-soundness", "status": "PASS" if sound else "FAIL"})
-        rep = codes.gray_dimension(D, budget=cfg.budget, threads=cfg.threads)
+        rep = codes.gray_dimension(D, budget=cfg.budget)
         results["gray_rank"] = rep.rank
     except BudgetExceededError as exc:
         results["exhaustive_scan"] = f"SKIPPED: {exc}"

@@ -6,23 +6,26 @@ Tr(b^2) = 0; a message x = alpha + u*beta maps to the vector of ring traces
 Tr(alpha b + beta a) per defining-set member.
 
 Two independent routes to the Lee spectrum and the complete weight
-enumerator are provided: exhaustive enumeration of all q^{2m} messages
-(vectorized through dense product/trace tables, optionally threaded), and
+enumerator are provided: exhaustive enumeration of all q^{2m} messages, and
 closed-form tables instantiated in exact integer arithmetic.  Any closed
 value that fails integrality or nonnegativity raises instead of rounding.
+
+Enumeration tests each Gray coordinate through trace linearity:
+Tr(alpha a + beta b) = s iff Tr(beta b) = s - Tr(alpha a), one comparison
+against per-defining-set tables of Tr(x a_j) and Tr(x b_j).  The Lee
+spectrum, the CWE and the minimality scan's supports share that kernel.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from ._budget import DEFAULT_OPS_BUDGET, check_budget
-from .charsums import GaussValue
+from .charsums import quadratic_gauss_sum
 from .errors import (
     ContextMismatchError,
     NonIntegralExponentError,
@@ -156,65 +159,52 @@ def codeword(x: RingElement, D: DefiningSet) -> RingVector:
 # exhaustive enumeration
 # ----------------------------------------------------------------------
 
-def _enumeration_tables(D: DefiningSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    f = D.field
-    mul = f.mul_array
-    if "MA" not in D._cache:
-        D._cache["MA"] = mul[:, D.a]
-        D._cache["MB"] = mul[:, D.b]
-    return D._cache["MA"], D._cache["MB"], f.trace_add_array
+def _enumeration_tables(D: DefiningSet) -> tuple[np.ndarray, np.ndarray]:
+    """TA[x, j] = Tr(x a_j) and TB[x, j] = Tr(x b_j), built once per defining set."""
+    if "TA" not in D._cache:
+        f = D.field
+        tr, mul = f.trace_array, f.mul_array
+        D._cache["TA"] = tr[mul[:, D.a]]
+        D._cache["TB"] = tr[mul[:, D.b]]
+    return D._cache["TA"], D._cache["TB"]
 
 
-def _alpha_batches(D: DefiningSet, alphas: range):
-    """Yield (T1, T2) of shape (q^m, n) for each alpha: all beta rows at once."""
-    MA, MB, tradd = _enumeration_tables(D)
-    for alpha in alphas:
-        pa = MA[alpha]
-        pb = MB[alpha]
-        yield tradd[pa[None, :], MB], tradd[pb[None, :], MA]
+def _matches(D: DefiningSet, alpha: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q^m, n) masks over (beta, j) of the Gray coordinates of alpha + u*beta
+    that equal s: Tr(alpha a_j + beta b_j) == s and Tr(alpha b_j + beta a_j) == s.
+    """
+    TA, TB = _enumeration_tables(D)
+    q = D.field.q
+    return TB == (s - TA[alpha]) % q, TA == (s - TB[alpha]) % q
 
 
-def _run_batches(D: DefiningSet, threads: int, reducer):
-    """Apply reducer(T1, T2) -> Counter over all alpha batches and merge."""
-    f = D.field
-    order = f.order
-
-    def work(chunk: range) -> Counter:
-        acc: Counter = Counter()
-        for t1, t2 in _alpha_batches(D, chunk):
-            acc.update(reducer(t1, t2))
-        return acc
-
-    if threads <= 1 or order < 4:
-        return work(range(order))
-    _enumeration_tables(D)  # build shared tables before forking workers
-    step = -(-order // threads)
-    chunks = [range(i, min(i + step, order)) for i in range(0, order, step)]
-    total: Counter = Counter()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(work, chunks):
-            total.update(part)
-    return total
+def _tally(D: DefiningSet, symbols) -> Counter:
+    """Multiset over all messages of (#Gray coordinates equal to s for s in symbols)."""
+    acc: Counter = Counter()
+    for alpha in range(D.field.order):
+        cols = []
+        for s in symbols:
+            m1, m2 = _matches(D, alpha, s)
+            cols.append(m1.sum(axis=1, dtype=np.int32) + m2.sum(axis=1, dtype=np.int32))
+        rows, counts = np.unique(np.stack(cols, axis=1), axis=0, return_counts=True)
+        acc.update({tuple(int(v) for v in r): int(c) for r, c in zip(rows, counts)})
+    return acc
 
 
 def lee_spectrum_bruteforce(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET,
                             threads: int = 1) -> LeeSpectrum:
-    """Exact Lee-weight multiset over all q^{2m} messages."""
+    """Exact Lee-weight multiset over all q^{2m} messages.
+
+    ``threads`` is accepted for compatibility and ignored.
+    """
     if "lee" in D._cache:
         return D._cache["lee"]
     f = D.field
     n = len(D)
     check_budget(2 * f.order**2 * max(n, 1), budget, "Lee spectrum enumeration")
-    two_n = 2 * n
-
-    def reducer(t1: np.ndarray, t2: np.ndarray) -> Counter:
-        wt = two_n - (
-            np.count_nonzero(t1 == 0, axis=1) + np.count_nonzero(t2 == 0, axis=1)
-        )
-        ws, cs = np.unique(wt, return_counts=True)
-        return Counter({int(w): int(c) for w, c in zip(ws, cs)})
-
-    acc = _run_batches(D, threads, reducer)
+    acc: Counter = Counter()
+    for (zeros,), c in _tally(D, (0,)).items():
+        acc[2 * n - zeros] += c
     spec = LeeSpectrum(dict(acc), f.order**2)
     D._cache["lee"] = spec
     return spec
@@ -222,25 +212,16 @@ def lee_spectrum_bruteforce(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET,
 
 def cwe_bruteforce(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET,
                    threads: int = 1) -> CweSpectrum:
-    """Exact composition multiset of the Gray image over all messages."""
+    """Exact composition multiset of the Gray image over all messages.
+
+    ``threads`` is accepted for compatibility and ignored.
+    """
     if "cwe" in D._cache:
         return D._cache["cwe"]
     f = D.field
-    q = f.q
     n = len(D)
     check_budget(2 * f.order**2 * max(n, 1), budget, "CWE enumeration")
-
-    def reducer(t1: np.ndarray, t2: np.ndarray) -> Counter:
-        cols = [
-            np.count_nonzero(t1 == s, axis=1) + np.count_nonzero(t2 == s, axis=1)
-            for s in range(q)
-        ]
-        comps = np.stack(cols, axis=1)
-        uniq, counts = np.unique(comps, axis=0, return_counts=True)
-        return Counter({tuple(int(v) for v in row): int(c) for row, c in zip(uniq, counts)})
-
-    acc = _run_batches(D, threads, reducer)
-    spec = CweSpectrum(dict(acc), f.order**2, 2 * n)
+    spec = CweSpectrum(dict(_tally(D, range(f.q))), f.order**2, 2 * n)
     D._cache["cwe"] = spec
     return spec
 
@@ -248,12 +229,6 @@ def cwe_bruteforce(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET,
 # ----------------------------------------------------------------------
 # closed forms
 # ----------------------------------------------------------------------
-
-def _gauss_int(q: int, m: int) -> int:
-    """The extension Gauss sum as an exact integer (even m only)."""
-    sign = -1 if (m - 1) % 2 else 1
-    return GaussValue(q, sign, ((q - 1) ** 2 * m // 4) % 4, m).as_int()
-
 
 def _as_count(x: Fraction) -> int:
     if x.denominator != 1:
@@ -296,7 +271,7 @@ def _closed_rows(q: int, m: int) -> list[tuple[Fraction, Fraction]]:
             (2 * (q - 1) * (A - Z), F((q - 1) ** 2, 2) * (sq + B)),
             (2 * (q - 1) * (A + Z), F((q - 1) ** 2, 2) * (sq - B)),
         ]
-    g = _gauss_int(q, m)
+    g = quadratic_gauss_sum(q, m).as_int()
     A = F(q) ** (2 * m - 3)
     gm3 = g * F(q) ** (m - 3)
     Zm2 = F(q) ** (m - 2)
@@ -358,7 +333,7 @@ def _closed_cwe_terms(q: int, m: int) -> list[tuple[Fraction, Fraction, Fraction
             (F((q - 1) ** 2, 2) * (sq + B), Q0 + 2 * (q - 1) * Z - 2, Q0 - 2 * Z),
             (F((q - 1) ** 2, 2) * (sq - B), Q0 - 2 * (q - 1) * Z - 2, Q0 + 2 * Z),
         ]
-    g = _gauss_int(q, m)
+    g = quadratic_gauss_sum(q, m).as_int()
     P2 = 2 * F(q) ** (2 * m - 3) + 4 * g * (q - 1) * F(q) ** (m - 3)
     Q2 = (q - 1) * (F(q) ** (m - 1) - F(g, q))
     P3 = F(q) ** (m - 1) + F((q - 1) * g, q)
@@ -378,7 +353,7 @@ def gray_image_length(q: int, m: int) -> int:
     _validate_closed_params(q, m)
     if m % 2:
         return 2 * (q ** (2 * m - 2) - 1)
-    g = _gauss_int(q, m)
+    g = quadratic_gauss_sum(q, m).as_int()
     P3 = Fraction(q) ** (m - 1) + Fraction((q - 1) * g, q)
     return _as_exponent(2 * P3**2 - 2)
 
@@ -442,8 +417,7 @@ class GrayReport:
     module_generators: int  # degree of the message module over the base ring
 
 
-def gray_dimension(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET,
-                   threads: int = 1) -> GrayReport:
+def gray_dimension(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET) -> GrayReport:
     """Measured rank of the Gray image plus its minimum nonzero Lee weight."""
     f = D.field
     from .ring import gray_map  # local import to avoid cycle at module load
@@ -454,7 +428,7 @@ def gray_dimension(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET,
         for msg in (RingElement(f, e, 0), RingElement(f, 0, e)):
             rows.append(gray_map(codeword(msg, D)))
     rank = _rank_mod_q(np.stack(rows), f.q) if len(D) else 0
-    spec = lee_spectrum_bruteforce(D, budget=budget, threads=threads)
+    spec = lee_spectrum_bruteforce(D, budget=budget)
     return GrayReport(rank, spec.min_nonzero(), 2 * len(D), f.m)
 
 

@@ -342,22 +342,25 @@ class Field:
 
     @property
     def trace_array(self) -> np.ndarray:
+        """(q^m,) table of Tr(x), in the narrowest signed dtype that holds -(q-1)
+        (int8 for every q <= 127)."""
         if "trace" not in self._dense:
             self._dense["trace"] = np.array(
-                [self.trace(v) for v in range(self.order)], dtype=np.int8
+                [self.trace(v) for v in range(self.order)],
+                dtype=np.min_scalar_type(1 - self.q),
             )
         return self._dense["trace"]
 
     @property
     def trace_add_array(self) -> np.ndarray:
-        """(q^m, q^m) int8 table of Tr(x + y)."""
+        """(q^m, q^m) table of Tr(x + y), in the dtype of trace_array."""
         if "trace_add" not in self._dense:
             self._dense["trace_add"] = self.trace_array[self.add_array]
         return self._dense["trace_add"]
 
     @property
     def trace_sq_array(self) -> np.ndarray:
-        """(q^m,) int8 table of Tr(x^2)."""
+        """(q^m,) table of Tr(x^2), in the dtype of trace_array."""
         if "trace_sq" not in self._dense:
             sq = np.array([self.mul(v, v) for v in range(self.order)], dtype=np.int64)
             self._dense["trace_sq"] = self.trace_array[sq]

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._budget import DEFAULT_OPS_BUDGET, check_budget
-from .codes import DefiningSet, LeeSpectrum, _alpha_batches
+from .codes import DefiningSet, LeeSpectrum, _matches
 from .errors import DegenerateSpectrumError, LengthMismatchError, UnsupportedParametersError
 
 
@@ -95,12 +95,11 @@ def minimal_codewords_exhaustive(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGE
     check_budget(order2 * order2 * max(n2, 1), budget, "pairwise minimality scan")
 
     supports = np.empty((order2, n2), dtype=np.int8)
-    row = 0
-    for t1, t2 in _alpha_batches(D, range(f.order)):
-        block = t1.shape[0]
-        supports[row : row + block, 0::2] = t1 != 0
-        supports[row : row + block, 1::2] = t2 != 0
-        row += block
+    for alpha in range(f.order):
+        z1, z2 = _matches(D, alpha, 0)
+        rows = slice(alpha * f.order, (alpha + 1) * f.order)
+        supports[rows, 0::2] = ~z1
+        supports[rows, 1::2] = ~z2
 
     nonzero = supports.any(axis=1)
     sup = supports[nonzero]

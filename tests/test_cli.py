@@ -104,6 +104,30 @@ def test_minimality_report(capsys):
     assert payload["verdicts"] == [{"check": "ab-soundness", "status": "PASS"}]
 
 
+@pytest.mark.parametrize("command", ["minimality", "check-all"])
+def test_degenerate_code_is_a_result(command, capsys):
+    # m = 2, q = 1 mod 4: the defining set is empty and every codeword is zero
+    code, out = run([command, "--q", "5", "--m", "2"], capsys)
+    assert code == cli.EXIT_PASS
+    payload = json.loads(out)
+    res = payload["results"]
+    if command == "check-all":
+        res = res["minimality"]
+    assert res["degenerate"] is True
+    assert "ab_ratio" not in res
+    assert (res["minimal_count"], res["all_minimal"], res["gray_rank"]) == (0, True, 0)
+    assert {"check": "ab-soundness", "status": "PASS"} in payload["verdicts"]
+
+
+def test_spectrum_brute_large_q(capsys):
+    # q - 1 > 127 does not fit the int8 trace tables of smaller fields
+    code, out = run(["spectrum", "--q", "131", "--m", "1", "--mode", "brute"], capsys)
+    assert code == cli.EXIT_PASS
+    res = json.loads(out)["results"]
+    assert res["defining_set_size"] == 0
+    assert res["brute"] == [{"weight": 0, "multiplicity": 131**2}]
+
+
 def test_minimality_budget_skip(capsys):
     code, out = run(["minimality", "--q", "3", "--m", "4"], capsys)
     assert code == cli.EXIT_BUDGET

@@ -114,28 +114,21 @@ def test_lee_spectrum_bruteforce_frozen(q, m, defining_sets):
 
 @pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (5, 2)])
 def test_bruteforce_matches_per_message_scan(q, m, defining_sets):
-    # independent route: loop messages, evaluate codewords, weigh Gray images
+    # independent route: loop messages, evaluate codewords, weigh and count
+    # the symbols of their Gray images
     f = make_field(q, m)
     D = defining_sets(q, m)
-    acc = {}
+    lee = {}
+    cwe = {}
     for alpha in range(f.order):
         for beta in range(f.order):
-            w = lee_weight(codes.codeword(RingElement(f, alpha, beta), D))
-            acc[w] = acc.get(w, 0) + 1
-    assert acc == codes.lee_spectrum_bruteforce(D).entries
-
-
-def test_threaded_enumeration_is_schedule_independent():
-    D1 = codes.build_defining_set(make_field(3, 3))
-    D2 = codes.build_defining_set(make_field(3, 3))
-    assert (
-        codes.lee_spectrum_bruteforce(D1, threads=1).entries
-        == codes.lee_spectrum_bruteforce(D2, threads=4).entries
-    )
-    assert (
-        codes.cwe_bruteforce(D1, threads=1).entries
-        == codes.cwe_bruteforce(D2, threads=4).entries
-    )
+            c = codes.codeword(RingElement(f, alpha, beta), D)
+            w = lee_weight(c)
+            lee[w] = lee.get(w, 0) + 1
+            comp = tuple(int(v) for v in np.bincount(gray_map(c), minlength=q))
+            cwe[comp] = cwe.get(comp, 0) + 1
+    assert lee == codes.lee_spectrum_bruteforce(D).entries
+    assert cwe == codes.cwe_bruteforce(D).entries
 
 
 def test_bruteforce_budget(defining_sets):
