@@ -291,12 +291,11 @@ def square_trace_pair_count(field: Field, s: int, t: int, mode: str = "closed",
 # triple/quintuple exponential sums
 # ----------------------------------------------------------------------
 
-def _cyclic_convolve(q: int, ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
-    out = np.zeros(q, dtype=np.int64)
-    for i in range(q):
-        if ha[i]:
-            out += ha[i] * np.roll(hb, i)
-    return out
+def _cyclic_convolve(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
+    """out[..., k] = sum_i ha[..., i] * hb[..., (k - i) % q] over the last axis."""
+    q = ha.shape[-1]
+    shift = (np.arange(q) - np.arange(q)[:, None]) % q  # shift[i, k] = k - i
+    return (ha[..., :, None] * hb[..., shift]).sum(axis=-2)
 
 
 def nested_char_sum(field: Field, kind: str, beta: int, lam: int, alpha: int | None = None,
@@ -376,7 +375,7 @@ def _nested_char_sum_oracle(f: Field, kind: str, beta: int, lam: int, alpha: int
                 hb = np.bincount((y * ta2) % q, minlength=q)
                 for z in range(1, q):
                     ha = np.bincount((x * ta2 + z * tr_beta - z * lam) % q, minlength=q)
-                    hist += _cyclic_convolve(q, ha, hb)
+                    hist += _cyclic_convolve(ha, hb)
         return exact_int_from_histogram(q, hist)
     # coupled
     check_budget((q - 1) ** 3 * (2 * order + q * q), budget, "coupled-sum oracle")
@@ -386,7 +385,7 @@ def _nested_char_sum_oracle(f: Field, kind: str, beta: int, lam: int, alpha: int
             for z in range(1, q):
                 ha = np.bincount((x * ta2 + z * tr_beta - z * lam) % q, minlength=q)
                 hb = np.bincount((y * ta2 + z * tr_alpha) % q, minlength=q)
-                hist += _cyclic_convolve(q, ha, hb)
+                hist += _cyclic_convolve(ha, hb)
     return exact_int_from_histogram(q, hist)
 
 
@@ -408,7 +407,7 @@ def zero_trace_pair_count(field: Field, alpha: int, beta: int, lam: int, mode: s
         zeros = np.nonzero(f.trace_sq_array == 0)[0]
         ha = np.bincount(f.trace_array[f.mul_array[beta][zeros]], minlength=q).astype(np.int64)
         hb = np.bincount(f.trace_array[f.mul_array[alpha][zeros]], minlength=q).astype(np.int64)
-        conv = _cyclic_convolve(q, ha, hb)
+        conv = _cyclic_convolve(ha, hb)
         return CountResult(int(conv[lam]), "enumeration")
     if mode != "closed":
         raise ValueError("mode must be 'closed' or 'oracle'")

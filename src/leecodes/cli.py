@@ -33,6 +33,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 MIN_BUDGET = 10**6
+FORMATS = ("json", "csv", "human")
 
 
 @dataclass
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--format", dest="output_format",
-            choices=("json", "csv", "human"),
+            choices=FORMATS,
             default=_env_default("FORMAT", "json", str),
         )
         p.add_argument("--seed", type=int, default=_env_default("SEED", 0, int),
@@ -108,6 +109,8 @@ def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCon
         parser.error(f"--budget must be >= {MIN_BUDGET}")
     if args.threads < 1:
         parser.error("--threads must be >= 1")
+    if args.output_format not in FORMATS:  # argparse checks choices on argv, not on defaults
+        parser.error(f"--format must be one of {', '.join(FORMATS)}, got {args.output_format!r}")
     return RunConfig(
         q=args.q,
         m=args.m,

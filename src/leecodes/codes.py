@@ -6,14 +6,15 @@ Tr(b^2) = 0; a message x = alpha + u*beta maps to the vector of ring traces
 Tr(alpha b + beta a) per defining-set member.
 
 Two independent routes to the Lee spectrum and the complete weight
-enumerator are provided: exhaustive enumeration of all q^{2m} messages, and
+enumerator are provided: an exact count over all q^{2m} messages, and
 closed-form tables instantiated in exact integer arithmetic.  Any closed
 value that fails integrality or nonnegativity raises instead of rounding.
 
-Enumeration tests each Gray coordinate through trace linearity:
-Tr(alpha a + beta b) = s iff Tr(beta b) = s - Tr(alpha a), one comparison
-against per-defining-set tables of Tr(x a_j) and Tr(x b_j).  The Lee
-spectrum, the CWE and the minimality scan's supports share that kernel.
+The count uses D = Z x Z less (0, 0), Z = {a : Tr(a^2) = 0}: each Gray half
+of alpha + u*beta has the symbol counts H[alpha] (*) H[beta] less the zero
+pair, H[x, s] = #{a in Z : Tr(x a) = s}, so messages with equal rows of H
+share one cyclic convolution.  The per-coordinate trace-linearity kernel
+(_matches) serves only the minimality scan, which needs supports.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._budget import DEFAULT_OPS_BUDGET, check_budget
-from .charsums import quadratic_gauss_sum
+from .charsums import _cyclic_convolve, quadratic_gauss_sum
 from .errors import (
     ContextMismatchError,
     NonIntegralExponentError,
@@ -108,12 +109,15 @@ class CweSpectrum:
 # ----------------------------------------------------------------------
 
 class DefiningSet:
-    """Ordered nonzero pairs (a, b) with both squared traces zero."""
+    """Nonzero pairs (a, b) of Z x Z in canonical order; Z (zero first) has Tr(z^2) = 0."""
 
-    def __init__(self, field: Field, a: np.ndarray, b: np.ndarray):
+    def __init__(self, field: Field, zeros):
         self.field = field
-        self.a = np.asarray(a, dtype=np.int64)
-        self.b = np.asarray(b, dtype=np.int64)
+        self.zeros = np.asarray(zeros, dtype=np.int64)
+        if self.zeros.size == 0 or self.zeros[0] != 0:  # the first pair dropped must be (0, 0)
+            raise ValueError("zeros must list Z with 0 first")
+        self.a = np.repeat(self.zeros, self.zeros.size)[1:]
+        self.b = np.tile(self.zeros, self.zeros.size)[1:]
         self._cache: dict[str, object] = {}
 
     def __len__(self) -> int:
@@ -134,13 +138,7 @@ def build_defining_set(field: Field, budget: int = DEFAULT_OPS_BUDGET) -> Defini
     """Scan F_{q^m}^2 in canonical pair order and keep the zero-trace pairs."""
     check_budget(field.order**2, budget, "defining-set scan")
     tsq = field.trace_sq_array
-    zeros = [x for x in field.canonical_elements() if tsq[x] == 0]
-    z = np.array(zeros, dtype=np.int64)
-    a = np.repeat(z, z.size)
-    b = np.tile(z, z.size)
-    # the zero pair is canonically first; everything else stays ordered
-    assert a[0] == 0 and b[0] == 0
-    return DefiningSet(field, a[1:], b[1:])
+    return DefiningSet(field, [x for x in field.canonical_elements() if tsq[x] == 0])
 
 
 def codeword(x: RingElement, D: DefiningSet) -> RingVector:
@@ -178,16 +176,17 @@ def _matches(D: DefiningSet, alpha: int, s: int) -> tuple[np.ndarray, np.ndarray
     return TB == (s - TA[alpha]) % q, TA == (s - TB[alpha]) % q
 
 
-def _tally(D: DefiningSet, symbols) -> Counter:
-    """Multiset over all messages of (#Gray coordinates equal to s for s in symbols)."""
+def _compositions(D: DefiningSet) -> Counter:
+    """Multiset over all messages of 2 (H[alpha] (*) H[beta]) - 2 e_0 (module docstring)."""
+    f = D.field
+    tr = f.trace_array[f.mul_array[:, D.zeros]]  # tr[x, j] = Tr(x z_j)
+    H = (tr[:, :, None] == np.arange(f.q)).sum(axis=1)
+    rows, mult = np.unique(H, axis=0, return_counts=True)
+    comps = 2 * _cyclic_convolve(rows[:, None], rows[None, :]).reshape(-1, f.q)
+    comps[:, 0] -= 2
     acc: Counter = Counter()
-    for alpha in range(D.field.order):
-        cols = []
-        for s in symbols:
-            m1, m2 = _matches(D, alpha, s)
-            cols.append(m1.sum(axis=1, dtype=np.int32) + m2.sum(axis=1, dtype=np.int32))
-        rows, counts = np.unique(np.stack(cols, axis=1), axis=0, return_counts=True)
-        acc.update({tuple(int(v) for v in r): int(c) for r, c in zip(rows, counts)})
+    for comp, c in zip(comps.tolist(), np.outer(mult, mult).ravel().tolist()):
+        acc[tuple(comp)] += c
     return acc
 
 
@@ -200,12 +199,8 @@ def lee_spectrum_bruteforce(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET,
     if "lee" in D._cache:
         return D._cache["lee"]
     f = D.field
-    n = len(D)
-    check_budget(2 * f.order**2 * max(n, 1), budget, "Lee spectrum enumeration")
-    acc: Counter = Counter()
-    for (zeros,), c in _tally(D, (0,)).items():
-        acc[2 * n - zeros] += c
-    spec = LeeSpectrum(dict(acc), f.order**2)
+    check_budget(2 * f.order**2 * max(len(D), 1), budget, "Lee spectrum enumeration")
+    spec = CweSpectrum(dict(_compositions(D)), f.order**2, D.gray_length).to_lee()
     D._cache["lee"] = spec
     return spec
 
@@ -219,9 +214,8 @@ def cwe_bruteforce(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET,
     if "cwe" in D._cache:
         return D._cache["cwe"]
     f = D.field
-    n = len(D)
-    check_budget(2 * f.order**2 * max(n, 1), budget, "CWE enumeration")
-    spec = CweSpectrum(dict(_tally(D, range(f.q))), f.order**2, 2 * n)
+    check_budget(2 * f.order**2 * max(len(D), 1), budget, "CWE enumeration")
+    spec = CweSpectrum(dict(_compositions(D)), f.order**2, D.gray_length)
     D._cache["cwe"] = spec
     return spec
 
@@ -246,8 +240,6 @@ def _validate_closed_params(q: int, m: int) -> None:
     make_field(q, 1)  # raises for even/composite q
     if m < 2:
         raise UnsupportedParametersError("closed-form tables need m >= 2")
-    if m % 2 and m < 3:
-        raise UnsupportedParametersError("odd-degree table needs m >= 3")
 
 
 def _closed_rows(q: int, m: int) -> list[tuple[Fraction, Fraction]]:

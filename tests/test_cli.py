@@ -179,6 +179,14 @@ def test_env_override_format(monkeypatch, capsys):
     assert out.startswith("kind,weight,multiplicity")
 
 
+def test_env_format_outside_choices_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("LEECODES_FORMAT", "xml")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--q", "3", "--m", "2", "--mode", "closed"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "--format must be one of json, csv, human" in capsys.readouterr().err
+
+
 def test_env_override_budget(monkeypatch, capsys):
     monkeypatch.setenv("LEECODES_BUDGET", "1000000")
     code, out = run(["spectrum", "--q", "3", "--m", "5", "--mode", "brute"], capsys)

@@ -15,7 +15,8 @@ from leecodes.ring import RingElement, gray_map, lee_weight
 
 from conftest import BRUTE_LEE, DEFINING_SET_SIZES
 
-CLOSED_EQ_BRUTE_PAIRS = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3)]
+CLOSED_EQ_BRUTE_PAIRS = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
+                         (7, 2), (7, 3), (11, 2), (5, 4), (3, 6)]
 
 
 # -- defining set ----------------------------------------------------------
@@ -46,6 +47,11 @@ def test_defining_set_deterministic(defining_sets):
     D1 = defining_sets(3, 3)
     D2 = codes.build_defining_set(make_field(3, 3))
     assert np.array_equal(D1.a, D2.a) and np.array_equal(D1.b, D2.b)
+
+
+def test_defining_set_needs_zero_first():
+    with pytest.raises(ValueError):
+        codes.DefiningSet(make_field(3, 2), [1, 0])
 
 
 def test_defining_set_census():
@@ -112,7 +118,7 @@ def test_lee_spectrum_bruteforce_frozen(q, m, defining_sets):
     assert spec.total == q ** (2 * m)
 
 
-@pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (5, 2), (7, 2), (5, 3)])
 def test_bruteforce_matches_per_message_scan(q, m, defining_sets):
     # independent route: loop messages, evaluate codewords, weigh and count
     # the symbols of their Gray images
@@ -154,14 +160,15 @@ def test_codeword_map_is_injective(defining_sets):
 @pytest.mark.parametrize("q,m", CLOSED_EQ_BRUTE_PAIRS)
 def test_lee_closed_equals_brute(q, m, defining_sets):
     closed = codes.lee_spectrum_closed(q, m)
-    brute = codes.lee_spectrum_bruteforce(defining_sets(q, m))
+    # the estimate prices a per-coordinate scan and refuses (5,4), (3,6) at 10^9
+    brute = codes.lee_spectrum_bruteforce(defining_sets(q, m), budget=10**12)
     assert closed.entries == brute.entries
 
 
 @pytest.mark.parametrize("q,m", CLOSED_EQ_BRUTE_PAIRS)
 def test_cwe_closed_equals_brute(q, m, defining_sets):
     closed = codes.cwe_closed(q, m)
-    brute = codes.cwe_bruteforce(defining_sets(q, m))
+    brute = codes.cwe_bruteforce(defining_sets(q, m), budget=10**12)
     assert closed.entries == brute.entries
 
 
