@@ -356,37 +356,29 @@ def nested_char_sum(field: Field, kind: str, beta: int, lam: int, alpha: int | N
 
 def _nested_char_sum_oracle(f: Field, kind: str, beta: int, lam: int, alpha: int | None,
                             budget: int) -> int:
+    # the convolution is bilinear, so summing each factor over x (resp. y) before
+    # convolving gives the sum over all (x, y, z); "split" is "coupled" with the
+    # Tr(alpha b) term zero, and "single" is the a-part alone
     q = f.q
-    order = f.order
     ta2 = f.trace_sq_array.astype(np.int64)
-    tr_beta = f.trace_array[f.mul_array[beta]].astype(np.int64)  # Tr(beta * a) over a
-    hist = np.zeros(q, dtype=np.int64)
+    tr = f.trace_array.astype(np.int64)
+    tr_beta = tr[f.mul_array[beta]]  # Tr(beta * a) over a
+    sides = 1 if kind == "single" else 2
+    check_budget(sides * (q - 1) ** 2 * f.order + (sides - 1) * (q - 1) * q * q, budget,
+                 f"{kind}-sum oracle")
+    units = np.arange(1, q)
+
+    def summed(lin: np.ndarray) -> np.ndarray:
+        """out[z - 1, k] = #{(x, a) : x Tr(a^2) + z lin(a) = k}, x and z in F_q*;
+        one z at a time, so memory stays at (q - 1) q^m."""
+        xt = units[:, None] * ta2
+        return np.stack([np.bincount(((xt + z * lin) % q).ravel(), minlength=q) for z in units])
+
+    ha = summed(tr_beta - lam)
     if kind == "single":
-        check_budget((q - 1) ** 2 * order, budget, "single-sum oracle")
-        for x in range(1, q):
-            for z in range(1, q):
-                idx = (x * ta2 + z * tr_beta - z * lam) % q
-                hist += np.bincount(idx, minlength=q)
-        return exact_int_from_histogram(q, hist)
-    if kind == "split":
-        check_budget((q - 1) ** 3 * (2 * order + q * q), budget, "split-sum oracle")
-        for x in range(1, q):
-            for y in range(1, q):
-                hb = np.bincount((y * ta2) % q, minlength=q)
-                for z in range(1, q):
-                    ha = np.bincount((x * ta2 + z * tr_beta - z * lam) % q, minlength=q)
-                    hist += _cyclic_convolve(ha, hb)
-        return exact_int_from_histogram(q, hist)
-    # coupled
-    check_budget((q - 1) ** 3 * (2 * order + q * q), budget, "coupled-sum oracle")
-    tr_alpha = f.trace_array[f.mul_array[alpha]].astype(np.int64)  # Tr(alpha * b) over b
-    for x in range(1, q):
-        for y in range(1, q):
-            for z in range(1, q):
-                ha = np.bincount((x * ta2 + z * tr_beta - z * lam) % q, minlength=q)
-                hb = np.bincount((y * ta2 + z * tr_alpha) % q, minlength=q)
-                hist += _cyclic_convolve(ha, hb)
-    return exact_int_from_histogram(q, hist)
+        return exact_int_from_histogram(q, ha.sum(axis=0))
+    tr_alpha = tr[f.mul_array[alpha]] if kind == "coupled" else np.zeros_like(ta2)  # Tr(alpha * b)
+    return exact_int_from_histogram(q, _cyclic_convolve(ha, summed(tr_alpha)).sum(axis=0))
 
 
 # ----------------------------------------------------------------------

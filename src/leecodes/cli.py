@@ -105,6 +105,13 @@ def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCon
         parser.error(f"--q must be an odd prime, got {args.q}")
     if args.m < 1:
         parser.error(f"--m must be >= 1, got {args.m}")
+    # minimality and check-all always read the closed Lee table, spectrum and cwe
+    # unless --mode brute
+    uses_closed = args.command in ("minimality", "check-all") or (
+        args.command in ("spectrum", "cwe") and args.mode != "brute")
+    if args.m == 1 and uses_closed:
+        parser.error(f"{args.command} needs the closed-form tables, which need --m >= 2 "
+                     "(spectrum and cwe run at m = 1 with --mode brute)")
     if args.budget < MIN_BUDGET:
         parser.error(f"--budget must be >= {MIN_BUDGET}")
     if args.threads < 1:

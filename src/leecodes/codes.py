@@ -176,12 +176,15 @@ def _matches(D: DefiningSet, alpha: int, s: int) -> tuple[np.ndarray, np.ndarray
     return TB == (s - TA[alpha]) % q, TA == (s - TB[alpha]) % q
 
 
-def _compositions(D: DefiningSet) -> Counter:
+def _compositions(D: DefiningSet, budget: int, what: str) -> Counter:
     """Multiset over all messages of 2 (H[alpha] (*) H[beta]) - 2 e_0 (module docstring)."""
     f = D.field
     tr = f.trace_array[f.mul_array[:, D.zeros]]  # tr[x, j] = Tr(x z_j)
     H = (tr[:, :, None] == np.arange(f.q)).sum(axis=1)
     rows, mult = np.unique(H, axis=0, return_counts=True)
+    # the dense product table, H, and one length-q convolution per pair of the U
+    # distinct rows; the work before this check is bounded by the dense-table limit
+    check_budget(f.order**2 + tr.size * f.q + (rows.shape[0] * f.q) ** 2, budget, what)
     comps = 2 * _cyclic_convolve(rows[:, None], rows[None, :]).reshape(-1, f.q)
     comps[:, 0] -= 2
     acc: Counter = Counter()
@@ -199,8 +202,8 @@ def lee_spectrum_bruteforce(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET,
     if "lee" in D._cache:
         return D._cache["lee"]
     f = D.field
-    check_budget(2 * f.order**2 * max(len(D), 1), budget, "Lee spectrum enumeration")
-    spec = CweSpectrum(dict(_compositions(D)), f.order**2, D.gray_length).to_lee()
+    comps = _compositions(D, budget, "Lee spectrum enumeration")
+    spec = CweSpectrum(dict(comps), f.order**2, D.gray_length).to_lee()
     D._cache["lee"] = spec
     return spec
 
@@ -214,8 +217,8 @@ def cwe_bruteforce(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET,
     if "cwe" in D._cache:
         return D._cache["cwe"]
     f = D.field
-    check_budget(2 * f.order**2 * max(len(D), 1), budget, "CWE enumeration")
-    spec = CweSpectrum(dict(_compositions(D)), f.order**2, D.gray_length)
+    comps = _compositions(D, budget, "CWE enumeration")
+    spec = CweSpectrum(dict(comps), f.order**2, D.gray_length)
     D._cache["cwe"] = spec
     return spec
 

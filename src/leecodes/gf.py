@@ -6,10 +6,13 @@ order on elements compares coefficient tuples low-degree-first, and the field
 modulus is the canonically smallest monic irreducible polynomial of degree m,
 so construction is deterministic across runs.
 
-Multiplication and inversion run off discrete log/antilog tables whenever
-q**m fits the table budget; above the budget the schoolbook polynomial path
-is used instead (slower, never an error).  Dense q^m x q^m numpy tables for
-bulk enumeration are built lazily and only for small fields.
+There is one arithmetic path: multiplication, inversion, powers and the
+quadratic character read discrete log/antilog tables, which every field
+builds.  Multiplication by a fixed element and the trace are F_q-linear maps
+on coordinate vectors, so the log/antilog and per-element tables are built
+from a few array products with m x m matrices, never by a loop over the
+elements.  The one size limit, _DENSE_TABLE_LIMIT, applies only to the dense
+q^m x q^m tables for bulk enumeration, which are built lazily.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .errors import (
     ZeroInverseError,
 )
 
-DEFAULT_TABLE_BUDGET = 1 << 20
 _DENSE_TABLE_LIMIT = 2048
 
 
@@ -98,7 +100,7 @@ def _smallest_irreducible(q: int, m: int) -> tuple[int, ...]:
 class Field:
     """The finite field F_{q^m}, q an odd prime, with a fixed canonical model."""
 
-    def __init__(self, q: int, m: int = 1, table_budget: int = DEFAULT_TABLE_BUDGET):
+    def __init__(self, q: int, m: int = 1):
         if not isinstance(q, int) or not isinstance(m, int):
             raise DegreeError("q and m must be ints")
         if q >= 2 and q % 2 == 0:
@@ -113,15 +115,15 @@ class Field:
         self.modulus = _smallest_irreducible(q, m)
 
         self._dense: dict[str, np.ndarray] = {}
-        self._canonical: np.ndarray | None = None
         self._prime_subfield: Field | None = None
+        self._place = q ** np.arange(m, dtype=np.int64)  # element = coords @ _place
 
+        # sorting coefficient tuples low degree first sorts the elements by their
+        # digit-reversed value; digit reversal is an involution, so the reversed
+        # values of 0, 1, ... are the elements in canonical order
+        self._canonical = self.digit_matrix @ self._place[::-1]
         self.generator = self._find_generator()
-        self._has_tables = self.order <= table_budget
-        if self._has_tables:
-            self._build_tables()
-        else:
-            self._exp = self._log = None
+        self._build_tables()
 
     # -- construction helpers ------------------------------------------
 
@@ -148,36 +150,39 @@ class Field:
     def _find_generator(self) -> int:
         n = self.order - 1
         checks = [n // p for p in _prime_factors(n)] if n > 1 else []
-        for cand in self.canonical_elements():
-            if cand == 0:
-                continue
+        for cand in map(int, self._canonical[1:]):
             if all(self._pow_raw(cand, e) != 1 for e in checks):
                 return cand
         raise AssertionError("no generator found")  # unreachable
 
     def _build_tables(self) -> None:
-        n = self.order - 1
-        exp = [0] * n
-        log = [-1] * self.order
-        v = 1
-        for k in range(n):
-            exp[k] = v
-            log[v] = k
-            v = self._mul_raw(v, self.generator)
-        assert v == 1, "generator order is wrong"
-        self._exp = exp
-        self._log = log
+        """exp[k] = g^k by doubling, exp[k + 2^j] = g^(2^j) exp[k]: each block is
+        one product of coordinate rows with the matrix of multiplication by g^(2^j)."""
+        q, m, n = self.q, self.m, self.order - 1
+        # row i holds the coordinates of x^i * g, so (coords of v) @ M % q are those of v * g
+        M = np.array(
+            [self._coeffs_unchecked(self._mul_raw(q**i, self.generator)) for i in range(m)],
+            dtype=np.int64,
+        )
+        coords = np.zeros((n, m), dtype=np.int64)
+        coords[0, 0] = 1
+        k = 1
+        while k < n:
+            step = min(k, n - k)
+            coords[k:k + step] = coords[:step] @ M % q
+            M = M @ M % q
+            k += step
+        self._exp = coords @ self._place
+        self._log = np.full(self.order, -1, dtype=np.int64)
+        self._log[self._exp] = np.arange(n)
+        assert (self._log[1:] >= 0).all(), "generator order is wrong"
 
     # -- element plumbing ----------------------------------------------
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         """Polynomial-basis coordinates of x (low degree first)."""
         self.check_element(x)
-        out = []
-        for _ in range(self.m):
-            out.append(x % self.q)
-            x //= self.q
-        return tuple(out)
+        return self._coeffs_unchecked(x)
 
     def element(self, coeffs) -> int:
         v = 0
@@ -194,10 +199,7 @@ class Field:
 
     def canonical_elements(self) -> list[int]:
         """All elements sorted by coefficient tuple, low degree compared first."""
-        if self._canonical is None:
-            order = sorted(range(self.order), key=self._coeffs_unchecked)
-            self._canonical = np.array(order, dtype=np.int64)
-        return [int(v) for v in self._canonical]
+        return self._canonical.tolist()
 
     def _coeffs_unchecked(self, x: int) -> tuple[int, ...]:
         out = []
@@ -238,17 +240,13 @@ class Field:
         self.check_element(y)
         if x == 0 or y == 0:
             return 0
-        if self._has_tables:
-            return self._exp[(self._log[x] + self._log[y]) % (self.order - 1)]
-        return self._mul_raw(x, y)
+        return int(self._exp[(self._log[x] + self._log[y]) % (self.order - 1)])
 
     def inv(self, x: int) -> int:
         self.check_element(x)
         if x == 0:
             raise ZeroInverseError("0 has no multiplicative inverse")
-        if self._has_tables:
-            return self._exp[(-self._log[x]) % (self.order - 1)]
-        return self._pow_raw(x, self.order - 2)
+        return int(self._exp[-self._log[x] % (self.order - 1)])
 
     def pow(self, x: int, e: int) -> int:
         self.check_element(x)
@@ -256,9 +254,7 @@ class Field:
             return self.pow(self.inv(x), -e)
         if x == 0:
             return 0 if e else 1
-        if self._has_tables:
-            return self._exp[(self._log[x] * e) % (self.order - 1)]
-        return self._pow_raw(x, e)
+        return int(self._exp[int(self._log[x]) * e % (self.order - 1)])
 
     def frobenius(self, x: int) -> int:
         return self.pow(x, self.q)
@@ -282,9 +278,7 @@ class Field:
         self.check_element(x)
         if x == 0:
             return 0
-        if self._has_tables:
-            return -1 if self._log[x] % 2 else 1
-        return 1 if self._pow_raw(x, (self.order - 1) // 2) == 1 else -1
+        return -1 if self._log[x] % 2 else 1
 
     def add_char_index(self, a: int, x: int) -> int:
         """Index k in [0, q) with chi_a(x) = zeta_q^k, i.e. k = Tr(a*x)."""
@@ -300,14 +294,10 @@ class Field:
 
     @property
     def digit_matrix(self) -> np.ndarray:
-        """(q^m, m) array of polynomial coordinates."""
+        """(q^m, m) array of polynomial coordinates, in the dtype of trace_array."""
         if "digits" not in self._dense:
-            v = np.arange(self.order, dtype=np.int64)
-            cols = []
-            for _ in range(self.m):
-                cols.append(v % self.q)
-                v = v // self.q
-            self._dense["digits"] = np.stack(cols, axis=1).astype(np.int16)
+            digits = np.arange(self.order, dtype=np.int64)[:, None] // self._place % self.q
+            self._dense["digits"] = digits.astype(np.min_scalar_type(1 - self.q))
         return self._dense["digits"]
 
     @property
@@ -316,28 +306,23 @@ class Field:
             self._dense_guard()
             d = self.digit_matrix.astype(np.int32)
             s = (d[:, None, :] + d[None, :, :]) % self.q
-            weights = self.q ** np.arange(self.m, dtype=np.int64)
-            self._dense["add"] = (s.astype(np.int64) @ weights).astype(np.int32)
+            self._dense["add"] = (s.astype(np.int64) @ self._place).astype(np.int32)
         return self._dense["add"]
 
     @property
     def mul_array(self) -> np.ndarray:
         if "mul" not in self._dense:
             self._dense_guard()
-            n = self.order - 1
-            logv = np.array([self._log[v] for v in range(1, self.order)], dtype=np.int64)
-            expv = np.array(self._exp, dtype=np.int64)
+            logv = self._log[1:]
             table = np.zeros((self.order, self.order), dtype=np.int32)
-            table[1:, 1:] = expv[(logv[:, None] + logv[None, :]) % n].astype(np.int32)
+            table[1:, 1:] = self._exp[(logv[:, None] + logv[None, :]) % (self.order - 1)]
             self._dense["mul"] = table
         return self._dense["mul"]
 
     @property
     def neg_array(self) -> np.ndarray:
         if "neg" not in self._dense:
-            self._dense["neg"] = np.array(
-                [self.neg(v) for v in range(self.order)], dtype=np.int32
-            )
+            self._dense["neg"] = (-self.digit_matrix % self.q @ self._place).astype(np.int32)
         return self._dense["neg"]
 
     @property
@@ -345,10 +330,10 @@ class Field:
         """(q^m,) table of Tr(x), in the narrowest signed dtype that holds -(q-1)
         (int8 for every q <= 127)."""
         if "trace" not in self._dense:
-            self._dense["trace"] = np.array(
-                [self.trace(v) for v in range(self.order)],
-                dtype=np.min_scalar_type(1 - self.q),
-            )
+            # Tr is F_q-linear: Tr(x) = sum_i x_i Tr(x^i) over the coordinates x_i of x
+            t = np.array([self.trace(self.q**i) for i in range(self.m)], dtype=np.int64)
+            tr = self.digit_matrix @ t % self.q
+            self._dense["trace"] = tr.astype(np.min_scalar_type(1 - self.q))
         return self._dense["trace"]
 
     @property
@@ -362,16 +347,17 @@ class Field:
     def trace_sq_array(self) -> np.ndarray:
         """(q^m,) table of Tr(x^2), in the dtype of trace_array."""
         if "trace_sq" not in self._dense:
-            sq = np.array([self.mul(v, v) for v in range(self.order)], dtype=np.int64)
+            sq = np.zeros(self.order, dtype=np.int64)
+            sq[1:] = self._exp[2 * self._log[1:] % (self.order - 1)]
             self._dense["trace_sq"] = self.trace_array[sq]
         return self._dense["trace_sq"]
 
     @property
     def quad_char_array(self) -> np.ndarray:
         if "quad_char" not in self._dense:
-            self._dense["quad_char"] = np.array(
-                [self.quad_char(v) for v in range(self.order)], dtype=np.int8
-            )
+            qc = np.zeros(self.order, dtype=np.int8)
+            qc[1:] = 1 - 2 * (self._log[1:] % 2)
+            self._dense["quad_char"] = qc
         return self._dense["quad_char"]
 
     # -- identity ---------------------------------------------------------

@@ -340,6 +340,10 @@ def test_vectorized_oracles_match_naive_loops():
         naive = _naive_coupled_sum(f, alpha, beta, lam)
         assert abs(naive.imag) < 1e-9
         assert round(naive.real) == cs.nested_char_sum(f, "coupled", beta, lam, alpha=alpha, mode="oracle")
+    for (beta, lam) in [(1, 1), (5, 2), (7, 1)]:
+        naive = _naive_coupled_sum(f, 0, beta, lam)  # alpha = 0 drops the coupling: the split sum
+        assert abs(naive.imag) < 1e-9
+        assert round(naive.real) == cs.nested_char_sum(f, "split", beta, lam, mode="oracle")
     for (alpha, beta, lam) in [(0, 0, 1), (0, 3, 1), (5, 0, 2), (4, 7, 1), (1, 1, 2)]:
         assert _naive_pair_count(f, alpha, beta, lam) == cs.zero_trace_pair_count(f, alpha, beta, lam, mode="oracle").value
 

@@ -68,12 +68,41 @@ def test_timing_flag_populates_field(capsys):
 
 def test_budget_exceeded_exit_code(capsys):
     code, out = run(
-        ["spectrum", "--q", "3", "--m", "5", "--mode", "brute", "--budget", "1000000"],
+        ["spectrum", "--q", "3", "--m", "6", "--mode", "brute", "--budget", "1000000"],
         capsys,
     )
     assert code == cli.EXIT_BUDGET
     payload = json.loads(out)
     assert payload["verdicts"][0]["status"] == "SKIPPED"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--q", "3", "--m", "6"],
+    ["cwe", "--q", "5", "--m", "4"],
+])
+def test_histogram_count_runs_at_default_budget(argv, capsys):
+    code, out = run(argv + ["--mode", "both"], capsys)
+    assert code == cli.EXIT_PASS
+    assert json.loads(out)["verdicts"][0]["status"] == "PASS"
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    (["spectrum"], cli.EXIT_USAGE),
+    (["cwe", "--mode", "closed"], cli.EXIT_USAGE),
+    (["minimality"], cli.EXIT_USAGE),
+    (["check-all", "--mode", "brute"], cli.EXIT_USAGE),
+    (["spectrum", "--mode", "brute"], cli.EXIT_PASS),
+    (["verify-identities"], cli.EXIT_PASS),
+])
+def test_degree_one_needs_no_closed_tables(argv, exit_code, capsys):
+    argv = argv + ["--q", "3", "--m", "1"]
+    if exit_code == cli.EXIT_PASS:
+        assert run(argv, capsys)[0] == exit_code
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == exit_code
+    assert "need --m >= 2" in capsys.readouterr().err
 
 
 def test_cwe_closed_records(capsys):
@@ -189,5 +218,5 @@ def test_env_format_outside_choices_is_usage_error(monkeypatch, capsys):
 
 def test_env_override_budget(monkeypatch, capsys):
     monkeypatch.setenv("LEECODES_BUDGET", "1000000")
-    code, out = run(["spectrum", "--q", "3", "--m", "5", "--mode", "brute"], capsys)
+    code, out = run(["spectrum", "--q", "3", "--m", "6", "--mode", "brute"], capsys)
     assert code == cli.EXIT_BUDGET

@@ -138,9 +138,9 @@ def test_bruteforce_matches_per_message_scan(q, m, defining_sets):
 
 
 def test_bruteforce_budget(defining_sets):
-    D = codes.build_defining_set(make_field(3, 3))  # fresh instance, empty cache
+    D = codes.build_defining_set(make_field(3, 5))  # fresh instance, empty cache
     with pytest.raises(BudgetExceededError):
-        codes.lee_spectrum_bruteforce(D, budget=10**4)
+        codes.lee_spectrum_bruteforce(D, budget=10**4)  # the count needs ~1.2 * 10^5 steps
 
 
 def test_codeword_map_is_injective(defining_sets):

@@ -91,6 +91,24 @@ def test_generator_has_full_order(q, m):
     assert len(seen) == f.order - 1
 
 
+def test_field_above_former_table_limit():
+    # 103^3 = 1 092 727 elements, above the 2^20 at which log/exp tables used to stop;
+    # sampled entries are checked against schoolbook polynomial arithmetic
+    f = Field(103, 3)
+    n = f.order - 1
+    assert f._pow_raw(f.generator, n) == 1
+    assert all(f._pow_raw(f.generator, n // p) != 1 for p in (2, 3, 17, 3571))  # n = 2 3^2 17 3571
+    rng = random.Random(103)
+    for _ in range(50):
+        x, y = rng.randrange(1, f.order), rng.randrange(1, f.order)
+        assert f.mul(x, y) == f._mul_raw(x, y)
+        assert f._mul_raw(x, f.inv(x)) == 1
+        acc = 0
+        for i in range(f.m):  # Tr(x) = x + x^q + x^(q^2)
+            acc = f.add(acc, f._pow_raw(x, f.q**i))
+        assert f.coeffs(acc) == (int(f.trace_array[x]), 0, 0)
+
+
 def test_generator_order_by_repeated_squaring():
     f = make_field(3, 3)
     assert f.pow(f.generator, 26) == 1
@@ -151,6 +169,17 @@ def test_trace_linear_over_prime_field(q, m):
         x, y = rng.randrange(f.order), rng.randrange(f.order)
         lhs = f.trace(f.add(f.mul(c, x), y))
         assert lhs == (c * f.trace(x) + f.trace(y)) % q
+
+
+@pytest.mark.parametrize("q,m", SMALL_FIELDS)
+def test_element_tables_match_scalar_definitions(q, m):
+    f = make_field(q, m)
+    xs = range(f.order)
+    assert f.trace_array.tolist() == [f.trace(x) for x in xs]
+    assert f.trace_sq_array.tolist() == [f.trace(f._mul_raw(x, x)) for x in xs]
+    euler = (f.order - 1) // 2  # x^((q^m - 1)/2) = 1 exactly on the nonzero squares
+    assert f.quad_char_array.tolist() == [0] + [1 if f._pow_raw(x, euler) == 1 else -1 for x in xs[1:]]
+    assert f.neg_array.tolist() == [f.neg(x) for x in xs]
 
 
 # -- quadratic character -------------------------------------------------
