@@ -13,8 +13,8 @@ value that fails integrality or nonnegativity raises instead of rounding.
 The count uses D = Z x Z less (0, 0), Z = {a : Tr(a^2) = 0}: each Gray half
 of alpha + u*beta has the symbol counts H[alpha] (*) H[beta] less the zero
 pair, H[x, s] = #{a in Z : Tr(x a) = s}, so messages with equal rows of H
-share one cyclic convolution.  The per-coordinate trace-linearity kernel
-(_matches) serves only the minimality scan, which needs supports.
+share one cyclic convolution.  The per-coordinate trace tables TA, TB
+(_enumeration_tables) serve only the minimality scan, which needs supports.
 """
 
 from __future__ import annotations
@@ -165,15 +165,6 @@ def _enumeration_tables(D: DefiningSet) -> tuple[np.ndarray, np.ndarray]:
         D._cache["TA"] = tr[mul[:, D.a]]
         D._cache["TB"] = tr[mul[:, D.b]]
     return D._cache["TA"], D._cache["TB"]
-
-
-def _matches(D: DefiningSet, alpha: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """(q^m, n) masks over (beta, j) of the Gray coordinates of alpha + u*beta
-    that equal s: Tr(alpha a_j + beta b_j) == s and Tr(alpha b_j + beta a_j) == s.
-    """
-    TA, TB = _enumeration_tables(D)
-    q = D.field.q
-    return TB == (s - TA[alpha]) % q, TA == (s - TB[alpha]) % q
 
 
 def _compositions(D: DefiningSet, budget: int, what: str) -> Counter:

@@ -76,21 +76,57 @@ def _poly_mod(num: list[int], den: tuple[int, ...], q: int) -> list[int]:
     return num[:d] if d > 0 else []
 
 
+def _poly_mulmod(a: list[int], b: list[int], mod: tuple[int, ...], q: int) -> list[int]:
+    """a * b modulo the monic polynomial mod."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _poly_mod([c % q for c in prod], mod, q)
+
+
+def _poly_coprime(a: list[int], b: list[int], q: int) -> bool:
+    """True iff gcd(a, b) = 1 over F_q, by Euclid's algorithm."""
+    while any(b):
+        while not b[-1]:
+            b = b[:-1]
+        inv = pow(b[-1], q - 2, q)
+        a, b = b, _poly_mod(a, tuple(c * inv % q for c in b), q)
+    return len(a) == 1
+
+
 def _poly_is_irreducible(f: tuple[int, ...], q: int) -> bool:
-    """Exhaustive factor search: divide by every monic poly of degree <= deg(f)//2."""
-    deg = len(f) - 1
-    if deg == 1:
+    """Rabin's test for monic f of degree m: x^(q^m) = x mod f, and
+    gcd(f, x^(q^(m/p)) - x) = 1 for every prime p dividing m.  A root in F_q
+    rejects most reducible candidates before any polynomial arithmetic."""
+    m = len(f) - 1
+    if m == 1:
         return True
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(q), repeat=d):
-            g = tail + (1,)
-            if not any(_poly_mod(list(f), g, q)):
-                return False
-    return True
+    if any(sum(c * pow(a, i, q) for i, c in enumerate(f)) % q == 0 for a in range(q)):
+        return False
+    x = [0, 1] + [0] * (m - 2)
+    frob = [x]  # frob[k] = x^(q^k) mod f, as m coefficients
+    for _ in range(m):
+        h, e, r = frob[-1], q, [1]
+        while e:
+            if e & 1:
+                r = _poly_mulmod(r, h, f, q)
+            h = _poly_mulmod(h, h, f, q)
+            e >>= 1
+        frob.append(r + [0] * (m - len(r)))
+    if frob[m] != x:
+        return False
+    return all(
+        _poly_coprime(list(f), [(c - d) % q for c, d in zip(frob[m // p], x)], q)
+        for p in _prime_factors(m)
+    )
 
 
 def _smallest_irreducible(q: int, m: int) -> tuple[int, ...]:
-    for tail in itertools.product(range(q), repeat=m):
+    # candidates in canonical order, less those with a zero constant term when
+    # m > 1: x divides them
+    for tail in itertools.product(range(1 if m > 1 else 0, q), *[range(q)] * (m - 1)):
         f = tail + (1,)
         if _poly_is_irreducible(f, q):
             return f
@@ -128,15 +164,7 @@ class Field:
     # -- construction helpers ------------------------------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
-        q, m = self.q, self.m
-        ca = self.coeffs(a)
-        cb = self.coeffs(b)
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % q
-        return self.element(_poly_mod(prod, self.modulus, q))
+        return self.element(_poly_mulmod(self.coeffs(a), self.coeffs(b), self.modulus, self.q))
 
     def _pow_raw(self, a: int, e: int) -> int:
         r, b = 1, a

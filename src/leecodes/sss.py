@@ -4,6 +4,12 @@ A nonzero codeword is minimal when no other nonzero codeword has strictly
 smaller support; support-equal scalar multiples do not disqualify each other.
 The sufficient condition w_min / w_max > (q-1)/q is evaluated in exact
 rational arithmetic, never floating point.
+
+The exhaustive scan builds one support per F_q-line of messages, since scalar
+multiples share a support, and compares each only with heavier supports: a
+strict containment needs a smaller weight.  Containment is |S_i & S_j| == w_i,
+read off a float32 product of 0/1 rows, exact because every entry is an
+integer at most 2n < 2^24.
 """
 
 from __future__ import annotations
@@ -14,8 +20,10 @@ from fractions import Fraction
 import numpy as np
 
 from ._budget import DEFAULT_OPS_BUDGET, check_budget
-from .codes import DefiningSet, LeeSpectrum, _matches
+from .codes import DefiningSet, LeeSpectrum, _enumeration_tables
 from .errors import DegenerateSpectrumError, LengthMismatchError, UnsupportedParametersError
+
+_BLOCK = 1024  # support rows per BLAS product in the minimality scan
 
 
 def covers(x, y) -> bool:
@@ -83,35 +91,36 @@ def minimality_ratios(q: int, m: int) -> MinimalityRatios:
     return MinimalityRatios(ratios, threshold, all(r > threshold for r in ratios))
 
 
+def _line_representatives(q: int, m: int) -> np.ndarray:
+    """One pair index k = alpha q^m + beta per F_q-line: the k whose leading
+    base-q digit is 1 (a scalar c in F_q* multiplies every digit by c)."""
+    return np.concatenate([np.arange(q**e, 2 * q**e) for e in range(2 * m)])
+
+
 def minimal_codewords_exhaustive(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET
                                  ) -> tuple[int, bool]:
-    """Pairwise support-inclusion scan over every nonzero codeword.
+    """Strict support-containment scan, one support per F_q-line of messages.
 
     Returns (number of minimal nonzero codewords, whether all are minimal).
     """
     f = D.field
-    order2 = f.order**2
-    n2 = 2 * len(D)
-    check_budget(order2 * order2 * max(n2, 1), budget, "pairwise minimality scan")
+    q, n2 = f.q, 2 * len(D)
+    lines = (f.order**2 - 1) // (q - 1)
+    check_budget(lines * lines * max(n2, 1), budget, "pairwise minimality scan")
+    assert n2 < 2**24, "float32 support products would be inexact"
 
-    supports = np.empty((order2, n2), dtype=np.int8)
-    for alpha in range(f.order):
-        z1, z2 = _matches(D, alpha, 0)
-        rows = slice(alpha * f.order, (alpha + 1) * f.order)
-        supports[rows, 0::2] = ~z1
-        supports[rows, 1::2] = ~z2
-
-    nonzero = supports.any(axis=1)
-    sup = supports[nonzero]
-    if sup.size == 0:
-        return 0, True
-
-    uniq, counts = np.unique(sup, axis=0, return_counts=True)
-    s = uniq.astype(np.float64)
-    # missing[i, j] = #coordinates in support(i) outside support(j)
-    missing = s @ (1.0 - s).T
-    contained = missing < 0.5
-    proper = contained & ~contained.T  # support(i) strictly inside support(j)
-    dominated = proper.any(axis=0)
-    minimal_count = int(counts[~dominated].sum())
-    return minimal_count, not dominated.any()
+    alpha, beta = np.divmod(_line_representatives(q, f.m), f.order)
+    TA, TB = _enumeration_tables(D)
+    sup = np.hstack([TA[alpha] != -TB[beta] % q, TB[alpha] != -TA[beta] % q])
+    w = sup.sum(axis=1)
+    order = np.argsort(w)
+    order = order[w[order] > 0]  # zero codewords are neither minimal nor counted
+    sup, w = sup[order].astype(np.float32), w[order]
+    dominated = np.zeros(w.size, dtype=bool)
+    for lo in range(0, w.size, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        # S_i inside S_j is |S_i & S_j| == w_i; it is strict only when w_i < w_j
+        hi = np.searchsorted(w, w[lo], side="right")
+        inside = (sup[blk] @ sup[hi:].T == w[blk, None]) & (w[blk, None] < w[hi:])
+        dominated[hi:] |= inside.any(axis=0)
+    return (q - 1) * int(w.size - dominated.sum()), not dominated.any()

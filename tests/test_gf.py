@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from leecodes import gf
 from leecodes.errors import (
     ContextMismatchError,
     DegreeError,
@@ -57,6 +58,26 @@ def _is_irreducible(f, q):
             if _poly_divides(tail + (1,), f, q):
                 return False
     return True
+
+
+def _smallest_irreducible_by_trial_division(q, m):
+    for tail in itertools.product(range(q), repeat=m):
+        if _is_irreducible(tail + (1,), q):
+            return tail + (1,)
+
+
+@pytest.mark.parametrize("q,m", SMALL_FIELDS + [(3, 10), (5, 6), (7, 5), (13, 4)])
+def test_modulus_search_matches_trial_division(q, m):
+    assert gf._smallest_irreducible(q, m) == _smallest_irreducible_by_trial_division(q, m)
+
+
+@pytest.mark.parametrize("q,deg", [(3, 4), (3, 5), (3, 6), (5, 4), (7, 3)])
+def test_rabin_test_matches_trial_division(q, deg):
+    # every monic polynomial of the degree, including the root-free reducible
+    # ones (products of irreducible factors of degree >= 2) that reach the gcds
+    for tail in itertools.product(range(q), repeat=deg):
+        f = tail + (1,)
+        assert gf._poly_is_irreducible(f, q) == _is_irreducible(f, q), f
 
 
 def test_modulus_is_lex_smallest_irreducible_cubic():

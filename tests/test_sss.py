@@ -14,6 +14,7 @@ from leecodes.errors import (
 from leecodes.gf import make_field
 from leecodes.ring import RingElement, gray_map
 from leecodes.sss import (
+    _line_representatives,
     ab_check,
     covers,
     minimal_codewords_exhaustive,
@@ -116,14 +117,10 @@ def _naive_minimality(q, m, defining_sets):
                 sup.append(g != 0)
     sup = np.stack(sup)
     minimal = 0
-    for j in range(sup.shape[0]):
-        dominated = False
-        for i in range(sup.shape[0]):
-            si, sj = sup[i], sup[j]
-            if not np.any(si & ~sj) and np.any(sj & ~si):
-                dominated = True
-                break
-        minimal += not dominated
+    for sj in sup:
+        inside = ~(sup & ~sj).any(1)  # support(i) within support(j), for every i
+        bigger = (sj & ~sup).any(1)  # support(j) not within support(i)
+        minimal += not (inside & bigger).any()
     return minimal, minimal == sup.shape[0]
 
 
@@ -138,6 +135,20 @@ def test_minimality_counts(defining_sets):
     assert (count2, all2) == (72, False)
     count3, all3 = minimal_codewords_exhaustive(defining_sets(3, 3))
     assert (count3, all3) == (700, False)
+    # (3,4) sits exactly on the Ashikhmin-Barg threshold, so only the scan decides it
+    for (q, m), count in {(7, 2): 2328, (3, 4): 6520, (5, 3): 15496}.items():
+        assert minimal_codewords_exhaustive(defining_sets(q, m), budget=10**12) == (count, False)
+
+
+@pytest.mark.parametrize("q,m", [(3, 2), (5, 2)])
+def test_line_representatives_cover_each_nonzero_pair_once(q, m):
+    f = make_field(q, m)
+    hits = np.zeros(f.order**2, dtype=int)
+    for k in _line_representatives(q, m).tolist():
+        alpha, beta = divmod(k, f.order)
+        for c in range(1, q):
+            hits[f.mul(c, alpha) * f.order + f.mul(c, beta)] += 1
+    assert hits[0] == 0 and (hits[1:] == 1).all()
 
 
 @pytest.mark.parametrize("q,m", [(3, 2), (3, 3)])
@@ -151,3 +162,11 @@ def test_ab_soundness_implication(q, m, defining_sets):
 def test_minimality_budget(defining_sets):
     with pytest.raises(BudgetExceededError):
         minimal_codewords_exhaustive(defining_sets(3, 4))
+
+
+def test_minimality_budget_prices_lines(defining_sets):
+    # L^2 * 2n with L = (3^6 - 1)/2 = 364 lines and 2n = 160 Gray coordinates
+    D = defining_sets(3, 3)
+    assert minimal_codewords_exhaustive(D, budget=364**2 * 160) == (700, False)
+    with pytest.raises(BudgetExceededError):
+        minimal_codewords_exhaustive(D, budget=364**2 * 160 - 1)
