@@ -32,6 +32,7 @@ from .errors import (
 )
 
 _DENSE_TABLE_LIMIT = 2048
+_PRODUCT_ROWS = 1 << 16  # coordinate rows per widened product in the log/exp build
 
 
 def _is_prime(n: int) -> bool:
@@ -156,8 +157,10 @@ class Field:
 
         # sorting coefficient tuples low degree first sorts the elements by their
         # digit-reversed value; digit reversal is an involution, so the reversed
-        # values of 0, 1, ... are the elements in canonical order
-        self._canonical = self.digit_matrix @ self._place[::-1]
+        # values of 0, 1, ... are the elements in canonical order.  Read as a
+        # (q,)*m array, 0, 1, ... has digit i on axis m-1-i; transposing reverses
+        # the axes, hence the digits
+        self._canonical = np.arange(self.order, dtype=np.int64).reshape((q,) * m).T.ravel()
         self.generator = self._find_generator()
         self._build_tables()
 
@@ -192,15 +195,21 @@ class Field:
             [self._coeffs_unchecked(self._mul_raw(q**i, self.generator)) for i in range(m)],
             dtype=np.int64,
         )
-        coords = np.zeros((n, m), dtype=np.int64)
+        # coordinates are below q, so they are stored narrow; only the product is
+        # widened (a narrow matmul could overflow), a chunk of rows at a time
+        coords = np.zeros((n, m), dtype=np.min_scalar_type(q - 1))
         coords[0, 0] = 1
         k = 1
         while k < n:
             step = min(k, n - k)
-            coords[k:k + step] = coords[:step] @ M % q
+            for lo in range(0, step, _PRODUCT_ROWS):
+                hi = min(lo + _PRODUCT_ROWS, step)
+                coords[k + lo:k + hi] = coords[lo:hi] @ M % q
             M = M @ M % q
             k += step
-        self._exp = coords @ self._place
+        self._exp = np.zeros(n, dtype=np.int64)
+        for i in reversed(range(m)):
+            self._exp = self._exp * q + coords[:, i]
         self._log = np.full(self.order, -1, dtype=np.int64)
         self._log[self._exp] = np.arange(n)
         assert (self._log[1:] >= 0).all(), "generator order is wrong"
@@ -324,8 +333,11 @@ class Field:
     def digit_matrix(self) -> np.ndarray:
         """(q^m, m) array of polynomial coordinates, in the dtype of trace_array."""
         if "digits" not in self._dense:
-            digits = np.arange(self.order, dtype=np.int64)[:, None] // self._place % self.q
-            self._dense["digits"] = digits.astype(np.min_scalar_type(1 - self.q))
+            digits = np.empty((self.order, self.m), dtype=np.min_scalar_type(1 - self.q))
+            rest = np.arange(self.order, dtype=np.int64)
+            for i in range(self.m):
+                rest, digits[:, i] = np.divmod(rest, self.q)
+            self._dense["digits"] = digits
         return self._dense["digits"]
 
     @property
@@ -359,8 +371,9 @@ class Field:
         (int8 for every q <= 127)."""
         if "trace" not in self._dense:
             # Tr is F_q-linear: Tr(x) = sum_i x_i Tr(x^i) over the coordinates x_i of x
-            t = np.array([self.trace(self.q**i) for i in range(self.m)], dtype=np.int64)
-            tr = self.digit_matrix @ t % self.q
+            tr = np.zeros(1, dtype=np.int64)
+            for i in reversed(range(self.m)):  # appends digit i below the higher ones
+                tr = (tr[:, None] + self.trace(self.q**i) * np.arange(self.q)).ravel() % self.q
             self._dense["trace"] = tr.astype(np.min_scalar_type(1 - self.q))
         return self._dense["trace"]
 

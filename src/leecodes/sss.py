@@ -5,11 +5,23 @@ smaller support; support-equal scalar multiples do not disqualify each other.
 The sufficient condition w_min / w_max > (q-1)/q is evaluated in exact
 rational arithmetic, never floating point.
 
-The exhaustive scan builds one support per F_q-line of messages, since scalar
-multiples share a support, and compares each only with heavier supports: a
-strict containment needs a smaller weight.  Containment is |S_i & S_j| == w_i,
+The exhaustive scan makes three exact reductions.
+
+- One support per F_q-line of messages: scalar multiples share a support.
+- One Gray half: the second half of alpha + u*beta at (a, b) is its first
+  half at (b, a), and D is closed under that swap, so S_i is inside S_j on
+  both halves exactly when it is on the first, and w = 2 |S^1|.
+- One containing codeword per orbit: (alpha, beta) -> (beta, alpha),
+  (alpha, -beta) and Frobenius each permute the coordinates of every
+  support by one fixed permutation ((a, b) -> (b, a), (a, -b) and
+  (phi^-1 a, phi^-1 b); Z = -Z and Z is Frobenius-stable), so "some nonzero
+  codeword has strictly smaller support" is constant on each orbit.
+
+Every line i is then compared with each orbit representative j: S_i is inside
+S_j when |S_i & S_j| == w_i, and strictly when 0 < w_i < w_j.  The counts are
 read off a float32 product of 0/1 rows, exact because every entry is an
-integer at most 2n < 2^24.
+integer at most n < 2^24.  The scan is priced L * R * n steps, for L lines,
+R orbits and n first-half coordinates.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ import numpy as np
 from ._budget import DEFAULT_OPS_BUDGET, check_budget
 from .codes import DefiningSet, LeeSpectrum, _enumeration_tables
 from .errors import DegenerateSpectrumError, LengthMismatchError, UnsupportedParametersError
+from .gf import Field
 
 _BLOCK = 1024  # support rows per BLAS product in the minimality scan
 
@@ -97,30 +110,66 @@ def _line_representatives(q: int, m: int) -> np.ndarray:
     return np.concatenate([np.arange(q**e, 2 * q**e) for e in range(2 * m)])
 
 
+def _line_orbits(f: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the F_q-lines under (alpha, beta) -> (beta, alpha),
+    (alpha, -beta) and Frobenius: the smallest line representative of each
+    orbit, and the number of lines in it.
+
+    The group these generate acts on lines through 4m maps; each line is
+    labelled with the smallest representative among its 4m images.  Reading
+    mul_array keeps this O(4m L) work under the dense-table limit.
+    """
+    q, order = f.q, f.order
+    mul, neg = f.mul_array, f.neg_array
+    frob = np.array([f.frobenius(x) for x in f.elements()])
+    lead = np.arange(order)  # leading base-q digit of each element
+    for _ in range(f.m - 1):
+        lead = np.where(lead >= q, lead // q, lead)
+    inv = np.array([0] + [pow(c, q - 2, q) for c in range(1, q)])
+
+    def line(x, y):
+        c = inv[np.where(x > 0, lead[x], lead[y])]
+        return mul[c, x].astype(np.int64) * order + mul[c, y]
+
+    lines = _line_representatives(q, f.m)
+    label = lines
+    a, b = np.divmod(lines, order)
+    for _ in range(f.m):
+        # the signed swaps modulo the scalar -1: identity, swap, negate beta, both
+        for x, y in ((a, b), (b, a), (a, neg[b]), (b, neg[a])):
+            label = np.minimum(label, line(x, y))
+        a, b = frob[a], frob[b]
+    return np.unique(label, return_counts=True)
+
+
 def minimal_codewords_exhaustive(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET
                                  ) -> tuple[int, bool]:
-    """Strict support-containment scan, one support per F_q-line of messages.
+    """Strict support-containment scan of every F_q-line against one line per
+    orbit (module docstring).
 
     Returns (number of minimal nonzero codewords, whether all are minimal).
     """
     f = D.field
-    q, n2 = f.q, 2 * len(D)
-    lines = (f.order**2 - 1) // (q - 1)
-    check_budget(lines * lines * max(n2, 1), budget, "pairwise minimality scan")
-    assert n2 < 2**24, "float32 support products would be inexact"
+    q, n = f.q, len(D)
+    reps, sizes = _line_orbits(f)
+    lines = _line_representatives(q, f.m)
+    check_budget(lines.size * reps.size * n, budget, "pairwise minimality scan")
+    assert n < 2**24, "float32 support products would be inexact"
 
-    alpha, beta = np.divmod(_line_representatives(q, f.m), f.order)
     TA, TB = _enumeration_tables(D)
-    sup = np.hstack([TA[alpha] != -TB[beta] % q, TB[alpha] != -TA[beta] % q])
+
+    def supports(k):  # the first Gray half, Tr(alpha a + beta b) != 0
+        alpha, beta = np.divmod(k, f.order)
+        return TA[alpha] != -TB[beta] % q
+
+    sup = supports(reps)
     w = sup.sum(axis=1)
-    order = np.argsort(w)
-    order = order[w[order] > 0]  # zero codewords are neither minimal nor counted
-    sup, w = sup[order].astype(np.float32), w[order]
-    dominated = np.zeros(w.size, dtype=bool)
-    for lo in range(0, w.size, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
+    sup = sup.T.astype(np.float32)
+    dominated = np.zeros(reps.size, dtype=bool)
+    for lo in range(0, lines.size, _BLOCK):
+        blk = supports(lines[lo:lo + _BLOCK])
+        w_blk = blk.sum(axis=1)[:, None]
         # S_i inside S_j is |S_i & S_j| == w_i; it is strict only when w_i < w_j
-        hi = np.searchsorted(w, w[lo], side="right")
-        inside = (sup[blk] @ sup[hi:].T == w[blk, None]) & (w[blk, None] < w[hi:])
-        dominated[hi:] |= inside.any(axis=0)
-    return (q - 1) * int(w.size - dominated.sum()), not dominated.any()
+        inside = (blk.astype(np.float32) @ sup == w_blk) & (0 < w_blk) & (w_blk < w)
+        dominated |= inside.any(axis=0)
+    return (q - 1) * int(sizes[(w > 0) & ~dominated].sum()), not dominated.any()

@@ -158,11 +158,19 @@ def test_spectrum_brute_large_q(capsys):
 
 
 def test_minimality_budget_skip(capsys):
-    code, out = run(["minimality", "--q", "3", "--m", "4"], capsys)
+    code, out = run(["minimality", "--q", "3", "--m", "4", "--budget", "1000000"], capsys)
     assert code == cli.EXIT_BUDGET
     payload = json.loads(out)
     assert payload["results"]["ab_holds"] is False
     assert payload["verdicts"][0]["status"] == "SKIPPED"
+
+
+def test_minimality_boundary_case_runs_at_default_budget(capsys):
+    # (3,4) sits exactly on the Ashikhmin-Barg threshold: only the scan decides it
+    code, out = run(["minimality", "--q", "3", "--m", "4"], capsys)
+    assert code == cli.EXIT_PASS
+    res = json.loads(out)["results"]
+    assert (res["ab_holds"], res["minimal_count"], res["all_minimal"]) == (False, 6520, False)
 
 
 def test_check_all(capsys):

@@ -14,6 +14,7 @@ from leecodes.errors import (
 from leecodes.gf import make_field
 from leecodes.ring import RingElement, gray_map
 from leecodes.sss import (
+    _line_orbits,
     _line_representatives,
     ab_check,
     covers,
@@ -124,7 +125,7 @@ def _naive_minimality(q, m, defining_sets):
     return minimal, minimal == sup.shape[0]
 
 
-@pytest.mark.parametrize("q,m", [(3, 2), (3, 3)])
+@pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (7, 2)])
 def test_minimality_scan_matches_naive(q, m, defining_sets):
     fast = minimal_codewords_exhaustive(defining_sets(q, m))
     assert fast == _naive_minimality(q, m, defining_sets)
@@ -136,7 +137,7 @@ def test_minimality_counts(defining_sets):
     count3, all3 = minimal_codewords_exhaustive(defining_sets(3, 3))
     assert (count3, all3) == (700, False)
     # (3,4) sits exactly on the Ashikhmin-Barg threshold, so only the scan decides it
-    for (q, m), count in {(7, 2): 2328, (3, 4): 6520, (5, 3): 15496}.items():
+    for (q, m), count in {(7, 2): 2328, (3, 4): 6520, (5, 3): 15496, (7, 3): 117300}.items():
         assert minimal_codewords_exhaustive(defining_sets(q, m), budget=10**12) == (count, False)
 
 
@@ -161,12 +162,75 @@ def test_ab_soundness_implication(q, m, defining_sets):
 
 def test_minimality_budget(defining_sets):
     with pytest.raises(BudgetExceededError):
-        minimal_codewords_exhaustive(defining_sets(3, 4))
+        minimal_codewords_exhaustive(defining_sets(3, 5))
 
 
 def test_minimality_budget_prices_lines(defining_sets):
-    # L^2 * 2n with L = (3^6 - 1)/2 = 364 lines and 2n = 160 Gray coordinates
+    # L * R * n with L = (3^6 - 1)/2 = 364 lines, R = 36 orbits and n = 80
+    # first-half Gray coordinates
     D = defining_sets(3, 3)
-    assert minimal_codewords_exhaustive(D, budget=364**2 * 160) == (700, False)
+    assert _line_orbits(D.field)[0].size == 36
+    assert minimal_codewords_exhaustive(D, budget=364 * 36 * 80) == (700, False)
     with pytest.raises(BudgetExceededError):
-        minimal_codewords_exhaustive(D, budget=364**2 * 160 - 1)
+        minimal_codewords_exhaustive(D, budget=364 * 36 * 80 - 1)
+
+
+# -- the symmetries behind the orbit scan ------------------------------------------
+
+def _gray_support(f, D, alpha, beta):
+    return gray_map(codes.codeword(RingElement(f, alpha, beta), D)) != 0
+
+
+@pytest.mark.parametrize("q,m", [(3, 3), (7, 2)])
+def test_orbit_maps_permute_gray_supports(q, m, defining_sets):
+    # each map on messages moves every Gray support by one fixed coordinate
+    # permutation, read here from per-message codewords
+    f = make_field(q, m)
+    D = defining_sets(q, m)
+    index = {d: j for j, d in enumerate(zip(D.a.tolist(), D.b.tolist()))}
+    halves = np.arange(2 * len(D)) % 2
+
+    def coordinate_map(g):  # Gray coordinate 2j + h -> 2 g(d_j) + h
+        return 2 * np.repeat([index[g(a, b)] for a, b in index], 2) + halves
+
+    frob_inv = lambda x: f.pow(x, q ** (m - 1))  # noqa: E731
+    maps = [
+        (lambda x, y: (y, x), np.arange(2 * len(D)) ^ 1),  # swaps the two halves
+        (lambda x, y: (x, f.neg(y)), coordinate_map(lambda a, b: (a, f.neg(b)))),
+        (lambda x, y: (f.frobenius(x), f.frobenius(y)),
+         coordinate_map(lambda a, b: (frob_inv(a), frob_inv(b)))),
+    ]
+    rng = random.Random(q * 100 + m)
+    for _ in range(40):
+        alpha, beta = rng.randrange(f.order), rng.randrange(f.order)
+        support = _gray_support(f, D, alpha, beta)
+        for g, perm in maps:
+            assert np.array_equal(_gray_support(f, D, *g(alpha, beta)), support[perm])
+
+
+@pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (7, 2)])
+def test_line_orbits_match_closure(q, m):
+    # orbits of all messages under the three maps and F_q* scalars, by union-find
+    f = make_field(q, m)
+    parent = list(range(f.order**2))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for alpha in range(f.order):
+        for beta in range(f.order):
+            images = [(beta, alpha), (alpha, f.neg(beta)), (f.frobenius(alpha), f.frobenius(beta))]
+            images += [(f.mul(c, alpha), f.mul(c, beta)) for c in range(2, q)]
+            for x, y in images:
+                parent[find(alpha * f.order + beta)] = find(x * f.order + y)
+    orbits = {}
+    for k in range(1, f.order**2):
+        orbits.setdefault(find(k), []).append(k)
+    lead_one = lambda k: int(np.base_repr(k, q)[0]) == 1  # noqa: E731
+    expected = sorted((min(filter(lead_one, o)), len(o) // (q - 1)) for o in orbits.values())
+    reps, sizes = _line_orbits(f)
+    assert list(zip(reps.tolist(), sizes.tolist())) == expected
+    assert (q - 1) * sizes.sum() == q ** (2 * m) - 1
