@@ -167,10 +167,10 @@ def quadratic_sum(field: Field, b2: int, b1: int, b0: int, mode: str = "closed",
         )
     if mode == "oracle":
         check_budget(f.order, budget, "quadratic sum oracle")
-        xs = np.arange(f.order)
-        sq = f.mul_array[xs, xs]
-        poly = f.add_array[f.add_array[f.mul_array[b2, sq], f.mul_array[b1, xs]], b0]
-        hist = np.bincount(f.trace_array[poly], minlength=f.q)
+        # Tr is additive: Tr(b2 x^2 + b1 x + b0) = Tr(b2 x^2) + Tr(b1 x) + Tr(b0)
+        tr = f.trace_array.astype(np.int64)
+        traces = tr[f.mul_row(b2)[f.squares()]] + tr[f.mul_row(b1)] + f.trace(b0)
+        hist = np.bincount(traces % f.q, minlength=f.q)
         return embed_histogram(f.q, hist)
     raise ValueError("mode must be 'closed' or 'oracle'")
 
@@ -362,7 +362,7 @@ def _nested_char_sum_oracle(f: Field, kind: str, beta: int, lam: int, alpha: int
     q = f.q
     ta2 = f.trace_sq_array.astype(np.int64)
     tr = f.trace_array.astype(np.int64)
-    tr_beta = tr[f.mul_array[beta]]  # Tr(beta * a) over a
+    tr_beta = tr[f.mul_row(beta)]  # Tr(beta * a) over a
     sides = 1 if kind == "single" else 2
     check_budget(sides * (q - 1) ** 2 * f.order + (sides - 1) * (q - 1) * q * q, budget,
                  f"{kind}-sum oracle")
@@ -377,7 +377,7 @@ def _nested_char_sum_oracle(f: Field, kind: str, beta: int, lam: int, alpha: int
     ha = summed(tr_beta - lam)
     if kind == "single":
         return exact_int_from_histogram(q, ha.sum(axis=0))
-    tr_alpha = tr[f.mul_array[alpha]] if kind == "coupled" else np.zeros_like(ta2)  # Tr(alpha * b)
+    tr_alpha = tr[f.mul_row(alpha)] if kind == "coupled" else np.zeros_like(ta2)  # Tr(alpha * b)
     return exact_int_from_histogram(q, _cyclic_convolve(ha, summed(tr_alpha)).sum(axis=0))
 
 
@@ -397,8 +397,8 @@ def zero_trace_pair_count(field: Field, alpha: int, beta: int, lam: int, mode: s
     if mode == "oracle":
         check_budget(2 * f.order + q * q, budget, "zero-trace pair-count oracle")
         zeros = np.nonzero(f.trace_sq_array == 0)[0]
-        ha = np.bincount(f.trace_array[f.mul_array[beta][zeros]], minlength=q).astype(np.int64)
-        hb = np.bincount(f.trace_array[f.mul_array[alpha][zeros]], minlength=q).astype(np.int64)
+        ha = np.bincount(f.trace_array[f.mul_row(beta)[zeros]], minlength=q).astype(np.int64)
+        hb = np.bincount(f.trace_array[f.mul_row(alpha)[zeros]], minlength=q).astype(np.int64)
         conv = _cyclic_convolve(ha, hb)
         return CountResult(int(conv[lam]), "enumeration")
     if mode != "closed":

@@ -5,12 +5,21 @@ check failed, 2 = usage/parameter error, 3 = enumeration budget exceeded.
 JSON output is byte-deterministic for a fixed configuration and seed; wall
 times are reported only when --timing is passed (the timing field stays
 null otherwise so that repeated runs are byte-identical).
+
+A cold run's time goes mostly to start-up, not to the mathematics: the
+interpreter, numpy, and compiling the leecodes modules (a spectrum or CWE
+at the benchmark grid counts in a few ms).  So this module imports the
+numeric submodules inside the runners that use them (spectrum and cwe never
+load sss or ring), and calls them through the module (codes.cwe_closed, not
+a bound name) so that replacing a module attribute reaches the CLI too.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
+import gc
 import io
 import json
 import os
@@ -21,9 +30,7 @@ import time
 from dataclasses import dataclass
 
 from ._budget import DEFAULT_OPS_BUDGET
-from . import charsums, codes, sss
 from .errors import BudgetExceededError, DegenerateSpectrumError, LeecodesError
-from .gf import _is_prime, make_field
 
 ENV_PREFIX = "LEECODES_"
 
@@ -101,6 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
+    from .gf import _is_prime
+
     if args.q < 3 or not _is_prime(args.q):
         parser.error(f"--q must be an odd prime, got {args.q}")
     if args.m < 1:
@@ -118,6 +127,10 @@ def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCon
         parser.error("--threads must be >= 1")
     if args.output_format not in FORMATS:  # argparse checks choices on argv, not on defaults
         parser.error(f"--format must be one of {', '.join(FORMATS)}, got {args.output_format!r}")
+    if args.out is not None:
+        directory = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(directory):
+            parser.error(f"--out directory does not exist: {directory}")
     return RunConfig(
         q=args.q,
         m=args.m,
@@ -149,7 +162,9 @@ def _sample_pairs(field, rng: random.Random, count: int) -> list[tuple[int, int,
 
 
 def _identity_checks(cfg: RunConfig) -> list[dict]:
-    f = make_field(cfg.q, cfg.m)
+    from . import charsums, gf
+
+    f = gf.make_field(cfg.q, cfg.m)
     rng = random.Random(cfg.seed)
     q = f.q
     results = []
@@ -242,6 +257,8 @@ def _identity_checks(cfg: RunConfig) -> list[dict]:
 
 
 def _spectrum_results(cfg: RunConfig) -> tuple[list[dict], dict]:
+    from . import codes, gf
+
     results: dict = {}
     verdicts = []
     closed = brute = None
@@ -249,7 +266,7 @@ def _spectrum_results(cfg: RunConfig) -> tuple[list[dict], dict]:
         closed = codes.lee_spectrum_closed(cfg.q, cfg.m)
         results["closed"] = closed.records()
     if cfg.mode in ("brute", "both"):
-        D = codes.build_defining_set(make_field(cfg.q, cfg.m), budget=cfg.budget)
+        D = codes.build_defining_set(gf.make_field(cfg.q, cfg.m), budget=cfg.budget)
         brute = codes.lee_spectrum_bruteforce(D, budget=cfg.budget, threads=cfg.threads)
         results["brute"] = brute.records()
         results["defining_set_size"] = len(D)
@@ -260,6 +277,8 @@ def _spectrum_results(cfg: RunConfig) -> tuple[list[dict], dict]:
 
 
 def _cwe_results(cfg: RunConfig) -> tuple[list[dict], dict]:
+    from . import codes, gf
+
     results: dict = {}
     verdicts = []
     closed = brute = None
@@ -267,7 +286,7 @@ def _cwe_results(cfg: RunConfig) -> tuple[list[dict], dict]:
         closed = codes.cwe_closed(cfg.q, cfg.m)
         results["closed"] = closed.records()
     if cfg.mode in ("brute", "both"):
-        D = codes.build_defining_set(make_field(cfg.q, cfg.m), budget=cfg.budget)
+        D = codes.build_defining_set(gf.make_field(cfg.q, cfg.m), budget=cfg.budget)
         brute = codes.cwe_bruteforce(D, budget=cfg.budget, threads=cfg.threads)
         results["brute"] = brute.records()
     if cfg.mode == "both":
@@ -277,6 +296,8 @@ def _cwe_results(cfg: RunConfig) -> tuple[list[dict], dict]:
 
 
 def _minimality_results(cfg: RunConfig) -> tuple[list[dict], dict]:
+    from . import codes, gf, sss
+
     spectrum = codes.lee_spectrum_closed(cfg.q, cfg.m)
     try:
         report = sss.ab_check(spectrum, cfg.q)
@@ -298,7 +319,7 @@ def _minimality_results(cfg: RunConfig) -> tuple[list[dict], dict]:
     # whenever the ratio condition holds, the exhaustive scan must agree.
     verdicts = []
     try:
-        D = codes.build_defining_set(make_field(cfg.q, cfg.m), budget=cfg.budget)
+        D = codes.build_defining_set(gf.make_field(cfg.q, cfg.m), budget=cfg.budget)
         count, all_min = sss.minimal_codewords_exhaustive(D, budget=cfg.budget)
         results["minimal_count"] = count
         results["all_minimal"] = all_min
@@ -389,7 +410,15 @@ def _write_output(text: str, out: str | None) -> None:
         raise
 
 
+_freeze_at_exit = False
+
+
 def main(argv: list[str] | None = None) -> int:
+    global _freeze_at_exit
+    if not _freeze_at_exit:
+        # the OS frees the heap at exit; a frozen heap spares finalization a full collection
+        atexit.register(gc.freeze)
+        _freeze_at_exit = True
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = _config(args, parser)

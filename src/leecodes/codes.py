@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,7 +35,10 @@ from .errors import (
     UnsupportedParametersError,
 )
 from .gf import Field, make_field
-from .ring import RingElement, RingVector
+
+if TYPE_CHECKING:
+    # ring is imported where it is used, so a spectrum or CWE run never loads it
+    from .ring import RingElement, RingVector
 
 
 # ----------------------------------------------------------------------
@@ -128,6 +132,8 @@ class DefiningSet:
         return 2 * len(self)
 
     def member(self, i: int) -> RingElement:
+        from .ring import RingElement
+
         return RingElement(self.field, int(self.a[i]), int(self.b[i]))
 
     def __repr__(self) -> str:
@@ -143,6 +149,8 @@ def build_defining_set(field: Field, budget: int = DEFAULT_OPS_BUDGET) -> Defini
 
 def codeword(x: RingElement, D: DefiningSet) -> RingVector:
     """The vector (tr(x d))_{d in D} over the base ring."""
+    from .ring import RingVector
+
     if x.field != D.field:
         raise ContextMismatchError("message and defining set use different contexts")
     f = D.field
@@ -405,9 +413,9 @@ class GrayReport:
 
 def gray_dimension(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET) -> GrayReport:
     """Measured rank of the Gray image plus its minimum nonzero Lee weight."""
-    f = D.field
-    from .ring import gray_map  # local import to avoid cycle at module load
+    from .ring import RingElement, gray_map
 
+    f = D.field
     rows = []
     for j in range(f.m):
         e = f.q**j  # the basis monomial x^j

@@ -279,6 +279,20 @@ class Field:
             return 0
         return int(self._exp[(self._log[x] + self._log[y]) % (self.order - 1)])
 
+    def mul_row(self, c: int) -> np.ndarray:
+        """(q^m,) array of c * x for every x: one log/antilog gather, at any size."""
+        self.check_element(c)
+        row = np.zeros(self.order, dtype=np.int64)
+        if c:
+            row[1:] = self._exp[(self._log[c] + self._log[1:]) % (self.order - 1)]
+        return row
+
+    def squares(self) -> np.ndarray:
+        """(q^m,) array of x^2 for every x, built on each call (callers keep what they need)."""
+        sq = np.zeros(self.order, dtype=np.int64)
+        sq[1:] = self._exp[2 * self._log[1:] % (self.order - 1)]
+        return sq
+
     def inv(self, x: int) -> int:
         self.check_element(x)
         if x == 0:
@@ -388,9 +402,7 @@ class Field:
     def trace_sq_array(self) -> np.ndarray:
         """(q^m,) table of Tr(x^2), in the dtype of trace_array."""
         if "trace_sq" not in self._dense:
-            sq = np.zeros(self.order, dtype=np.int64)
-            sq[1:] = self._exp[2 * self._log[1:] % (self.order - 1)]
-            self._dense["trace_sq"] = self.trace_array[sq]
+            self._dense["trace_sq"] = self.trace_array[self.squares()]
         return self._dense["trace_sq"]
 
     @property

@@ -21,7 +21,8 @@ Every line i is then compared with each orbit representative j: S_i is inside
 S_j when |S_i & S_j| == w_i, and strictly when 0 < w_i < w_j.  The counts are
 read off a float32 product of 0/1 rows, exact because every entry is an
 integer at most n < 2^24.  The scan is priced L * R * n steps, for L lines,
-R orbits and n first-half coordinates.
+R orbits and n first-half coordinates; the lower bound R >= L / 4m refuses an
+unaffordable scan before the orbits are labelled.
 """
 
 from __future__ import annotations
@@ -151,9 +152,12 @@ def minimal_codewords_exhaustive(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGE
     """
     f = D.field
     q, n = f.q, len(D)
+    L = (q ** (2 * f.m) - 1) // (q - 1)  # F_q-lines of message pairs
+    # an orbit holds at most 4m lines, so R >= ceil(L / 4m): refuse before labelling
+    check_budget(L * -(-L // (4 * f.m)) * n, budget, "pairwise minimality scan (lower bound)")
     reps, sizes = _line_orbits(f)
+    check_budget(L * reps.size * n, budget, "pairwise minimality scan")
     lines = _line_representatives(q, f.m)
-    check_budget(lines.size * reps.size * n, budget, "pairwise minimality scan")
     assert n < 2**24, "float32 support products would be inexact"
 
     TA, TB = _enumeration_tables(D)

@@ -94,6 +94,27 @@ def test_quadratic_sum_closed_vs_oracle_random():
         assert abs(closed - oracle) <= 1e-6 * max(1.0, abs(oracle))
 
 
+def test_oracles_run_above_dense_table_limit():
+    # q^m = 6561 > 2048 refuses mul_array; the quadratic, nested and pair-count
+    # oracles read one product row per fixed factor instead
+    f = make_field(3, 8)
+    with pytest.raises(BudgetExceededError):
+        f.mul_array
+    rng = random.Random(8)
+    for _ in range(4):
+        b2, b1, b0 = rng.randrange(1, f.order), rng.randrange(f.order), rng.randrange(f.order)
+        closed = cs.quadratic_sum(f, b2, b1, b0, mode="closed")
+        oracle = cs.quadratic_sum(f, b2, b1, b0, mode="oracle")
+        assert abs(closed - oracle) <= 1e-6 * max(1.0, abs(oracle))
+        a, b, lam = rng.randrange(1, f.order), rng.randrange(1, f.order), rng.randrange(1, 3)
+        for kind in ("single", "split", "coupled"):
+            assert (cs.nested_char_sum(f, kind, b, lam, alpha=a)
+                    == cs.nested_char_sum(f, kind, b, lam, alpha=a, mode="oracle"))
+        for alpha in (0, a):
+            assert (cs.zero_trace_pair_count(f, alpha, b, lam).value
+                    == cs.zero_trace_pair_count(f, alpha, b, lam, mode="oracle").value)
+
+
 def test_quadratic_sum_rejects_zero_lead():
     with pytest.raises(ZeroLeadingCoefficientError):
         cs.quadratic_sum(make_field(3, 2), 0, 1, 1)

@@ -1,8 +1,14 @@
+import gc
+import importlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import leecodes
 from leecodes import cli
 
 
@@ -38,6 +44,14 @@ def test_verify_identities_passes(capsys):
     statuses = {v["check"]: v["status"] for v in payload["verdicts"]}
     assert set(statuses.values()) == {"PASS"}
     assert "zero-trace-pair-count" in statuses
+
+
+def test_verify_identities_runs_every_check_above_dense_table_limit(capsys):
+    # q^m = 6561 > 2048: no identity oracle reads a q^m x q^m table
+    code, out = run(["verify-identities", "--q", "3", "--m", "8"], capsys)
+    assert code == cli.EXIT_PASS
+    verdicts = json.loads(out)["verdicts"]
+    assert len(verdicts) == 9 and {v["status"] for v in verdicts} == {"PASS"}
 
 
 def test_spectrum_both_match(capsys):
@@ -209,6 +223,15 @@ def test_out_file_atomic(tmp_path, capsys):
     assert leftovers == []
 
 
+def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--q", "3", "--m", "3", "--out", str(target)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "--out directory does not exist" in capsys.readouterr().err
+    assert not target.parent.exists()
+
+
 def test_env_override_format(monkeypatch, capsys):
     monkeypatch.setenv("LEECODES_FORMAT", "csv")
     code, out = run(["spectrum", "--q", "3", "--m", "2"], capsys)
@@ -228,3 +251,76 @@ def test_env_override_budget(monkeypatch, capsys):
     monkeypatch.setenv("LEECODES_BUDGET", "1000000")
     code, out = run(["spectrum", "--q", "3", "--m", "6", "--mode", "brute"], capsys)
     assert code == cli.EXIT_BUDGET
+
+
+# -- start-up: a one-shot process loads only what its command runs -----------
+
+NUMERIC_MODULES = {"numpy", "leecodes.charsums", "leecodes.codes", "leecodes.gf",
+                   "leecodes.ring", "leecodes.sss"}
+
+
+SPECTRUM_BOTH = (
+    "import contextlib, io\n"
+    "from leecodes import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert cli.main(['spectrum', '--q', '3', '--m', '3', '--mode', 'both']) == 0\n"
+)
+
+
+def _fresh_stdout(code: str) -> str:
+    """What a fresh interpreter prints while running code and shutting down."""
+    src = str(Path(leecodes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    return proc.stdout
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    """Names in sys.modules after a fresh interpreter runs code."""
+    return set(_fresh_stdout(f"{code}\nimport sys\nprint(' '.join(sys.modules))").split())
+
+
+def test_importing_cli_loads_no_numeric_module():
+    assert not NUMERIC_MODULES & _modules_loaded_by("import leecodes.cli")
+
+
+def test_spectrum_loads_neither_sss_nor_ring():
+    loaded = _modules_loaded_by(SPECTRUM_BOTH)
+    assert {"leecodes.codes", "leecodes.charsums", "leecodes.gf"} <= loaded
+    assert not {"leecodes.sss", "leecodes.ring"} & loaded
+
+
+def test_public_names_resolve_to_their_submodules():
+    for name in leecodes.__all__:
+        module = importlib.import_module(f"leecodes.{leecodes._EXPORTS[name]}")
+        assert getattr(leecodes, name) is getattr(module, name)
+        assert name in dir(leecodes)
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError):
+        leecodes.no_such_name  # noqa: B018
+    assert not hasattr(leecodes, "no_such_name")
+
+
+def test_only_running_main_freezes_the_heap_at_exit():
+    # a reference cycle left for shutdown is finalized by its last collection,
+    # which the frozen heap skips: importing the CLI keeps it, running main does not
+    cycle = ("import gc\n"
+             "class Node:\n"
+             "    def __del__(self):\n"
+             "        print('finalized', flush=True)\n"
+             "gc.disable()\n"
+             "node = Node()\n"
+             "node.self = node\n"
+             "del node\n")
+    assert _fresh_stdout("import leecodes.cli\n" + cycle) == "finalized\n"
+    assert _fresh_stdout(SPECTRUM_BOTH + cycle) == ""
+
+
+def test_main_leaves_gc_state_unchanged(capsys):
+    # the heap is frozen only at interpreter exit, never by a library call
+    before = (gc.isenabled(), gc.get_freeze_count())
+    assert run(["spectrum", "--q", "3", "--m", "2"], capsys)[0] == cli.EXIT_PASS
+    assert (gc.isenabled(), gc.get_freeze_count()) == before

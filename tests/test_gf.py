@@ -197,10 +197,17 @@ def test_element_tables_match_scalar_definitions(q, m):
     f = make_field(q, m)
     xs = range(f.order)
     assert f.trace_array.tolist() == [f.trace(x) for x in xs]
+    assert f.squares().tolist() == [f._mul_raw(x, x) for x in xs]
     assert f.trace_sq_array.tolist() == [f.trace(f._mul_raw(x, x)) for x in xs]
     euler = (f.order - 1) // 2  # x^((q^m - 1)/2) = 1 exactly on the nonzero squares
     assert f.quad_char_array.tolist() == [0] + [1 if f._pow_raw(x, euler) == 1 else -1 for x in xs[1:]]
     assert f.neg_array.tolist() == [f.neg(x) for x in xs]
+
+
+@pytest.mark.parametrize("q,m", SMALL_FIELDS)
+def test_mul_row_matches_dense_table(q, m):
+    f = make_field(q, m)
+    assert all(np.array_equal(f.mul_row(c), f.mul_array[c]) for c in f.elements())
 
 
 # -- quadratic character -------------------------------------------------

@@ -175,6 +175,34 @@ def test_minimality_budget_prices_lines(defining_sets):
         minimal_codewords_exhaustive(D, budget=364 * 36 * 80 - 1)
 
 
+def test_minimality_budget_refuses_before_labelling_orbits(defining_sets, monkeypatch):
+    # an orbit holds at most 4m = 12 lines, so R >= ceil(364 / 12) = 31; a budget
+    # below L * 31 * n is refused without labelling a single orbit
+    D = defining_sets(3, 3)
+
+    def unreachable(f):
+        raise AssertionError("orbits labelled for a refused scan")
+
+    monkeypatch.setattr("leecodes.sss._line_orbits", unreachable)
+    with pytest.raises(BudgetExceededError, match="lower bound"):
+        minimal_codewords_exhaustive(D, budget=364 * 31 * 80 - 1)
+
+
+def test_minimality_refusal_above_dense_table_limit_builds_no_lines(defining_sets, monkeypatch):
+    # q^m = 6561: L = (3^16 - 1) / 2 lines would take 172 MB as int64, and the
+    # orbit labelling is refused by the dense-table limit anyway; the scan is
+    # priced from L as a number and refused before either runs
+    D = defining_sets(3, 8)
+
+    def unreachable(*args):
+        raise AssertionError("lines built for a refused scan")
+
+    monkeypatch.setattr("leecodes.sss._line_representatives", unreachable)
+    monkeypatch.setattr("leecodes.sss._line_orbits", unreachable)
+    with pytest.raises(BudgetExceededError, match="lower bound"):
+        minimal_codewords_exhaustive(D)
+
+
 # -- the symmetries behind the orbit scan ------------------------------------------
 
 def _gray_support(f, D, alpha, beta):
