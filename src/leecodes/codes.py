@@ -13,8 +13,11 @@ value that fails integrality or nonnegativity raises instead of rounding.
 The count uses D = Z x Z less (0, 0), Z = {a : Tr(a^2) = 0}: each Gray half
 of alpha + u*beta has the symbol counts H[alpha] (*) H[beta] less the zero
 pair, H[x, s] = #{a in Z : Tr(x a) = s}, so messages with equal rows of H
-share one cyclic convolution.  The per-coordinate trace tables TA, TB
-(_enumeration_tables) serve only the minimality scan, which needs supports.
+share one cyclic convolution.  By trace linearity every quantity the count
+and the minimality scan need is Tr(x z) for x in F_{q^m} and z in Z, so one
+q^m x |Z| table per defining set (_enumeration_tables) serves both: the count
+reads H off it, and the scan reads each first-half support Tr(alpha a + beta b)
+as Tr(alpha a) + Tr(beta b).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -113,19 +117,29 @@ class CweSpectrum:
 # ----------------------------------------------------------------------
 
 class DefiningSet:
-    """Nonzero pairs (a, b) of Z x Z in canonical order; Z (zero first) has Tr(z^2) = 0."""
+    """Nonzero pairs (a, b) of Z x Z in canonical order; Z (zero first) has Tr(z^2) = 0.
+
+    The pair arrays a and b (|Z|^2 - 1 entries each) are built on first use:
+    the counts and the minimality scan read only Z.
+    """
 
     def __init__(self, field: Field, zeros):
         self.field = field
         self.zeros = np.asarray(zeros, dtype=np.int64)
         if self.zeros.size == 0 or self.zeros[0] != 0:  # the first pair dropped must be (0, 0)
             raise ValueError("zeros must list Z with 0 first")
-        self.a = np.repeat(self.zeros, self.zeros.size)[1:]
-        self.b = np.tile(self.zeros, self.zeros.size)[1:]
         self._cache: dict[str, object] = {}
 
+    @cached_property
+    def a(self) -> np.ndarray:
+        return np.repeat(self.zeros, self.zeros.size)[1:]
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return np.tile(self.zeros, self.zeros.size)[1:]
+
     def __len__(self) -> int:
-        return self.a.size
+        return self.zeros.size**2 - 1
 
     @property
     def gray_length(self) -> int:
@@ -154,36 +168,40 @@ def codeword(x: RingElement, D: DefiningSet) -> RingVector:
     if x.field != D.field:
         raise ContextMismatchError("message and defining set use different contexts")
     f = D.field
-    mul = f.mul_array
-    tradd = f.trace_add_array
-    t1 = tradd[mul[x.a][D.a], mul[x.b][D.b]]
-    t2 = tradd[mul[x.a][D.b], mul[x.b][D.a]]
-    return RingVector(f.prime_subfield(), t1.astype(np.int64), t2.astype(np.int64))
+    # Tr(alpha a + beta b) = Tr(alpha a) + Tr(beta b), read off Tr(alpha y), Tr(beta y)
+    ta = f.trace_array[f.mul_row(x.a)].astype(np.int64)
+    tb = f.trace_array[f.mul_row(x.b)].astype(np.int64)
+    t1 = (ta[D.a] + tb[D.b]) % f.q
+    t2 = (ta[D.b] + tb[D.a]) % f.q
+    return RingVector(f.prime_subfield(), t1, t2)
 
 
 # ----------------------------------------------------------------------
 # exhaustive enumeration
 # ----------------------------------------------------------------------
 
-def _enumeration_tables(D: DefiningSet) -> tuple[np.ndarray, np.ndarray]:
-    """TA[x, j] = Tr(x a_j) and TB[x, j] = Tr(x b_j), built once per defining set."""
-    if "TA" not in D._cache:
+def _enumeration_tables(D: DefiningSet) -> np.ndarray:
+    """T[x, j] = Tr(x z_j) over F_{q^m} x Z, in the dtype of trace_array, built
+    once per defining set: column j is Tr of the products z_j x (one mul_row)."""
+    if "T" not in D._cache:
         f = D.field
-        tr, mul = f.trace_array, f.mul_array
-        D._cache["TA"] = tr[mul[:, D.a]]
-        D._cache["TB"] = tr[mul[:, D.b]]
-    return D._cache["TA"], D._cache["TB"]
+        T = np.empty((f.order, D.zeros.size), dtype=f.trace_array.dtype)
+        for j, z in enumerate(D.zeros.tolist()):
+            T[:, j] = f.trace_array[f.mul_row(z)]
+        D._cache["T"] = T
+    return D._cache["T"]
 
 
 def _compositions(D: DefiningSet, budget: int, what: str) -> Counter:
     """Multiset over all messages of 2 (H[alpha] (*) H[beta]) - 2 e_0 (module docstring)."""
     f = D.field
-    tr = f.trace_array[f.mul_array[:, D.zeros]]  # tr[x, j] = Tr(x z_j)
-    H = (tr[:, :, None] == np.arange(f.q)).sum(axis=1)
+    T = _enumeration_tables(D)
+    H = np.stack([np.count_nonzero(T == s, axis=1) for s in range(f.q)], axis=1)
     rows, mult = np.unique(H, axis=0, return_counts=True)
-    # the dense product table, H, and one length-q convolution per pair of the U
-    # distinct rows; the work before this check is bounded by the dense-table limit
-    check_budget(f.order**2 + tr.size * f.q + (rows.shape[0] * f.q) ** 2, budget, what)
+    # T, H, and one length-q convolution per pair of the U distinct rows.  The work
+    # before this check, q^m |Z| (q + 1) with |Z| ~ q^(m-1), is within a small factor
+    # of the q^(2m) that build_defining_set charged
+    check_budget(T.size + T.size * f.q + (rows.shape[0] * f.q) ** 2, budget, what)
     comps = 2 * _cyclic_convolve(rows[:, None], rows[None, :]).reshape(-1, f.q)
     comps[:, 0] -= 2
     acc: Counter = Counter()

@@ -12,7 +12,8 @@ builds.  Multiplication by a fixed element and the trace are F_q-linear maps
 on coordinate vectors, so the log/antilog and per-element tables are built
 from a few array products with m x m matrices, never by a loop over the
 elements.  The one size limit, _DENSE_TABLE_LIMIT, applies only to the dense
-q^m x q^m tables for bulk enumeration, which are built lazily.
+q^m x q^m tables, which are built lazily.  No CLI command reads them: they
+serve RingVector addition and, as an independent route, the test oracles.
 """
 
 from __future__ import annotations
@@ -335,7 +336,7 @@ class Field:
         """Index k in [0, q) with chi_a(x) = zeta_q^k, i.e. k = Tr(a*x)."""
         return self.trace(self.mul(a, x))
 
-    # -- dense numpy tables for bulk enumeration -------------------------
+    # -- per-element tables, and the dense q^m x q^m tables ---------------
 
     def _dense_guard(self) -> None:
         if self.order > _DENSE_TABLE_LIMIT:

@@ -159,9 +159,8 @@ class RingVector:
     def scalar_mul(self, c: int) -> "RingVector":
         """Multiply every coordinate by the field scalar c."""
         f = self.field
-        f.check_element(c)
-        mul = f.mul_array
-        return RingVector(f, mul[c, self.a], mul[c, self.b])
+        row = f.mul_row(c)
+        return RingVector(f, row[self.a], row[self.b])
 
     def __repr__(self) -> str:
         return f"RingVector(n={len(self)}, q={self.field.q}, m={self.field.m})"

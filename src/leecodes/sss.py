@@ -117,11 +117,13 @@ def _line_orbits(f: Field) -> tuple[np.ndarray, np.ndarray]:
     orbit, and the number of lines in it.
 
     The group these generate acts on lines through 4m maps; each line is
-    labelled with the smallest representative among its 4m images.  Reading
-    mul_array keeps this O(4m L) work under the dense-table limit.
+    labelled with the smallest representative among its 4m images.  Scalars
+    c in F_q are the elements 0, ..., q-1, so the q rows mul_row(c) hold every
+    product the labelling needs; -1 is q - 1.
     """
     q, order = f.q, f.order
-    mul, neg = f.mul_array, f.neg_array
+    mul = np.stack([f.mul_row(c) for c in range(q)])
+    neg = mul[q - 1]
     frob = np.array([f.frobenius(x) for x in f.elements()])
     lead = np.arange(order)  # leading base-q digit of each element
     for _ in range(f.m - 1):
@@ -130,7 +132,7 @@ def _line_orbits(f: Field) -> tuple[np.ndarray, np.ndarray]:
 
     def line(x, y):
         c = inv[np.where(x > 0, lead[x], lead[y])]
-        return mul[c, x].astype(np.int64) * order + mul[c, y]
+        return mul[c, x] * order + mul[c, y]
 
     lines = _line_representatives(q, f.m)
     label = lines
@@ -160,11 +162,12 @@ def minimal_codewords_exhaustive(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGE
     lines = _line_representatives(q, f.m)
     assert n < 2**24, "float32 support products would be inexact"
 
-    TA, TB = _enumeration_tables(D)
+    T = _enumeration_tables(D)
 
-    def supports(k):  # the first Gray half, Tr(alpha a + beta b) != 0
+    def supports(k):  # the first Gray half, Tr(alpha a) + Tr(beta b) != 0, over Z x Z
         alpha, beta = np.divmod(k, f.order)
-        return TA[alpha] != -TB[beta] % q
+        # column 0 is the pair (0, 0), always 0: no weight or containment changes
+        return (T[alpha][:, :, None] != -T[beta][:, None, :] % q).reshape(k.size, -1)
 
     sup = supports(reps)
     w = sup.sum(axis=1)

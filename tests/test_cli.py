@@ -82,7 +82,7 @@ def test_timing_flag_populates_field(capsys):
 
 def test_budget_exceeded_exit_code(capsys):
     code, out = run(
-        ["spectrum", "--q", "3", "--m", "6", "--mode", "brute", "--budget", "1000000"],
+        ["spectrum", "--q", "31", "--m", "2", "--mode", "brute", "--budget", "1000000"],
         capsys,
     )
     assert code == cli.EXIT_BUDGET
@@ -93,6 +93,8 @@ def test_budget_exceeded_exit_code(capsys):
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--q", "3", "--m", "6"],
     ["cwe", "--q", "5", "--m", "4"],
+    ["spectrum", "--q", "3", "--m", "7"],
+    ["cwe", "--q", "5", "--m", "5"],
 ])
 def test_histogram_count_runs_at_default_budget(argv, capsys):
     code, out = run(argv + ["--mode", "both"], capsys)
@@ -249,7 +251,7 @@ def test_env_format_outside_choices_is_usage_error(monkeypatch, capsys):
 
 def test_env_override_budget(monkeypatch, capsys):
     monkeypatch.setenv("LEECODES_BUDGET", "1000000")
-    code, out = run(["spectrum", "--q", "3", "--m", "6", "--mode", "brute"], capsys)
+    code, out = run(["spectrum", "--q", "31", "--m", "2", "--mode", "brute"], capsys)
     assert code == cli.EXIT_BUDGET
 
 

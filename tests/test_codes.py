@@ -16,7 +16,8 @@ from leecodes.ring import RingElement, gray_map, lee_weight
 from conftest import BRUTE_LEE, DEFINING_SET_SIZES
 
 CLOSED_EQ_BRUTE_PAIRS = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
-                         (7, 2), (7, 3), (11, 2), (5, 4), (3, 6)]
+                         (7, 2), (7, 3), (11, 2), (5, 4), (3, 6),
+                         (3, 7), (5, 5), (7, 4), (13, 3)]
 
 
 # -- defining set ----------------------------------------------------------
@@ -160,16 +161,26 @@ def test_codeword_map_is_injective(defining_sets):
 @pytest.mark.parametrize("q,m", CLOSED_EQ_BRUTE_PAIRS)
 def test_lee_closed_equals_brute(q, m, defining_sets):
     closed = codes.lee_spectrum_closed(q, m)
-    # the estimate prices a per-coordinate scan and refuses (5,4), (3,6) at 10^9
-    brute = codes.lee_spectrum_bruteforce(defining_sets(q, m), budget=10**12)
+    # at the default budget: the estimate prices the histogram count, which
+    # admits every pair here
+    brute = codes.lee_spectrum_bruteforce(defining_sets(q, m))
     assert closed.entries == brute.entries
 
 
 @pytest.mark.parametrize("q,m", CLOSED_EQ_BRUTE_PAIRS)
 def test_cwe_closed_equals_brute(q, m, defining_sets):
     closed = codes.cwe_closed(q, m)
-    brute = codes.cwe_bruteforce(defining_sets(q, m), budget=10**12)
+    brute = codes.cwe_bruteforce(defining_sets(q, m))
     assert closed.entries == brute.entries
+
+
+@pytest.mark.parametrize("q,m", [(q, m) for q, m in CLOSED_EQ_BRUTE_PAIRS if q**m <= 2048])
+def test_trace_table_matches_dense_oracle(q, m, defining_sets):
+    # the one table the count and the minimality scan read, Tr(x z) over F x Z,
+    # against the dense product table wherever that is built
+    D = defining_sets(q, m)
+    f = D.field
+    assert np.array_equal(codes._enumeration_tables(D), f.trace_array[f.mul_array[:, D.zeros]])
 
 
 def test_closed_form_parameter_errors():

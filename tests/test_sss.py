@@ -188,11 +188,13 @@ def test_minimality_budget_refuses_before_labelling_orbits(defining_sets, monkey
         minimal_codewords_exhaustive(D, budget=364 * 31 * 80 - 1)
 
 
-def test_minimality_refusal_above_dense_table_limit_builds_no_lines(defining_sets, monkeypatch):
-    # q^m = 6561: L = (3^16 - 1) / 2 lines would take 172 MB as int64, and the
-    # orbit labelling is refused by the dense-table limit anyway; the scan is
-    # priced from L as a number and refused before either runs
-    D = defining_sets(3, 8)
+def test_minimality_refusal_above_dense_table_limit_builds_no_lines(monkeypatch):
+    # q^m = 6561: L = (3^16 - 1) / 2 lines would take 172 MB as int64, the
+    # orbit labelling several arrays that size, and the pair arrays D.a, D.b
+    # 36 MB each;
+    # the scan is priced from L and |Z| as numbers and refused before any of
+    # them is built
+    D = codes.build_defining_set(make_field(3, 8))
 
     def unreachable(*args):
         raise AssertionError("lines built for a refused scan")
@@ -201,6 +203,7 @@ def test_minimality_refusal_above_dense_table_limit_builds_no_lines(defining_set
     monkeypatch.setattr("leecodes.sss._line_orbits", unreachable)
     with pytest.raises(BudgetExceededError, match="lower bound"):
         minimal_codewords_exhaustive(D)
+    assert "a" not in vars(D) and "b" not in vars(D)
 
 
 # -- the symmetries behind the orbit scan ------------------------------------------
