@@ -10,7 +10,7 @@ import importlib
 # public name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(
-        ("CountResult", "GaussValue", "gauss_sum", "gauss_sum_closed", "gauss_sum_oracle",
+        ("CountResult", "gauss_sum", "gauss_sum_closed", "gauss_sum_oracle",
          "nested_char_sum", "quadratic_sum", "square_trace_char_sum", "square_trace_count",
          "square_trace_pair_count", "zero_trace_pair_count"),
         "charsums"),
@@ -19,7 +19,7 @@ _EXPORTS = {
          "codeword", "cwe_bruteforce", "cwe_closed", "defining_set_census", "gray_dimension",
          "gray_image_length", "lee_spectrum_bruteforce", "lee_spectrum_closed"),
         "codes"),
-    **dict.fromkeys(("Field", "make_field", "root_of_unity"), "gf"),
+    **dict.fromkeys(("Field", "GaussValue", "make_field", "root_of_unity"), "gf"),
     **dict.fromkeys(
         ("RingElement", "RingVector", "from_crt", "gray_map", "lee_distance", "lee_weight",
          "ring_trace_frobenius"),

@@ -8,7 +8,9 @@ iff h[1] = ... = h[q-1], in which case the value is h[0] - h[1].  Only the
 genuinely irrational Gauss sums are compared through a complex embedding.
 
 Sign conventions: every branch below is the one its exhaustive oracle
-confirms on all in-budget parameter sets.
+confirms on all in-budget parameter sets.  GaussValue, quadratic_gauss_sum
+and _cyclic_convolve are defined in gf and imported here, so the count reads
+them without loading this module.
 """
 
 from __future__ import annotations
@@ -24,56 +26,7 @@ from .errors import (
     ZeroLeadingCoefficientError,
     ZeroParameterError,
 )
-from .gf import Field, root_of_unity
-
-_I_POWERS = (1, 1j, -1, -1j)
-
-
-@dataclass(frozen=True)
-class GaussValue:
-    """Exact value sign * i^i_power * q^(half_exp/2)."""
-
-    q: int
-    sign: int
-    i_power: int
-    half_exp: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +-1")
-        object.__setattr__(self, "i_power", self.i_power % 4)
-        if self.half_exp < 0:
-            raise ValueError("half_exp must be >= 0")
-
-    def __mul__(self, other: "GaussValue") -> "GaussValue":
-        if not isinstance(other, GaussValue):
-            return NotImplemented
-        if other.q != self.q:
-            raise ValueError("GaussValues over different primes")
-        return GaussValue(
-            self.q,
-            self.sign * other.sign,
-            self.i_power + other.i_power,
-            self.half_exp + other.half_exp,
-        )
-
-    @property
-    def embedding(self) -> complex:
-        return self.sign * _I_POWERS[self.i_power] * self.q ** (self.half_exp / 2)
-
-    @property
-    def magnitude_squared(self) -> int:
-        return self.q**self.half_exp
-
-    @property
-    def is_real_integer(self) -> bool:
-        return self.i_power in (0, 2) and self.half_exp % 2 == 0
-
-    def as_int(self) -> int:
-        if not self.is_real_integer:
-            raise NonIntegralValueError(f"{self} is not a rational integer")
-        v = self.sign * self.q ** (self.half_exp // 2)
-        return -v if self.i_power == 2 else v
+from .gf import Field, GaussValue, _cyclic_convolve, quadratic_gauss_sum, root_of_unity
 
 
 @dataclass(frozen=True)
@@ -113,12 +66,6 @@ def _etabar(field: Field, s: int) -> int:
 # ----------------------------------------------------------------------
 # Gauss sums
 # ----------------------------------------------------------------------
-
-def quadratic_gauss_sum(q: int, m: int) -> GaussValue:
-    """The quadratic Gauss sum of F_{q^m}: (-1)^(m-1) i^((q-1)^2 m / 4) q^(m/2)."""
-    sign = -1 if (m - 1) % 2 else 1
-    return GaussValue(q, sign, ((q - 1) ** 2 * m // 4) % 4, m)
-
 
 def gauss_sum_closed(field: Field, level: str = "extension") -> GaussValue:
     """Symbolic quadratic Gauss sum over F_{q^m} (extension) or F_q (base)."""
@@ -290,13 +237,6 @@ def square_trace_pair_count(field: Field, s: int, t: int, mode: str = "closed",
 # ----------------------------------------------------------------------
 # triple/quintuple exponential sums
 # ----------------------------------------------------------------------
-
-def _cyclic_convolve(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
-    """out[..., k] = sum_i ha[..., i] * hb[..., (k - i) % q] over the last axis."""
-    q = ha.shape[-1]
-    shift = (np.arange(q) - np.arange(q)[:, None]) % q  # shift[i, k] = k - i
-    return (ha[..., :, None] * hb[..., shift]).sum(axis=-2)
-
 
 def nested_char_sum(field: Field, kind: str, beta: int, lam: int, alpha: int | None = None,
                     mode: str = "closed", budget: int = DEFAULT_OPS_BUDGET) -> int:

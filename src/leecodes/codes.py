@@ -31,17 +31,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._budget import DEFAULT_OPS_BUDGET, check_budget
-from .charsums import _cyclic_convolve, quadratic_gauss_sum
 from .errors import (
     ContextMismatchError,
     NonIntegralExponentError,
     NonIntegralValueError,
     UnsupportedParametersError,
 )
-from .gf import Field, make_field
+from .gf import Field, _cyclic_convolve, make_field, quadratic_gauss_sum
 
 if TYPE_CHECKING:
-    # ring is imported where it is used, so a spectrum or CWE run never loads it
+    # ring is imported where it is used, so no spectrum, CWE or minimality run loads it
     from .ring import RingElement, RingVector
 
 
@@ -192,11 +191,21 @@ def _enumeration_tables(D: DefiningSet) -> np.ndarray:
     return D._cache["T"]
 
 
+def _trace_histograms(D: DefiningSet) -> np.ndarray:
+    """H[x, s] = #{z in Z : Tr(x z) = s}, read off T and cached with it."""
+    if "H" not in D._cache:
+        T = _enumeration_tables(D)
+        # one symbol at a time, so there is no q^m x |Z| x q temporary
+        D._cache["H"] = np.stack([np.count_nonzero(T == s, axis=1) for s in range(D.field.q)],
+                                 axis=1)
+    return D._cache["H"]
+
+
 def _compositions(D: DefiningSet, budget: int, what: str) -> Counter:
     """Multiset over all messages of 2 (H[alpha] (*) H[beta]) - 2 e_0 (module docstring)."""
     f = D.field
     T = _enumeration_tables(D)
-    H = np.stack([np.count_nonzero(T == s, axis=1) for s in range(f.q)], axis=1)
+    H = _trace_histograms(D)
     rows, mult = np.unique(H, axis=0, return_counts=True)
     # T, H, and one length-q convolution per pair of the U distinct rows.  The work
     # before this check, q^m |Z| (q + 1) with |Z| ~ q^(m-1), is within a small factor
@@ -430,15 +439,20 @@ class GrayReport:
 
 
 def gray_dimension(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET) -> GrayReport:
-    """Measured rank of the Gray image plus its minimum nonzero Lee weight."""
-    from .ring import RingElement, gray_map
+    """Measured rank of the Gray image plus its minimum nonzero Lee weight.
 
+    The rows are the Gray images of the 2m basis messages x^j and u x^j, read
+    off T: at d = (a, b), x^j has the Gray pair (Tr(x^j a), Tr(x^j b)) and
+    u x^j the swapped pair (Tr(x^j b), Tr(x^j a)).
+    """
     f = D.field
+    T = _enumeration_tables(D)
+    k = D.zeros.size
     rows = []
     for j in range(f.m):
-        e = f.q**j  # the basis monomial x^j
-        for msg in (RingElement(f, e, 0), RingElement(f, 0, e)):
-            rows.append(gray_map(codeword(msg, D)))
+        t = T[f.q**j]
+        pairs = np.stack([np.repeat(t, k)[1:], np.tile(t, k)[1:]], axis=1)  # D drops (0, 0)
+        rows += [pairs.ravel(), pairs[:, ::-1].ravel()]
     rank = _rank_mod_q(np.stack(rows), f.q) if len(D) else 0
     spec = lee_spectrum_bruteforce(D, budget=budget)
     return GrayReport(rank, spec.min_nonzero(), 2 * len(D), f.m)

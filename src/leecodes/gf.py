@@ -14,11 +14,17 @@ from a few array products with m x m matrices, never by a loop over the
 elements.  The one size limit, _DENSE_TABLE_LIMIT, applies only to the dense
 q^m x q^m tables, which are built lazily.  No CLI command reads them: they
 serve RingVector addition and, as an independent route, the test oracles.
+
+The quadratic Gauss sum of F_{q^m} (GaussValue, exact) and the cyclic
+convolution of length-q histograms live here too: codes reads both for the
+closed forms and the count, and charsums imports them, so the Gauss-sum
+formula has one source and a count never loads charsums.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,6 +34,7 @@ from .errors import (
     ContextMismatchError,
     DegreeError,
     EvenCharacteristicError,
+    NonIntegralValueError,
     NonPrimeError,
     ZeroInverseError,
 )
@@ -440,3 +447,70 @@ def make_field(q: int, m: int = 1) -> Field:
 def root_of_unity(q: int, k: int) -> complex:
     """zeta_q^k as a complex double."""
     return np.exp(2j * np.pi * (k % q) / q)
+
+
+# ----------------------------------------------------------------------
+# the quadratic Gauss sum, and cyclic convolution of F_q-histograms
+# ----------------------------------------------------------------------
+
+_I_POWERS = (1, 1j, -1, -1j)
+
+
+@dataclass(frozen=True)
+class GaussValue:
+    """Exact value sign * i^i_power * q^(half_exp/2)."""
+
+    q: int
+    sign: int
+    i_power: int
+    half_exp: int
+
+    def __post_init__(self):
+        if self.sign not in (1, -1):
+            raise ValueError("sign must be +-1")
+        object.__setattr__(self, "i_power", self.i_power % 4)
+        if self.half_exp < 0:
+            raise ValueError("half_exp must be >= 0")
+
+    def __mul__(self, other: "GaussValue") -> "GaussValue":
+        if not isinstance(other, GaussValue):
+            return NotImplemented
+        if other.q != self.q:
+            raise ValueError("GaussValues over different primes")
+        return GaussValue(
+            self.q,
+            self.sign * other.sign,
+            self.i_power + other.i_power,
+            self.half_exp + other.half_exp,
+        )
+
+    @property
+    def embedding(self) -> complex:
+        return self.sign * _I_POWERS[self.i_power] * self.q ** (self.half_exp / 2)
+
+    @property
+    def magnitude_squared(self) -> int:
+        return self.q**self.half_exp
+
+    @property
+    def is_real_integer(self) -> bool:
+        return self.i_power in (0, 2) and self.half_exp % 2 == 0
+
+    def as_int(self) -> int:
+        if not self.is_real_integer:
+            raise NonIntegralValueError(f"{self} is not a rational integer")
+        v = self.sign * self.q ** (self.half_exp // 2)
+        return -v if self.i_power == 2 else v
+
+
+def quadratic_gauss_sum(q: int, m: int) -> GaussValue:
+    """The quadratic Gauss sum of F_{q^m}: (-1)^(m-1) i^((q-1)^2 m / 4) q^(m/2)."""
+    sign = -1 if (m - 1) % 2 else 1
+    return GaussValue(q, sign, ((q - 1) ** 2 * m // 4) % 4, m)
+
+
+def _cyclic_convolve(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
+    """out[..., k] = sum_i ha[..., i] * hb[..., (k - i) % q] over the last axis."""
+    q = ha.shape[-1]
+    shift = (np.arange(q) - np.arange(q)[:, None]) % q  # shift[i, k] = k - i
+    return (ha[..., :, None] * hb[..., shift]).sum(axis=-2)

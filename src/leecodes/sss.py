@@ -5,35 +5,54 @@ smaller support; support-equal scalar multiples do not disqualify each other.
 The sufficient condition w_min / w_max > (q-1)/q is evaluated in exact
 rational arithmetic, never floating point.
 
-The exhaustive scan makes three exact reductions.
+The exhaustive scan makes four exact reductions.
 
 - One support per F_q-line of messages: scalar multiples share a support.
 - One Gray half: the second half of alpha + u*beta at (a, b) is its first
   half at (b, a), and D is closed under that swap, so S_i is inside S_j on
   both halves exactly when it is on the first, and w = 2 |S^1|.
+- One coordinate per F_q-line of coordinates: Tr is F_q-linear and cZ = Z
+  for c in F_q*, so (c a, c b) is in a support exactly when (a, b) is.  The
+  scan reads the first half at one pair per F_q*-orbit of Z x Z less (0, 0):
+  (a, b) with a in Z1, and (0, b) with b in Z1, where Z1 holds the nonzero
+  elements of Z whose leading base-q digit is 1.  That is
+  n = (|Z|^2 - 1)/(q - 1) coordinates, and every first-half weight is q - 1
+  times its count there.
 - One containing codeword per orbit: (alpha, beta) -> (beta, alpha),
   (alpha, -beta) and Frobenius each permute the coordinates of every
   support by one fixed permutation ((a, b) -> (b, a), (a, -b) and
   (phi^-1 a, phi^-1 b); Z = -Z and Z is Frobenius-stable), so "some nonzero
   codeword has strictly smaller support" is constant on each orbit.
 
-Every line i is then compared with each orbit representative j: S_i is inside
-S_j when |S_i & S_j| == w_i, and strictly when 0 < w_i < w_j.  The counts are
-read off a float32 product of 0/1 rows, exact because every entry is an
-integer at most n < 2^24.  The scan is priced L * R * n steps, for L lines,
-R orbits and n first-half coordinates; the lower bound R >= L / 4m refuses an
-unaffordable scan before the orbits are labelled.
+The comparisons are ordered by weight: S_i strictly inside S_j needs
+w_i < w_j.  Every weight is read off the trace histograms
+H[x, s] = #{z in Z : Tr(x z) = s}, without building a support: the first
+half of alpha + u*beta vanishes at the pairs (a, b) of Z x Z with
+Tr(alpha a) = -Tr(beta b), so w = |Z|^2 - sum_s H[alpha, s] H[beta, -s].
+The lines are sorted by weight and cut into blocks within one weight class,
+and the orbit representatives are sorted heaviest first, so each block is
+compared only with the prefix of representatives strictly heavier than it:
+S_i is inside S_j when |S_i & S_j| == w_i.  The counts are read off a float32
+product of 0/1 rows, exact because every entry is an integer at most
+n < 2^24.
+
+The scan is priced sum_c L_c R_{>c} n steps, for L_c lines of weight class c
+and R_{>c} orbits strictly heavier than c.  An orbit keeps the weight and
+holds at most 4m lines, so R_{>c} >= ceil(L_{>c} / 4m); that lower bound,
+from the class sizes the distinct rows of H give, refuses an unaffordable
+scan before the orbits are labelled or a line is built.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from ._budget import DEFAULT_OPS_BUDGET, check_budget
-from .codes import DefiningSet, LeeSpectrum, _enumeration_tables
+from .codes import DefiningSet, LeeSpectrum, _enumeration_tables, _trace_histograms
 from .errors import DegenerateSpectrumError, LengthMismatchError, UnsupportedParametersError
 from .gf import Field
 
@@ -111,6 +130,14 @@ def _line_representatives(q: int, m: int) -> np.ndarray:
     return np.concatenate([np.arange(q**e, 2 * q**e) for e in range(2 * m)])
 
 
+def _leading_digit(x: np.ndarray, q: int) -> np.ndarray:
+    """The leading base-q digit of each x; a scalar c in F_q* multiplies every
+    digit of an element by c."""
+    while (x >= q).any():
+        x = np.where(x >= q, x // q, x)
+    return x
+
+
 def _line_orbits(f: Field) -> tuple[np.ndarray, np.ndarray]:
     """Orbits of the F_q-lines under (alpha, beta) -> (beta, alpha),
     (alpha, -beta) and Frobenius: the smallest line representative of each
@@ -125,9 +152,7 @@ def _line_orbits(f: Field) -> tuple[np.ndarray, np.ndarray]:
     mul = np.stack([f.mul_row(c) for c in range(q)])
     neg = mul[q - 1]
     frob = np.array([f.frobenius(x) for x in f.elements()])
-    lead = np.arange(order)  # leading base-q digit of each element
-    for _ in range(f.m - 1):
-        lead = np.where(lead >= q, lead // q, lead)
+    lead = _leading_digit(np.arange(order), q)
     inv = np.array([0] + [pow(c, q - 2, q) for c in range(1, q)])
 
     def line(x, y):
@@ -145,38 +170,73 @@ def _line_orbits(f: Field) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(label, return_counts=True)
 
 
+def _first_half_weights(Ha: np.ndarray, Hb: np.ndarray) -> np.ndarray:
+    """First-half Gray weight of alpha + u*beta from the rows H[alpha], H[beta]:
+    the |Z|^2 pairs (a, b) of Z x Z less those with Tr(alpha a) = -Tr(beta b),
+    which number sum_s H[alpha, s] H[beta, -s] (every row sums to |Z|).  No
+    support is built."""
+    q = Ha.shape[-1]
+    return Ha.sum(axis=-1) ** 2 - (Ha * Hb[..., -np.arange(q) % q]).sum(axis=-1)
+
+
 def minimal_codewords_exhaustive(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET
                                  ) -> tuple[int, bool]:
-    """Strict support-containment scan of every F_q-line against one line per
-    orbit (module docstring).
+    """Strict support-containment scan of every F_q-line against the heavier
+    orbit representatives, on one coordinate per F_q*-orbit (module docstring).
 
     Returns (number of minimal nonzero codewords, whether all are minimal).
     """
     f = D.field
-    q, n = f.q, len(D)
-    L = (q ** (2 * f.m) - 1) // (q - 1)  # F_q-lines of message pairs
-    # an orbit holds at most 4m lines, so R >= ceil(L / 4m): refuse before labelling
-    check_budget(L * -(-L // (4 * f.m)) * n, budget, "pairwise minimality scan (lower bound)")
+    q, n = f.q, len(D) // (f.q - 1)  # first-half coordinates, one per F_q*-orbit
+    H = _trace_histograms(D)
+    # a weight depends only on the two rows of H, so the messages per weight come
+    # from the distinct rows; L_c lines per nonzero class c, lightest first, give
+    # the lower bound R_{>c} >= ceil(L_{>c} / 4m) (module docstring)
+    rows, mult = np.unique(H, axis=0, return_counts=True)
+    messages: Counter = Counter()
+    for wt, c in zip(_first_half_weights(rows[:, None], rows[None, :]).ravel().tolist(),
+                     np.outer(mult, mult).ravel().tolist()):
+        messages[wt] += c
+    L_c = [messages[wt] // (q - 1) for wt in sorted(messages) if wt]
+    L_heavier = [sum(L_c[c + 1:]) for c in range(len(L_c))]
+    check_budget(sum(l * -(-h // (4 * f.m)) for l, h in zip(L_c, L_heavier)) * n, budget,
+                 "pairwise minimality scan (lower bound)")
+
+    def weights(k):  # counted over the n coordinates the scan reads
+        alpha, beta = np.divmod(k, f.order)
+        return _first_half_weights(H[alpha], H[beta]) // (q - 1)
+
     reps, sizes = _line_orbits(f)
-    check_budget(L * reps.size * n, budget, "pairwise minimality scan")
+    w_rep = weights(reps)
+    heaviest_first = np.argsort(-w_rep, kind="stable")
+    reps, sizes, w_rep = reps[heaviest_first], sizes[heaviest_first], w_rep[heaviest_first]
     lines = _line_representatives(q, f.m)
+    w = weights(lines)
+    lines, w = lines[w > 0], w[w > 0]  # the zero codeword dominates nothing
+    lightest_first = np.argsort(w, kind="stable")
+    lines, w = lines[lightest_first], w[lightest_first]
+    heavier = np.searchsorted(-w_rep, -w)  # representatives strictly heavier than each line
+    check_budget(int(heavier.sum()) * n, budget, "pairwise minimality scan")
     assert n < 2**24, "float32 support products would be inexact"
 
     T = _enumeration_tables(D)
+    Z1 = 1 + np.flatnonzero(_leading_digit(D.zeros[1:], q) == 1)  # indices into Z
+    T1, negT = T[:, Z1], -T % q
 
-    def supports(k):  # the first Gray half, Tr(alpha a) + Tr(beta b) != 0, over Z x Z
+    def supports(k):  # Tr(alpha a) + Tr(beta b) != 0 at (a, b) in Z1 x Z, then at (0, Z1)
         alpha, beta = np.divmod(k, f.order)
-        # column 0 is the pair (0, 0), always 0: no weight or containment changes
-        return (T[alpha][:, :, None] != -T[beta][:, None, :] % q).reshape(k.size, -1)
+        pairs = T1[alpha][:, :, None] != negT[beta][:, None, :]
+        return np.hstack([pairs.reshape(k.size, -1), T1[beta] != 0]).astype(np.float32)
 
     sup = supports(reps)
-    w = sup.sum(axis=1)
-    sup = sup.T.astype(np.float32)
     dominated = np.zeros(reps.size, dtype=bool)
-    for lo in range(0, lines.size, _BLOCK):
-        blk = supports(lines[lo:lo + _BLOCK])
-        w_blk = blk.sum(axis=1)[:, None]
-        # S_i inside S_j is |S_i & S_j| == w_i; it is strict only when w_i < w_j
-        inside = (blk.astype(np.float32) @ sup == w_blk) & (0 < w_blk) & (w_blk < w)
-        dominated |= inside.any(axis=0)
-    return (q - 1) * int(sizes[(w > 0) & ~dominated].sum()), not dominated.any()
+    starts = np.flatnonzero(np.diff(w, prepend=0))  # the first line of each weight class
+    for start, end in zip(starts.tolist(), [*starts[1:].tolist(), w.size]):
+        R = heavier[start]
+        if not R:  # this class and any after it are the heaviest
+            break
+        for lo in range(start, end, _BLOCK):
+            # S_i inside S_j is |S_i & S_j| == w_i, and strictly so as w_i < w_j
+            blk = supports(lines[lo:min(lo + _BLOCK, end)])
+            dominated[:R] |= (blk @ sup[:R].T == w[start]).any(axis=0)
+    return (q - 1) * int(sizes[(w_rep > 0) & ~dominated].sum()), not dominated.any()

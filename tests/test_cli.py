@@ -261,12 +261,15 @@ NUMERIC_MODULES = {"numpy", "leecodes.charsums", "leecodes.codes", "leecodes.gf"
                    "leecodes.ring", "leecodes.sss"}
 
 
-SPECTRUM_BOTH = (
-    "import contextlib, io\n"
-    "from leecodes import cli\n"
-    "with contextlib.redirect_stdout(io.StringIO()):\n"
-    "    assert cli.main(['spectrum', '--q', '3', '--m', '3', '--mode', 'both']) == 0\n"
-)
+def _main_passes(argv: list[str]) -> str:
+    """Code that runs cli.main(argv) quietly and asserts it exits 0."""
+    return ("import contextlib, io\n"
+            "from leecodes import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n")
+
+
+SPECTRUM_BOTH = _main_passes(["spectrum", "--q", "3", "--m", "3", "--mode", "both"])
 
 
 def _fresh_stdout(code: str) -> str:
@@ -289,8 +292,14 @@ def test_importing_cli_loads_no_numeric_module():
 
 def test_spectrum_loads_neither_sss_nor_ring():
     loaded = _modules_loaded_by(SPECTRUM_BOTH)
-    assert {"leecodes.codes", "leecodes.charsums", "leecodes.gf"} <= loaded
-    assert not {"leecodes.sss", "leecodes.ring"} & loaded
+    assert {"leecodes.codes", "leecodes.gf"} <= loaded
+    assert not {"leecodes.sss", "leecodes.ring", "leecodes.charsums"} & loaded
+
+
+def test_minimality_loads_neither_ring_nor_charsums():
+    loaded = _modules_loaded_by(_main_passes(["minimality", "--q", "3", "--m", "3"]))
+    assert {"leecodes.codes", "leecodes.gf", "leecodes.sss"} <= loaded
+    assert not {"leecodes.ring", "leecodes.charsums"} & loaded
 
 
 def test_public_names_resolve_to_their_submodules():

@@ -198,6 +198,44 @@ def test_spectrum_mass():
         assert sum(cwe.entries.values()) == q ** (2 * m)
 
 
+def _second_power_moment(q, m, N, P):
+    """sum(wt^2) over all q^(2m) messages of a Gray image with N coordinates,
+    each a nonzero linear form of the message, P ordered pairs of them
+    proportional: a coordinate is nonzero on (q-1)q^(2m-1) messages, and two
+    independent ones together on (q-1)^2 q^(2m-2) (MacWilliams-Sloane, Ch. 5)."""
+    return ((N + P) * (q - 1) * q ** (2 * m - 1)
+            + (N * (N - 1) - P) * (q - 1) ** 2 * q ** (2 * m - 2))
+
+
+@pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 3), (5, 4),
+                                 (3, 8), (5, 7), (13, 6), (3, 21)])
+def test_closed_spectrum_second_power_moment(q, m):
+    # Z is closed under F_q* scaling, so the form of a coordinate (a, b) has
+    # q - 2 other multiples in its Gray half and q - 1, the multiples of (b, a),
+    # in the other: P = N(2q - 3).  No enumeration, so it reaches any (q, m)
+    spec = codes.lee_spectrum_closed(q, m)
+    N = codes.gray_image_length(q, m)
+    moment = sum(w * w * c for w, c in spec.entries.items())
+    assert moment == _second_power_moment(q, m, N, N * (2 * q - 3))
+
+
+@pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (5, 3), (7, 2)])
+def test_proportional_gray_coordinates_counted_over_d(q, m, defining_sets):
+    # Gray coordinates 2j and 2j + 1 are the forms (alpha, beta) -> Tr(alpha a + beta b)
+    # and Tr(alpha b + beta a) at d_j = (a, b); label each form by its smallest
+    # F_q* multiple, so proportional forms share a label
+    f = make_field(q, m)
+    D = defining_sets(q, m)
+    x = np.stack([D.a, D.b], axis=1).ravel()
+    y = np.stack([D.b, D.a], axis=1).ravel()
+    label = np.min([f.mul_row(c)[x] * f.order + f.mul_row(c)[y] for c in range(1, q)], axis=0)
+    _, size = np.unique(label, return_counts=True)
+    N, P = 2 * len(D), int((size * (size - 1)).sum())
+    assert P == N * (2 * q - 3)
+    lee = codes.lee_spectrum_bruteforce(D)
+    assert sum(w * w * c for w, c in lee.entries.items()) == _second_power_moment(q, m, N, P)
+
+
 def test_five_weight_property_odd_degree():
     for (q, m) in [(3, 3), (3, 5), (5, 3), (7, 3)]:
         spec = codes.lee_spectrum_closed(q, m)
@@ -272,6 +310,16 @@ def test_rank_matches_sampled_codeword_rows(defining_sets):
         rows.append(gray_map(codes.codeword(x, D)))
     sampled_rank = codes._rank_mod_q(np.stack(rows), 3)
     assert sampled_rank <= codes.gray_dimension(D).rank == 6
+
+
+@pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (5, 2), (7, 2), (3, 4), (5, 3)])
+def test_gray_rank_matches_ring_route(q, m, defining_sets):
+    # the Gray images of the basis messages x^j and u x^j by the ring route
+    f = make_field(q, m)
+    D = defining_sets(q, m)
+    rows = [gray_map(codes.codeword(RingElement(f, a, b), D))
+            for j in range(m) for a, b in ((q**j, 0), (0, q**j))]
+    assert codes.gray_dimension(D).rank == codes._rank_mod_q(np.stack(rows), q)
 
 
 def test_spectrum_container_validation():

@@ -14,6 +14,8 @@ from leecodes.errors import (
 from leecodes.gf import make_field
 from leecodes.ring import RingElement, gray_map
 from leecodes.sss import (
+    _first_half_weights,
+    _leading_digit,
     _line_orbits,
     _line_representatives,
     ab_check,
@@ -110,23 +112,23 @@ def test_closed_ratios_match_spectrum_ratio():
 def _naive_minimality(q, m, defining_sets):
     f = make_field(q, m)
     D = defining_sets(q, m)
-    sup = []
-    for alpha in range(f.order):
-        for beta in range(f.order):
-            g = gray_map(codes.codeword(RingElement(f, alpha, beta), D))
-            if g.any():
-                sup.append(g != 0)
-    sup = np.stack(sup)
-    minimal = 0
-    for sj in sup:
-        inside = ~(sup & ~sj).any(1)  # support(i) within support(j), for every i
-        bigger = (sj & ~sup).any(1)  # support(j) not within support(i)
-        minimal += not (inside & bigger).any()
+    sup = np.stack([gray_map(codes.codeword(RingElement(f, alpha, beta), D)) != 0
+                    for alpha in range(f.order) for beta in range(f.order)])
+    sup = sup[sup.any(axis=1)]  # the nonzero codewords
+    if not sup.size:
+        return 0, True
+    # equal supports get equal verdicts, so each distinct support is tested once
+    distinct, count = np.unique(sup, axis=0, return_counts=True)
+    s = distinct.astype(np.float32)
+    inside = s @ (1 - s).T == 0  # inside[i, j]: support i within support j
+    np.fill_diagonal(inside, False)  # distinct supports: containment is strict
+    minimal = int(count[~inside.any(axis=0)].sum())
     return minimal, minimal == sup.shape[0]
 
 
-@pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (7, 2)])
+@pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (7, 2), (11, 2), (13, 2)])
 def test_minimality_scan_matches_naive(q, m, defining_sets):
+    # (13, 2) has an empty defining set: no nonzero codeword, so none is dominated
     fast = minimal_codewords_exhaustive(defining_sets(q, m))
     assert fast == _naive_minimality(q, m, defining_sets)
 
@@ -152,6 +154,40 @@ def test_line_representatives_cover_each_nonzero_pair_once(q, m):
     assert hits[0] == 0 and (hits[1:] == 1).all()
 
 
+@pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (5, 2), (7, 2), (3, 4)])
+def test_line_weights_match_support_row_sums(q, m, defining_sets):
+    # the first Gray half of every line, Tr(alpha a + beta b) over D, built from
+    # trace_array and mul_row without the histograms or the Tr(x z) table
+    f = make_field(q, m)
+    D = defining_sets(q, m)
+    lines = _line_representatives(q, m)
+    alpha, beta = np.divmod(lines, f.order)
+    tr = np.stack([f.trace_array[f.mul_row(x)] for x in f.elements()]).astype(np.int64)
+    first_half = (tr[alpha][:, D.a] + tr[beta][:, D.b]) % q
+    H = codes._trace_histograms(D)
+    weights = _first_half_weights(H[alpha], H[beta])
+    assert np.array_equal(weights, np.count_nonzero(first_half, axis=1))
+
+
+@pytest.mark.parametrize("q,m", [(3, 3), (5, 3), (7, 2)])
+def test_scan_coordinates_cover_each_orbit_of_pairs_once(q, m, defining_sets):
+    # the scan reads (a, b) for a in Z1, b in Z, and (0, b) for b in Z1, where Z1
+    # holds the nonzero elements of Z with leading digit 1: every nonzero pair
+    # of Z x Z is c (a, b) for exactly one of them and one c in F_q*
+    f = make_field(q, m)
+    Z = defining_sets(q, m).zeros
+    Z1 = Z[1:][_leading_digit(Z[1:], q) == 1]
+    a = np.concatenate([np.repeat(Z1, Z.size), np.zeros_like(Z1)])
+    b = np.concatenate([np.tile(Z, Z1.size), Z1])
+    hits = np.zeros((f.order, f.order), dtype=int)
+    for c in range(1, q):
+        np.add.at(hits, (f.mul_row(c)[a], f.mul_row(c)[b]), 1)
+    pairs = np.zeros_like(hits, dtype=bool)
+    pairs[np.ix_(Z, Z)] = True
+    pairs[0, 0] = False
+    assert (hits[pairs] == 1).all() and (hits[~pairs] == 0).all()
+
+
 @pytest.mark.parametrize("q,m", [(3, 2), (3, 3)])
 def test_ab_soundness_implication(q, m, defining_sets):
     spec = codes.lee_spectrum_bruteforce(defining_sets(q, m))
@@ -166,18 +202,22 @@ def test_minimality_budget(defining_sets):
 
 
 def test_minimality_budget_prices_lines(defining_sets):
-    # L * R * n with L = (3^6 - 1)/2 = 364 lines, R = 36 orbits and n = 80
-    # first-half Gray coordinates
+    # sum_c L_c R_{>c} n: each of the 364 lines is compared only with the orbit
+    # representatives strictly heavier than it, 4018 comparisons, on the
+    # n = 80 / (q - 1) = 40 first-half coordinates of one per F_q*-orbit
+    # (364 * 36 * 80 before the weight order and the coordinate orbits)
     D = defining_sets(3, 3)
     assert _line_orbits(D.field)[0].size == 36
-    assert minimal_codewords_exhaustive(D, budget=364 * 36 * 80) == (700, False)
-    with pytest.raises(BudgetExceededError):
-        minimal_codewords_exhaustive(D, budget=364 * 36 * 80 - 1)
+    assert minimal_codewords_exhaustive(D, budget=4018 * 40) == (700, False)
+    with pytest.raises(BudgetExceededError, match="scan needs"):
+        minimal_codewords_exhaustive(D, budget=4018 * 40 - 1)
 
 
 def test_minimality_budget_refuses_before_labelling_orbits(defining_sets, monkeypatch):
-    # an orbit holds at most 4m = 12 lines, so R >= ceil(364 / 12) = 31; a budget
-    # below L * 31 * n is refused without labelling a single orbit
+    # an orbit keeps the weight and holds at most 4m = 12 lines, so
+    # R_{>c} >= ceil(L_{>c} / 12); with the class sizes read off H this bound is
+    # sum_c L_c ceil(L_{>c} / 12) n = 3700 * 40, and a budget below it is
+    # refused without labelling a single orbit
     D = defining_sets(3, 3)
 
     def unreachable(f):
@@ -185,15 +225,14 @@ def test_minimality_budget_refuses_before_labelling_orbits(defining_sets, monkey
 
     monkeypatch.setattr("leecodes.sss._line_orbits", unreachable)
     with pytest.raises(BudgetExceededError, match="lower bound"):
-        minimal_codewords_exhaustive(D, budget=364 * 31 * 80 - 1)
+        minimal_codewords_exhaustive(D, budget=3700 * 40 - 1)
 
 
 def test_minimality_refusal_above_dense_table_limit_builds_no_lines(monkeypatch):
     # q^m = 6561: L = (3^16 - 1) / 2 lines would take 172 MB as int64, the
     # orbit labelling several arrays that size, and the pair arrays D.a, D.b
-    # 36 MB each;
-    # the scan is priced from L and |Z| as numbers and refused before any of
-    # them is built
+    # 36 MB each; the lower bound reads only the weight classes of the
+    # distinct rows of H, so the scan is refused before any of them is built
     D = codes.build_defining_set(make_field(3, 8))
 
     def unreachable(*args):
