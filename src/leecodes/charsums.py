@@ -116,7 +116,7 @@ def quadratic_sum(field: Field, b2: int, b1: int, b0: int, mode: str = "closed",
         check_budget(f.order, budget, "quadratic sum oracle")
         # Tr is additive: Tr(b2 x^2 + b1 x + b0) = Tr(b2 x^2) + Tr(b1 x) + Tr(b0)
         tr = f.trace_array.astype(np.int64)
-        traces = tr[f.mul_row(b2)[f.squares()]] + tr[f.mul_row(b1)] + f.trace(b0)
+        traces = tr[f.mul_row(b2)[f.power_row(2)]] + tr[f.mul_row(b1)] + f.trace(b0)
         hist = np.bincount(traces % f.q, minlength=f.q)
         return embed_histogram(f.q, hist)
     raise ValueError("mode must be 'closed' or 'oracle'")

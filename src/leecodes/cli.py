@@ -325,8 +325,7 @@ def _minimality_results(cfg: RunConfig) -> tuple[list[dict], dict]:
         results["all_minimal"] = all_min
         sound = report is None or not report.ab_holds or all_min
         verdicts.append({"check": "ab-soundness", "status": "PASS" if sound else "FAIL"})
-        rep = codes.gray_dimension(D, budget=cfg.budget)
-        results["gray_rank"] = rep.rank
+        results["gray_rank"] = codes.gray_rank(D)
     except BudgetExceededError as exc:
         results["exhaustive_scan"] = f"SKIPPED: {exc}"
         verdicts.append({"check": "ab-soundness", "status": "SKIPPED", "reason": str(exc)})

@@ -13,11 +13,10 @@ value that fails integrality or nonnegativity raises instead of rounding.
 The count uses D = Z x Z less (0, 0), Z = {a : Tr(a^2) = 0}: each Gray half
 of alpha + u*beta has the symbol counts H[alpha] (*) H[beta] less the zero
 pair, H[x, s] = #{a in Z : Tr(x a) = s}, so messages with equal rows of H
-share one cyclic convolution.  By trace linearity every quantity the count
-and the minimality scan need is Tr(x z) for x in F_{q^m} and z in Z, so one
-q^m x |Z| table per defining set (_enumeration_tables) serves both: the count
-reads H off it, and the scan reads each first-half support Tr(alpha a + beta b)
-as Tr(alpha a) + Tr(beta b).
+share one cyclic convolution.  H is read off one q^m x |Z| table of Tr(x z)
+per defining set (_enumeration_tables).  The Gray rank and the minimality test
+need only its m rows at the basis elements x^i (_trace_rows), which are built
+without it.
 """
 
 from __future__ import annotations
@@ -406,28 +405,52 @@ def cwe_closed(q: int, m: int) -> CweSpectrum:
 # Gray-image rank and diagnostics
 # ----------------------------------------------------------------------
 
-def _rank_mod_q(rows: np.ndarray, q: int) -> int:
-    mat = rows.astype(np.int64) % q
-    rank = 0
-    nrows, ncols = mat.shape
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if mat[r, col] % q:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[[rank, piv]] = mat[[piv, rank]]
-        inv = pow(int(mat[rank, col]), q - 2, q)
-        mat[rank] = (mat[rank] * inv) % q
-        for r in range(nrows):
-            if r != rank and mat[r, col]:
-                mat[r] = (mat[r] - mat[r, col] * mat[rank]) % q
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def _rank_mod_q(mats: np.ndarray, q: int) -> int | np.ndarray:
+    """Rank mod q of one matrix, or of each matrix in a (B, rows, cols) batch.
+
+    Column by column, each matrix takes its first row that is nonzero there as
+    pivot, normalises it and subtracts its multiples from every row, the pivot
+    row included.  The pivot row then vanishes, so the rank is the number of
+    columns that found a pivot, and the column is zero everywhere and dropped.
+    Entries stay below q and every product below (q - 1)^2, which the working
+    dtype holds exactly.
+    """
+    dtype = np.min_scalar_type(-(q - 1) ** 2)
+    a = np.asarray(mats) % q
+    single = a.ndim == 2
+    a = (a[None] if single else a).astype(dtype)
+    if a.shape[1] < a.shape[2]:  # eliminate along the shorter side
+        a = a.transpose(0, 2, 1)
+    inv = np.array([0] + [pow(c, q - 2, q) for c in range(1, q)], dtype=dtype)
+    batch = np.arange(a.shape[0])
+    rank = np.zeros(a.shape[0], dtype=np.int64)
+    while a.shape[2]:
+        v = a[:, :, 0]
+        piv = a[batch, (v != 0).argmax(axis=1)]  # a zero row where the column is zero
+        rank += piv[:, 0] != 0
+        piv = piv[:, 1:] * inv[piv[:, 0]][:, None] % q
+        a = (a[:, :, 1:] - v[:, :, None] * piv[:, None, :]) % q
+    return int(rank[0]) if single else rank
+
+
+def _trace_rows(D: DefiningSet) -> np.ndarray:
+    """W[i, j] = Tr(x^i z_j) in the dtype of trace_array: the rows of the Tr(x z)
+    table at the basis elements x^i, built without it.  By trace linearity
+    Tr(x z_j) = sum_i x_i W[i, j] over the base-q digits x_i of x."""
+    f = D.field
+    return np.stack([f.trace_array[f.mul_row(f.q**i)[D.zeros]] for i in range(f.m)])
+
+
+def gray_rank(D: DefiningSet) -> int:
+    """Rank over F_q of the Gray image, measured on its generator columns.
+
+    The basis messages x^i and u x^i give the column (W[:, a], W[:, b]) at the
+    first Gray coordinate of d = (a, b) and (W[:, b], W[:, a]) at the second.
+    As 0 is in Z, D holds (a, 0) and (0, b) for every nonzero a and b of Z, and
+    every column is the sum of the columns there: the rank is that of the
+    block-diagonal matrix of W and W, twice the rank of W.
+    """
+    return 2 * _rank_mod_q(_trace_rows(D), D.field.q)
 
 
 @dataclass(frozen=True)
@@ -439,23 +462,9 @@ class GrayReport:
 
 
 def gray_dimension(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET) -> GrayReport:
-    """Measured rank of the Gray image plus its minimum nonzero Lee weight.
-
-    The rows are the Gray images of the 2m basis messages x^j and u x^j, read
-    off T: at d = (a, b), x^j has the Gray pair (Tr(x^j a), Tr(x^j b)) and
-    u x^j the swapped pair (Tr(x^j b), Tr(x^j a)).
-    """
-    f = D.field
-    T = _enumeration_tables(D)
-    k = D.zeros.size
-    rows = []
-    for j in range(f.m):
-        t = T[f.q**j]
-        pairs = np.stack([np.repeat(t, k)[1:], np.tile(t, k)[1:]], axis=1)  # D drops (0, 0)
-        rows += [pairs.ravel(), pairs[:, ::-1].ravel()]
-    rank = _rank_mod_q(np.stack(rows), f.q) if len(D) else 0
+    """Measured rank of the Gray image plus its minimum nonzero Lee weight."""
     spec = lee_spectrum_bruteforce(D, budget=budget)
-    return GrayReport(rank, spec.min_nonzero(), 2 * len(D), f.m)
+    return GrayReport(gray_rank(D), spec.min_nonzero(), 2 * len(D), D.field.m)
 
 
 def defining_set_census(field: Field) -> dict[str, int]:

@@ -295,11 +295,12 @@ class Field:
             row[1:] = self._exp[(self._log[c] + self._log[1:]) % (self.order - 1)]
         return row
 
-    def squares(self) -> np.ndarray:
-        """(q^m,) array of x^2 for every x, built on each call (callers keep what they need)."""
-        sq = np.zeros(self.order, dtype=np.int64)
-        sq[1:] = self._exp[2 * self._log[1:] % (self.order - 1)]
-        return sq
+    def power_row(self, e: int) -> np.ndarray:
+        """(q^m,) array of x^e for every x (e >= 1): one gather exp[e log x mod (q^m - 1)],
+        built on each call (callers keep what they need)."""
+        row = np.zeros(self.order, dtype=np.int64)
+        row[1:] = self._exp[e * self._log[1:] % (self.order - 1)]
+        return row
 
     def inv(self, x: int) -> int:
         self.check_element(x)
@@ -410,7 +411,7 @@ class Field:
     def trace_sq_array(self) -> np.ndarray:
         """(q^m,) table of Tr(x^2), in the dtype of trace_array."""
         if "trace_sq" not in self._dense:
-            self._dense["trace_sq"] = self.trace_array[self.squares()]
+            self._dense["trace_sq"] = self.trace_array[self.power_row(2)]
         return self._dense["trace_sq"]
 
     @property

@@ -5,58 +5,62 @@ smaller support; support-equal scalar multiples do not disqualify each other.
 The sufficient condition w_min / w_max > (q-1)/q is evaluated in exact
 rational arithmetic, never floating point.
 
-The exhaustive scan makes four exact reductions.
+Where the ratio says nothing, the exhaustive test decides each codeword by one
+rank (A. Ashikhmin, A. Barg, "Minimal vectors in linear codes", IEEE Trans.
+IT 44(5), 1998; G. N. Alfarano, M. Borello, A. Neri, "A geometric
+characterization of minimal codes and their asymptotic performance", Adv.
+Math. Commun. 16(1), 2022).  The message x in F_q^(2m) has the value x . g at
+the generator column g; let r be the rank of all the columns
+(codes.gray_rank).  The support of c_y lies inside that of c_x exactly when y
+is orthogonal to every column at which c_x vanishes.  For a nonzero c_x those
+columns lie in the hyperplane of the column space orthogonal to x, so c_x is
+minimal iff they span it: their rank is r - 1.  A non-proportional y with an
+equal support gives a strictly smaller one, c_x - lambda c_y, so this is the
+strict definition above.
 
-- One support per F_q-line of messages: scalar multiples share a support.
-- One Gray half: the second half of alpha + u*beta at (a, b) is its first
-  half at (b, a), and D is closed under that swap, so S_i is inside S_j on
-  both halves exactly when it is on the first, and w = 2 |S^1|.
-- One coordinate per F_q-line of coordinates: Tr is F_q-linear and cZ = Z
-  for c in F_q*, so (c a, c b) is in a support exactly when (a, b) is.  The
-  scan reads the first half at one pair per F_q*-orbit of Z x Z less (0, 0):
-  (a, b) with a in Z1, and (0, b) with b in Z1, where Z1 holds the nonzero
-  elements of Z whose leading base-q digit is 1.  That is
-  n = (|Z|^2 - 1)/(q - 1) coordinates, and every first-half weight is q - 1
-  times its count there.
-- One containing codeword per orbit: (alpha, beta) -> (beta, alpha),
-  (alpha, -beta) and Frobenius each permute the coordinates of every
-  support by one fixed permutation ((a, b) -> (b, a), (a, -b) and
-  (phi^-1 a, phi^-1 b); Z = -Z and Z is Frobenius-stable), so "some nonzero
-  codeword has strictly smaller support" is constant on each orbit.
+The test keeps three exact reductions.
 
-The comparisons are ordered by weight: S_i strictly inside S_j needs
-w_i < w_j.  Every weight is read off the trace histograms
-H[x, s] = #{z in Z : Tr(x z) = s}, without building a support: the first
-half of alpha + u*beta vanishes at the pairs (a, b) of Z x Z with
-Tr(alpha a) = -Tr(beta b), so w = |Z|^2 - sum_s H[alpha, s] H[beta, -s].
-The lines are sorted by weight and cut into blocks within one weight class,
-and the orbit representatives are sorted heaviest first, so each block is
-compared only with the prefix of representatives strictly heavier than it:
-S_i is inside S_j when |S_i & S_j| == w_i.  The counts are read off a float32
-product of 0/1 rows, exact because every entry is an integer at most
-n < 2^24.
+- One Gray half: the second-half column at (a, b) is the first-half column at
+  (b, a), and D is closed under that swap, so both halves give one set of
+  columns.
+- One coordinate per F_q*-orbit: Tr is F_q-linear and cZ = Z for c in F_q*,
+  so the column at (c a, c b) is c times the one at (a, b) and spans the same
+  line.  The test reads (a, b) with a in Z1, and (0, b) with b in Z1, where Z1
+  holds the nonzero elements of Z whose leading base-q digit is 1: that is
+  n = (|Z|^2 - 1)/(q - 1) columns.
+- One message per orbit: scalar multiples share a support, and
+  (alpha, beta) -> (beta, alpha), (alpha, -beta) and Frobenius each permute
+  the coordinates of every support by one fixed permutation ((a, b) -> (b, a),
+  (a, -b) and (phi^-1 a, phi^-1 b); Z = -Z and Z is Frobenius-stable), so
+  minimality is constant on each orbit of F_q-lines.
 
-The scan is priced sum_c L_c R_{>c} n steps, for L_c lines of weight class c
-and R_{>c} orbits strictly heavier than c.  An orbit keeps the weight and
-holds at most 4m lines, so R_{>c} >= ceil(L_{>c} / 4m); that lower bound,
-from the class sizes the distinct rows of H give, refuses an unaffordable
-scan before the orbits are labelled or a line is built.
+Each orbit representative is tested first on c = min(n, 8mq) evenly spaced
+columns.  A subset's rank never exceeds that of the full zero set, so a rank
+of r - 1 there makes the representative minimal when its codeword is nonzero,
+as every nonzero message's is when r = 2m.  Only the others get a full
+zero-set rank: the subset sets the speed, never the verdict.  (A contiguous prefix is a poor
+subset: its first |Z| columns share one a.)
+
+The work is priced (2m)^2 steps per column a rank reads: R c for the subset
+pass over R representatives, plus n per full check.  An orbit holds at most
+4m lines, so R >= ceil(L / 4m) for the L F_q-lines; that lower bound needs
+only q, m and |Z|, and refuses an unaffordable test before a line or a table
+is built.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from ._budget import DEFAULT_OPS_BUDGET, check_budget
-from .codes import DefiningSet, LeeSpectrum, _enumeration_tables, _trace_histograms
+from .codes import DefiningSet, LeeSpectrum, _rank_mod_q, _trace_rows, gray_rank
 from .errors import DegenerateSpectrumError, LengthMismatchError, UnsupportedParametersError
 from .gf import Field
 
-_BLOCK = 1024  # support rows per BLAS product in the minimality scan
+_BATCH = 1 << 20  # codeword entries per batch of zero-set ranks
 
 
 def covers(x, y) -> bool:
@@ -151,7 +155,7 @@ def _line_orbits(f: Field) -> tuple[np.ndarray, np.ndarray]:
     q, order = f.q, f.order
     mul = np.stack([f.mul_row(c) for c in range(q)])
     neg = mul[q - 1]
-    frob = np.array([f.frobenius(x) for x in f.elements()])
+    frob = f.power_row(q)
     lead = _leading_digit(np.arange(order), q)
     inv = np.array([0] + [pow(c, q - 2, q) for c in range(1, q)])
 
@@ -170,73 +174,51 @@ def _line_orbits(f: Field) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(label, return_counts=True)
 
 
-def _first_half_weights(Ha: np.ndarray, Hb: np.ndarray) -> np.ndarray:
-    """First-half Gray weight of alpha + u*beta from the rows H[alpha], H[beta]:
-    the |Z|^2 pairs (a, b) of Z x Z less those with Tr(alpha a) = -Tr(beta b),
-    which number sum_s H[alpha, s] H[beta, -s] (every row sums to |Z|).  No
-    support is built."""
-    q = Ha.shape[-1]
-    return Ha.sum(axis=-1) ** 2 - (Ha * Hb[..., -np.arange(q) % q]).sum(axis=-1)
+def _zero_set_ranks(X: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
+    """For each message (a row of base-q digits in X), the rank of the columns
+    of cols (one per row) at which its codeword vanishes."""
+    ranks = np.zeros(len(X), dtype=np.int64)
+    step = max(1, _BATCH // max(1, len(cols)))
+    for lo in range(0, len(X), step):
+        zero = X[lo:lo + step] @ cols.T % q == 0
+        # each message's zero columns first, in a slice as long as the longest
+        front = np.argsort(~zero, axis=1, kind="stable")[:, :zero.sum(axis=1).max()]
+        batch = cols[front] * np.take_along_axis(zero, front, axis=1)[..., None]
+        ranks[lo:lo + step] = _rank_mod_q(batch, q)
+    return ranks
 
 
 def minimal_codewords_exhaustive(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET
                                  ) -> tuple[int, bool]:
-    """Strict support-containment scan of every F_q-line against the heavier
-    orbit representatives, on one coordinate per F_q*-orbit (module docstring).
+    """Hyperplane-rank test of one message per orbit, on one column per
+    F_q*-orbit of coordinates, a subset of them first (module docstring).
 
     Returns (number of minimal nonzero codewords, whether all are minimal).
     """
     f = D.field
-    q, n = f.q, len(D) // (f.q - 1)  # first-half coordinates, one per F_q*-orbit
-    H = _trace_histograms(D)
-    # a weight depends only on the two rows of H, so the messages per weight come
-    # from the distinct rows; L_c lines per nonzero class c, lightest first, give
-    # the lower bound R_{>c} >= ceil(L_{>c} / 4m) (module docstring)
-    rows, mult = np.unique(H, axis=0, return_counts=True)
-    messages: Counter = Counter()
-    for wt, c in zip(_first_half_weights(rows[:, None], rows[None, :]).ravel().tolist(),
-                     np.outer(mult, mult).ravel().tolist()):
-        messages[wt] += c
-    L_c = [messages[wt] // (q - 1) for wt in sorted(messages) if wt]
-    L_heavier = [sum(L_c[c + 1:]) for c in range(len(L_c))]
-    check_budget(sum(l * -(-h // (4 * f.m)) for l, h in zip(L_c, L_heavier)) * n, budget,
-                 "pairwise minimality scan (lower bound)")
-
-    def weights(k):  # counted over the n coordinates the scan reads
-        alpha, beta = np.divmod(k, f.order)
-        return _first_half_weights(H[alpha], H[beta]) // (q - 1)
+    q, m = f.q, f.m
+    n = len(D) // (q - 1)  # first-half columns, one per F_q*-orbit
+    c = min(n, 8 * m * q)
+    step = (2 * m) ** 2  # per column a rank reads
+    lines = (q ** (2 * m) - 1) // (q - 1)
+    check_budget(-(-lines // (4 * m)) * c * step, budget, "minimality rank test (lower bound)")
 
     reps, sizes = _line_orbits(f)
-    w_rep = weights(reps)
-    heaviest_first = np.argsort(-w_rep, kind="stable")
-    reps, sizes, w_rep = reps[heaviest_first], sizes[heaviest_first], w_rep[heaviest_first]
-    lines = _line_representatives(q, f.m)
-    w = weights(lines)
-    lines, w = lines[w > 0], w[w > 0]  # the zero codeword dominates nothing
-    lightest_first = np.argsort(w, kind="stable")
-    lines, w = lines[lightest_first], w[lightest_first]
-    heavier = np.searchsorted(-w_rep, -w)  # representatives strictly heavier than each line
-    check_budget(int(heavier.sum()) * n, budget, "pairwise minimality scan")
-    assert n < 2**24, "float32 support products would be inexact"
-
-    T = _enumeration_tables(D)
+    # k = alpha q^m + beta has the base-q digits of beta, then those of alpha, so
+    # the column at (a, b) is (W[:, b], W[:, a]): x . g = Tr(beta b) + Tr(alpha a)
+    X = reps[:, None] // q ** np.arange(2 * m) % q
+    W = _trace_rows(D).T  # row j: Tr(x^i z_j) over i
     Z1 = 1 + np.flatnonzero(_leading_digit(D.zeros[1:], q) == 1)  # indices into Z
-    T1, negT = T[:, Z1], -T % q
+    # (a, b) for a in Z1 and b in Z, then (0, b) for b in Z1
+    Wb = np.vstack([np.tile(W, (Z1.size, 1)), W[Z1]])
+    Wa = np.vstack([np.repeat(W[Z1], D.zeros.size, axis=0), 0 * W[Z1]])
+    G = np.hstack([Wb, Wa])
+    r = gray_rank(D)
 
-    def supports(k):  # Tr(alpha a) + Tr(beta b) != 0 at (a, b) in Z1 x Z, then at (0, Z1)
-        alpha, beta = np.divmod(k, f.order)
-        pairs = T1[alpha][:, :, None] != negT[beta][:, None, :]
-        return np.hstack([pairs.reshape(k.size, -1), T1[beta] != 0]).astype(np.float32)
-
-    sup = supports(reps)
-    dominated = np.zeros(reps.size, dtype=bool)
-    starts = np.flatnonzero(np.diff(w, prepend=0))  # the first line of each weight class
-    for start, end in zip(starts.tolist(), [*starts[1:].tolist(), w.size]):
-        R = heavier[start]
-        if not R:  # this class and any after it are the heaviest
-            break
-        for lo in range(start, end, _BLOCK):
-            # S_i inside S_j is |S_i & S_j| == w_i, and strictly so as w_i < w_j
-            blk = supports(lines[lo:min(lo + _BLOCK, end)])
-            dominated[:R] |= (blk @ sup[:R].T == w[start]).any(axis=0)
-    return (q - 1) * int(sizes[(w_rep > 0) & ~dominated].sum()), not dominated.any()
+    ranks = _zero_set_ranks(X, G[np.arange(c) * n // c], q)
+    # with r < 2m some messages give the zero codeword, which a subset cannot tell
+    full = ((ranks != r - 1) | (r < 2 * m)) & (c < n)
+    check_budget((reps.size * c + int(full.sum()) * n) * step, budget, "minimality rank test")
+    ranks[full] = _zero_set_ranks(X[full], G, q)
+    # rank r: the zero codeword; below r - 1: a smaller support exists
+    return (q - 1) * int(sizes[ranks == r - 1].sum()), not (ranks < r - 1).any()

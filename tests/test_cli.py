@@ -189,6 +189,13 @@ def test_minimality_boundary_case_runs_at_default_budget(capsys):
     assert (res["ab_holds"], res["minimal_count"], res["all_minimal"]) == (False, 6520, False)
 
 
+def test_minimality_q3_m5_runs_at_default_budget(capsys):
+    code, out = run(["minimality", "--q", "3", "--m", "5"], capsys)
+    assert code == cli.EXIT_PASS
+    res = json.loads(out)["results"]
+    assert (res["ab_holds"], res["minimal_count"], res["all_minimal"]) == (True, 59048, True)
+
+
 def test_check_all(capsys):
     code, out = run(["check-all", "--q", "3", "--m", "2", "--seed", "3"], capsys)
     assert code == cli.EXIT_PASS

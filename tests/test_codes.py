@@ -312,6 +312,28 @@ def test_rank_matches_sampled_codeword_rows(defining_sets):
     assert sampled_rank <= codes.gray_dimension(D).rank == 6
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 13])
+def test_batched_rank_matches_sympy(q):
+    # sympy's rank over GF(q) is the independent oracle
+    from sympy.polys.domains import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    K = GF(q)
+    rng = np.random.default_rng(q)
+    for rows, cols in [(1, 1), (3, 5), (6, 4), (9, 8), (40, 6)]:
+        batch = rng.integers(0, q, size=(16, rows, cols))
+        batch[0] = 0  # all zero
+        batch[1, rows // 2] = 0  # a zero row
+        k = max(1, min(rows, cols) - 2)  # rank-deficient products of thin factors
+        batch[2:8] = rng.integers(0, q, (6, rows, k)) @ rng.integers(0, q, (6, k, cols)) % q
+        batch[8] -= q  # negative representatives
+        expected = [DomainMatrix([[K(int(v)) for v in row] for row in mat], (rows, cols), K).rank()
+                    for mat in batch]
+        assert codes._rank_mod_q(batch, q).tolist() == expected
+        assert [codes._rank_mod_q(mat, q) for mat in batch] == expected
+    assert codes._rank_mod_q(np.zeros((3, 0, 4), dtype=int), q).tolist() == [0, 0, 0]
+
+
 @pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (5, 2), (7, 2), (3, 4), (5, 3)])
 def test_gray_rank_matches_ring_route(q, m, defining_sets):
     # the Gray images of the basis messages x^j and u x^j by the ring route

@@ -14,10 +14,10 @@ from leecodes.errors import (
 from leecodes.gf import make_field
 from leecodes.ring import RingElement, gray_map
 from leecodes.sss import (
-    _first_half_weights,
     _leading_digit,
     _line_orbits,
     _line_representatives,
+    _zero_set_ranks,
     ab_check,
     covers,
     minimal_codewords_exhaustive,
@@ -126,11 +126,20 @@ def _naive_minimality(q, m, defining_sets):
     return minimal, minimal == sup.shape[0]
 
 
-@pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (7, 2), (11, 2), (13, 2)])
+@pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (7, 2), (11, 2), (13, 2), (3, 4)])
 def test_minimality_scan_matches_naive(q, m, defining_sets):
     # (13, 2) has an empty defining set: no nonzero codeword, so none is dominated
     fast = minimal_codewords_exhaustive(defining_sets(q, m))
     assert fast == _naive_minimality(q, m, defining_sets)
+
+
+@pytest.mark.parametrize("q,m", [(3, 3), (3, 4)])
+def test_minimality_scan_matches_naive_on_a_subfield_zero_set(q, m):
+    # Z = F_q spans one dimension of F_{q^m}: the Gray rank is 2 < 2m, and every
+    # message orthogonal to all the columns gives the zero codeword
+    D = codes.DefiningSet(make_field(q, m), range(q))
+    assert codes.gray_rank(D) == 2
+    assert minimal_codewords_exhaustive(D) == _naive_minimality(q, m, lambda *_: D)
 
 
 def test_minimality_counts(defining_sets):
@@ -138,9 +147,11 @@ def test_minimality_counts(defining_sets):
     assert (count2, all2) == (72, False)
     count3, all3 = minimal_codewords_exhaustive(defining_sets(3, 3))
     assert (count3, all3) == (700, False)
-    # (3,4) sits exactly on the Ashikhmin-Barg threshold, so only the scan decides it
-    for (q, m), count in {(7, 2): 2328, (3, 4): 6520, (5, 3): 15496, (7, 3): 117300}.items():
-        assert minimal_codewords_exhaustive(defining_sets(q, m), budget=10**12) == (count, False)
+    # (3,4) sits exactly on the Ashikhmin-Barg threshold, so only the scan decides it;
+    # every point runs at the default budget
+    for (q, m), count in {(7, 2): 2328, (3, 4): 6520, (5, 3): 15496, (7, 3): 117300,
+                          (5, 4): 390416, (11, 3): 1770220}.items():
+        assert minimal_codewords_exhaustive(defining_sets(q, m)) == (count, False)
 
 
 @pytest.mark.parametrize("q,m", [(3, 2), (5, 2)])
@@ -152,21 +163,6 @@ def test_line_representatives_cover_each_nonzero_pair_once(q, m):
         for c in range(1, q):
             hits[f.mul(c, alpha) * f.order + f.mul(c, beta)] += 1
     assert hits[0] == 0 and (hits[1:] == 1).all()
-
-
-@pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (5, 2), (7, 2), (3, 4)])
-def test_line_weights_match_support_row_sums(q, m, defining_sets):
-    # the first Gray half of every line, Tr(alpha a + beta b) over D, built from
-    # trace_array and mul_row without the histograms or the Tr(x z) table
-    f = make_field(q, m)
-    D = defining_sets(q, m)
-    lines = _line_representatives(q, m)
-    alpha, beta = np.divmod(lines, f.order)
-    tr = np.stack([f.trace_array[f.mul_row(x)] for x in f.elements()]).astype(np.int64)
-    first_half = (tr[alpha][:, D.a] + tr[beta][:, D.b]) % q
-    H = codes._trace_histograms(D)
-    weights = _first_half_weights(H[alpha], H[beta])
-    assert np.array_equal(weights, np.count_nonzero(first_half, axis=1))
 
 
 @pytest.mark.parametrize("q,m", [(3, 3), (5, 3), (7, 2)])
@@ -198,26 +194,48 @@ def test_ab_soundness_implication(q, m, defining_sets):
 
 def test_minimality_budget(defining_sets):
     with pytest.raises(BudgetExceededError):
-        minimal_codewords_exhaustive(defining_sets(3, 5))
+        minimal_codewords_exhaustive(defining_sets(5, 5))
 
 
 def test_minimality_budget_prices_lines(defining_sets):
-    # sum_c L_c R_{>c} n: each of the 364 lines is compared only with the orbit
-    # representatives strictly heavier than it, 4018 comparisons, on the
-    # n = 80 / (q - 1) = 40 first-half coordinates of one per F_q*-orbit
-    # (364 * 36 * 80 before the weight order and the coordinate orbits)
+    # (R c + F n) (2m)^2: the 36 orbit representatives are ranked on
+    # c = min(n, 8mq) = n = 80 / (q - 1) = 40 columns, one per F_q*-orbit, each
+    # read at (2m)^2 = 36 steps; with c = n that rank is the full one, so F = 0
     D = defining_sets(3, 3)
     assert _line_orbits(D.field)[0].size == 36
-    assert minimal_codewords_exhaustive(D, budget=4018 * 40) == (700, False)
-    with pytest.raises(BudgetExceededError, match="scan needs"):
-        minimal_codewords_exhaustive(D, budget=4018 * 40 - 1)
+    assert minimal_codewords_exhaustive(D, budget=36 * 40 * 36) == (700, False)
+    with pytest.raises(BudgetExceededError, match="rank test needs"):
+        minimal_codewords_exhaustive(D, budget=36 * 40 * 36 - 1)
+
+
+def test_minimality_budget_prices_full_checks(defining_sets):
+    # n = 440 / 2 = 220 columns, c = 8mq = 96 of them first: 3 of the 234
+    # representatives fail there and take a full rank over all 220
+    D = defining_sets(3, 4)
+    assert _line_orbits(D.field)[0].size == 234
+    estimate = (234 * 96 + 3 * 220) * 8**2
+    assert minimal_codewords_exhaustive(D, budget=estimate) == (6520, False)
+    with pytest.raises(BudgetExceededError, match="rank test needs"):
+        minimal_codewords_exhaustive(D, budget=estimate - 1)
+
+
+def test_minimality_full_checks_alone_decide(defining_sets, monkeypatch):
+    # a subset that proves nothing sends every representative to the full
+    # zero-set rank over all n = 220 columns, which alone gives the verdicts
+    calls = []
+
+    def subset_proves_nothing(X, cols, q):
+        calls.append(len(cols))
+        return _zero_set_ranks(X, cols, q) * (len(calls) > 1)
+
+    monkeypatch.setattr("leecodes.sss._zero_set_ranks", subset_proves_nothing)
+    assert minimal_codewords_exhaustive(defining_sets(3, 4)) == (6520, False)
+    assert calls == [96, 220]
 
 
 def test_minimality_budget_refuses_before_labelling_orbits(defining_sets, monkeypatch):
-    # an orbit keeps the weight and holds at most 4m = 12 lines, so
-    # R_{>c} >= ceil(L_{>c} / 12); with the class sizes read off H this bound is
-    # sum_c L_c ceil(L_{>c} / 12) n = 3700 * 40, and a budget below it is
-    # refused without labelling a single orbit
+    # an orbit holds at most 4m = 12 of the L = 364 lines, so R >= ceil(364 / 12) = 31;
+    # 31 c (2m)^2 = 31 * 40 * 36 is refused without labelling a single orbit
     D = defining_sets(3, 3)
 
     def unreachable(f):
@@ -225,14 +243,14 @@ def test_minimality_budget_refuses_before_labelling_orbits(defining_sets, monkey
 
     monkeypatch.setattr("leecodes.sss._line_orbits", unreachable)
     with pytest.raises(BudgetExceededError, match="lower bound"):
-        minimal_codewords_exhaustive(D, budget=3700 * 40 - 1)
+        minimal_codewords_exhaustive(D, budget=31 * 40 * 36 - 1)
 
 
 def test_minimality_refusal_above_dense_table_limit_builds_no_lines(monkeypatch):
     # q^m = 6561: L = (3^16 - 1) / 2 lines would take 172 MB as int64, the
-    # orbit labelling several arrays that size, and the pair arrays D.a, D.b
-    # 36 MB each; the lower bound reads only the weight classes of the
-    # distinct rows of H, so the scan is refused before any of them is built
+    # orbit labelling several arrays that size, the pair arrays D.a, D.b
+    # 36 MB each, and the Tr(x z) table and its histograms more; the lower
+    # bound reads only q, m and |Z|, so the scan is refused before any of them
     D = codes.build_defining_set(make_field(3, 8))
 
     def unreachable(*args):
@@ -243,6 +261,7 @@ def test_minimality_refusal_above_dense_table_limit_builds_no_lines(monkeypatch)
     with pytest.raises(BudgetExceededError, match="lower bound"):
         minimal_codewords_exhaustive(D)
     assert "a" not in vars(D) and "b" not in vars(D)
+    assert D._cache == {}
 
 
 # -- the symmetries behind the orbit scan ------------------------------------------
