@@ -13,10 +13,13 @@ value that fails integrality or nonnegativity raises instead of rounding.
 The count uses D = Z x Z less (0, 0), Z = {a : Tr(a^2) = 0}: each Gray half
 of alpha + u*beta has the symbol counts H[alpha] (*) H[beta] less the zero
 pair, H[x, s] = #{a in Z : Tr(x a) = s}, so messages with equal rows of H
-share one cyclic convolution.  H is read off one q^m x |Z| table of Tr(x z)
-per defining set (_enumeration_tables).  The Gray rank and the minimality test
-need only its m rows at the basis elements x^i (_trace_rows), which are built
-without it.
+share one cyclic convolution.
+
+Every Tr(x z) here and in sss comes from W[i, j] = Tr(x^i z_j) (_trace_rows):
+Tr is F_q-linear, so Tr(x z_j) = sum_i x_i W[i, j] over the base-q digits x_i
+of x (Lidl-Niederreiter, Finite Fields, Thm 2.23).  The Gray rank and the
+minimality test read W, codeword() two digit products with it, and the count
+H, built from W's columns by an exact q-ary transform (_enumeration_tables).
 """
 
 from __future__ import annotations
@@ -153,10 +156,10 @@ class DefiningSet:
 
 
 def build_defining_set(field: Field, budget: int = DEFAULT_OPS_BUDGET) -> DefiningSet:
-    """Scan F_{q^m}^2 in canonical pair order and keep the zero-trace pairs."""
-    check_budget(field.order**2, budget, "defining-set scan")
-    tsq = field.trace_sq_array
-    return DefiningSet(field, [x for x in field.canonical_elements() if tsq[x] == 0])
+    """Scan F_{q^m} in canonical order and keep Z; D's pairs follow in pair order."""
+    check_budget(field.order, budget, "defining-set scan")
+    elements = field.canonical_elements()
+    return DefiningSet(field, elements[field.trace_sq_array[elements] == 0])
 
 
 def codeword(x: RingElement, D: DefiningSet) -> RingVector:
@@ -166,11 +169,13 @@ def codeword(x: RingElement, D: DefiningSet) -> RingVector:
     if x.field != D.field:
         raise ContextMismatchError("message and defining set use different contexts")
     f = D.field
-    # Tr(alpha a + beta b) = Tr(alpha a) + Tr(beta b), read off Tr(alpha y), Tr(beta y)
-    ta = f.trace_array[f.mul_row(x.a)].astype(np.int64)
-    tb = f.trace_array[f.mul_row(x.b)].astype(np.int64)
-    t1 = (ta[D.a] + tb[D.b]) % f.q
-    t2 = (ta[D.b] + tb[D.a]) % f.q
+    W = _trace_rows(D)
+    # Tr(alpha a + beta b) = Tr(alpha a) + Tr(beta b) over the pairs of Z x Z in
+    # row-major order, the first of which, (0, 0), is not in D
+    ta = np.array(f.coeffs(x.a)) @ W
+    tb = np.array(f.coeffs(x.b)) @ W
+    t1 = (ta[:, None] + tb[None, :]).ravel()[1:] % f.q
+    t2 = (tb[:, None] + ta[None, :]).ravel()[1:] % f.q
     return RingVector(f.prime_subfield(), t1, t2)
 
 
@@ -179,38 +184,38 @@ def codeword(x: RingElement, D: DefiningSet) -> RingVector:
 # ----------------------------------------------------------------------
 
 def _enumeration_tables(D: DefiningSet) -> np.ndarray:
-    """T[x, j] = Tr(x z_j) over F_{q^m} x Z, in the dtype of trace_array, built
-    once per defining set: column j is Tr of the products z_j x (one mul_row)."""
-    if "T" not in D._cache:
-        f = D.field
-        T = np.empty((f.order, D.zeros.size), dtype=f.trace_array.dtype)
-        for j, z in enumerate(D.zeros.tolist()):
-            T[:, j] = f.trace_array[f.mul_row(z)]
-        D._cache["T"] = T
-    return D._cache["T"]
+    """H[x, s] = #{z in Z : Tr(x z) = s}, cached per defining set.
 
-
-def _trace_histograms(D: DefiningSet) -> np.ndarray:
-    """H[x, s] = #{z in Z : Tr(x z) = s}, read off T and cached with it."""
+    Tr(x z_j) = d(x) . W[:, j] mod q over the base-q digits d(x) of x, so H[x, s]
+    counts the columns y of W with d(x) . y = s.  Start from the indicator of them,
+    F[y_(m-1), ..., y_0, s] = [y is a column and s = 0], and fold one digit axis
+    at a time, out[.., x_i, .., s] = sum_a F[.., a, .., s - x_i a]: after all m
+    the axes hold x_(m-1), ..., x_0, so the flat index is x.  Each fold is q^(m+2)
+    steps, summed a term at a time so no temporary exceeds q^(m+1) entries.
+    """
     if "H" not in D._cache:
-        T = _enumeration_tables(D)
-        # one symbol at a time, so there is no q^m x |Z| x q temporary
-        D._cache["H"] = np.stack([np.count_nonzero(T == s, axis=1) for s in range(D.field.q)],
-                                 axis=1)
+        q, m = D.field.q, D.field.m
+        r = np.arange(q)
+        shift = (r - r[:, None, None] * r[:, None]) % q  # shift[x_i, a, s] = s - x_i a
+        F = np.zeros((q,) * m + (q,), dtype=np.int64)
+        F[tuple(_trace_rows(D)[::-1]) + (0,)] = 1  # the columns of W are distinct
+        for _ in range(m):
+            F = F.reshape(q, -1, q)
+            # the leading digit axis comes out as x_i, just before s
+            F = sum(F[a][:, shift[:, a]] for a in range(q))
+        D._cache["H"] = F.reshape(-1, q)
     return D._cache["H"]
 
 
 def _compositions(D: DefiningSet, budget: int, what: str) -> Counter:
     """Multiset over all messages of 2 (H[alpha] (*) H[beta]) - 2 e_0 (module docstring)."""
-    f = D.field
-    T = _enumeration_tables(D)
-    H = _trace_histograms(D)
-    rows, mult = np.unique(H, axis=0, return_counts=True)
-    # T, H, and one length-q convolution per pair of the U distinct rows.  The work
-    # before this check, q^m |Z| (q + 1) with |Z| ~ q^(m-1), is within a small factor
-    # of the q^(2m) that build_defining_set charged
-    check_budget(T.size + T.size * f.q + (rows.shape[0] * f.q) ** 2, budget, what)
-    comps = 2 * _cyclic_convolve(rows[:, None], rows[None, :]).reshape(-1, f.q)
+    q, m = D.field.q, D.field.m
+    # the transform and H, then one length-q convolution per pair of the U distinct rows
+    cost = m * q ** (m + 2) + q ** (m + 1)
+    check_budget(cost, budget, what)
+    rows, mult = np.unique(_enumeration_tables(D), axis=0, return_counts=True)
+    check_budget(cost + (rows.shape[0] * q) ** 2, budget, what)
+    comps = 2 * _cyclic_convolve(rows[:, None], rows[None, :]).reshape(-1, q)
     comps[:, 0] -= 2
     acc: Counter = Counter()
     for comp, c in zip(comps.tolist(), np.outer(mult, mult).ravel().tolist()):
@@ -434,11 +439,14 @@ def _rank_mod_q(mats: np.ndarray, q: int) -> int | np.ndarray:
 
 
 def _trace_rows(D: DefiningSet) -> np.ndarray:
-    """W[i, j] = Tr(x^i z_j) in the dtype of trace_array: the rows of the Tr(x z)
-    table at the basis elements x^i, built without it.  By trace linearity
-    Tr(x z_j) = sum_i x_i W[i, j] over the base-q digits x_i of x."""
-    f = D.field
-    return np.stack([f.trace_array[f.mul_row(f.q**i)[D.zeros]] for i in range(f.m)])
+    """W[i, j] = Tr(x^i z_j) in the dtype of trace_array, cached per defining set:
+    the one source of Tr(x z), since Tr(x z_j) = sum_i x_i W[i, j] over the
+    base-q digits x_i of x."""
+    if "W" not in D._cache:
+        f = D.field
+        D._cache["W"] = np.stack([f.trace_array[f.mul_row(f.q**i)[D.zeros]]
+                                  for i in range(f.m)])
+    return D._cache["W"]
 
 
 def gray_rank(D: DefiningSet) -> int:

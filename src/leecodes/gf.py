@@ -169,6 +169,7 @@ class Field:
         # (q,)*m array, 0, 1, ... has digit i on axis m-1-i; transposing reverses
         # the axes, hence the digits
         self._canonical = np.arange(self.order, dtype=np.int64).reshape((q,) * m).T.ravel()
+        self._canonical.flags.writeable = False  # canonical_elements() hands it out
         self.generator = self._find_generator()
         self._build_tables()
 
@@ -242,9 +243,9 @@ class Field:
     def elements(self) -> range:
         return range(self.order)
 
-    def canonical_elements(self) -> list[int]:
+    def canonical_elements(self) -> np.ndarray:
         """All elements sorted by coefficient tuple, low degree compared first."""
-        return self._canonical.tolist()
+        return self._canonical
 
     def _coeffs_unchecked(self, x: int) -> tuple[int, ...]:
         out = []

@@ -188,13 +188,3 @@ def lee_weight(vec: RingVector) -> int:
 
 def lee_distance(x: RingVector, y: RingVector) -> int:
     return lee_weight(x - y)
-
-
-def hamming_weight(v: np.ndarray) -> int:
-    return int(np.count_nonzero(v))
-
-
-def hamming_distance(x: np.ndarray, y: np.ndarray) -> int:
-    if x.shape != y.shape:
-        raise LengthMismatchError("vectors must have equal length")
-    return int(np.count_nonzero(x != y))

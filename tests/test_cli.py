@@ -95,6 +95,8 @@ def test_budget_exceeded_exit_code(capsys):
     ["cwe", "--q", "5", "--m", "4"],
     ["spectrum", "--q", "3", "--m", "7"],
     ["cwe", "--q", "5", "--m", "5"],
+    ["spectrum", "--q", "3", "--m", "10"],
+    ["cwe", "--q", "5", "--m", "7"],
 ])
 def test_histogram_count_runs_at_default_budget(argv, capsys):
     code, out = run(argv + ["--mode", "both"], capsys)

@@ -17,7 +17,8 @@ from conftest import BRUTE_LEE, DEFINING_SET_SIZES
 
 CLOSED_EQ_BRUTE_PAIRS = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
                          (7, 2), (7, 3), (11, 2), (5, 4), (3, 6),
-                         (3, 7), (5, 5), (7, 4), (13, 3)]
+                         (3, 7), (5, 5), (7, 4), (13, 3), (3, 9),
+                         (5, 6), (7, 5), (11, 4), (13, 4)]
 
 
 # -- defining set ----------------------------------------------------------
@@ -63,8 +64,10 @@ def test_defining_set_census():
 
 
 def test_build_defining_set_budget():
+    # the scan reads each of the q^m = 27 elements once
+    assert len(codes.build_defining_set(make_field(3, 3), budget=27)) == 80
     with pytest.raises(BudgetExceededError):
-        codes.build_defining_set(make_field(3, 3), budget=100)
+        codes.build_defining_set(make_field(3, 3), budget=26)
 
 
 # -- codewords ---------------------------------------------------------------
@@ -78,20 +81,21 @@ def test_zero_message_gives_zero_codeword(defining_sets):
 
 def test_codeword_matches_scalar_ring_evaluation(defining_sets):
     # each coordinate is the ring trace of x * d_i, expanded through the base
-    f = make_field(3, 3)
-    D = defining_sets(3, 3)
     rng = random.Random(4321)
-    for _ in range(100):
-        x = RingElement(f, rng.randrange(27), rng.randrange(27))
-        c = codes.codeword(x, D)
-        i = rng.randrange(len(D))
-        expected = (x * D.member(i)).trace()
-        assert c[i] == expected
-        alpha, beta = x.a, x.b
-        a, b = int(D.a[i]), int(D.b[i])
-        t1 = f.trace(f.add(f.mul(alpha, a), f.mul(beta, b)))
-        t2 = f.trace(f.add(f.mul(beta, a), f.mul(alpha, b)))
-        assert (c[i].a, c[i].b) == (t1, t2)
+    for q, m in [(3, 3), (5, 3), (7, 2)]:
+        f = make_field(q, m)
+        D = defining_sets(q, m)
+        for _ in range(100):
+            x = RingElement(f, rng.randrange(f.order), rng.randrange(f.order))
+            c = codes.codeword(x, D)
+            i = rng.randrange(len(D))
+            expected = (x * D.member(i)).trace()
+            assert c[i] == expected
+            alpha, beta = x.a, x.b
+            a, b = int(D.a[i]), int(D.b[i])
+            t1 = f.trace(f.add(f.mul(alpha, a), f.mul(beta, b)))
+            t2 = f.trace(f.add(f.mul(beta, a), f.mul(alpha, b)))
+            assert (c[i].a, c[i].b) == (t1, t2)
 
 
 def test_extreme_weight_class_sizes(defining_sets):
@@ -141,7 +145,8 @@ def test_bruteforce_matches_per_message_scan(q, m, defining_sets):
 def test_bruteforce_budget(defining_sets):
     D = codes.build_defining_set(make_field(3, 5))  # fresh instance, empty cache
     with pytest.raises(BudgetExceededError):
-        codes.lee_spectrum_bruteforce(D, budget=10**4)  # the count needs ~1.2 * 10^5 steps
+        # the transform and H need m q^(m+2) + q^(m+1) = 11664 steps
+        codes.lee_spectrum_bruteforce(D, budget=10**4)
 
 
 def test_codeword_map_is_injective(defining_sets):
@@ -176,11 +181,25 @@ def test_cwe_closed_equals_brute(q, m, defining_sets):
 
 @pytest.mark.parametrize("q,m", [(q, m) for q, m in CLOSED_EQ_BRUTE_PAIRS if q**m <= 2048])
 def test_trace_table_matches_dense_oracle(q, m, defining_sets):
-    # the one table the count and the minimality scan read, Tr(x z) over F x Z,
-    # against the dense product table wherever that is built
+    # the histograms the count reads, H[x, s] = #{z in Z : Tr(x z) = s}, against
+    # the dense product table wherever that is built
     D = defining_sets(q, m)
     f = D.field
-    assert np.array_equal(codes._enumeration_tables(D), f.trace_array[f.mul_array[:, D.zeros]])
+    T = f.trace_array[f.mul_array[:, D.zeros]]
+    assert np.array_equal(codes._enumeration_tables(D),
+                          np.stack([(T == s).sum(1) for s in range(q)], 1))
+
+
+@pytest.mark.parametrize("q,m", [(3, 9), (13, 4)])
+def test_trace_histogram_rows_above_dense_table_limit(q, m, defining_sets):
+    # rows of H at random x: the digit product with W, and Tr of the products x z
+    D = defining_sets(q, m)
+    f = D.field
+    H = codes._enumeration_tables(D)
+    W = codes._trace_rows(D)
+    for x in np.random.default_rng(q * m).integers(0, f.order, 200).tolist():
+        assert np.array_equal(H[x], np.bincount(np.array(f.coeffs(x)) @ W % q, minlength=q))
+        assert np.array_equal(H[x], np.bincount(f.trace_array[f.mul_row(x)[D.zeros]], minlength=q))
 
 
 def test_closed_form_parameter_errors():

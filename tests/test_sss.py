@@ -249,8 +249,8 @@ def test_minimality_budget_refuses_before_labelling_orbits(defining_sets, monkey
 def test_minimality_refusal_above_dense_table_limit_builds_no_lines(monkeypatch):
     # q^m = 6561: L = (3^16 - 1) / 2 lines would take 172 MB as int64, the
     # orbit labelling several arrays that size, the pair arrays D.a, D.b
-    # 36 MB each, and the Tr(x z) table and its histograms more; the lower
-    # bound reads only q, m and |Z|, so the scan is refused before any of them
+    # 36 MB each; the lower bound reads only q, m and |Z|, so the scan is
+    # refused before any of them
     D = codes.build_defining_set(make_field(3, 8))
 
     def unreachable(*args):
