@@ -10,8 +10,15 @@ A cold run's time goes mostly to start-up, not to the mathematics: the
 interpreter, numpy, and compiling the leecodes modules (a spectrum or CWE
 at the benchmark grid counts in a few ms).  So this module imports the
 numeric submodules inside the runners that use them (spectrum and cwe never
-load sss or ring), and calls them through the module (codes.cwe_closed, not
-a bound name) so that replacing a module attribute reaches the CLI too.
+load sss or ring), and looks their functions up on the module at call time
+(codes.cwe_closed, not a bound name) so that replacing a module attribute
+reaches the CLI too.  The runners never call one count from the other: the
+one count runner calls codes.lee_spectrum_bruteforce for spectrum and
+codes.cwe_bruteforce for cwe, and the two share one cached count in codes.
+
+One table, RUNNERS, maps each command to its runner, and check-all runs them
+all in order.  Each runner returns (verdicts, results); a run refused by the
+budget reports a single SKIPPED verdict instead, and exits 3.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ import random
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 
 from ._budget import DEFAULT_OPS_BUDGET
 from .errors import BudgetExceededError, DegenerateSpectrumError, LeecodesError
@@ -41,19 +47,6 @@ EXIT_BUDGET = 3
 
 MIN_BUDGET = 10**6
 FORMATS = ("json", "csv", "human")
-
-
-@dataclass
-class RunConfig:
-    q: int
-    m: int
-    budget: int
-    threads: int
-    output_format: str
-    seed: int
-    mode: str = "both"
-    out: str | None = None
-    timing: bool = False
 
 
 def _env_default(name: str, fallback, cast):
@@ -98,6 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timing", action="store_true", help="include wall times in the report")
         if with_mode:
             p.add_argument("--mode", choices=("closed", "brute", "both"), default="both")
+        else:
+            p.set_defaults(mode="both")  # echoed in params
 
     common(sub.add_parser("verify-identities", help="closed-form vs oracle for every identity"))
     common(sub.add_parser("spectrum", help="Lee-weight distribution"), with_mode=True)
@@ -107,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
+def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Exit as a usage error unless args is a valid configuration."""
     from .gf import _is_prime
 
     if args.q < 3 or not _is_prime(args.q):
@@ -131,17 +127,6 @@ def _config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCon
         directory = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(directory):
             parser.error(f"--out directory does not exist: {directory}")
-    return RunConfig(
-        q=args.q,
-        m=args.m,
-        budget=args.budget,
-        threads=args.threads,
-        output_format=args.output_format,
-        seed=args.seed,
-        mode=getattr(args, "mode", "both"),
-        out=args.out,
-        timing=args.timing,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -161,11 +146,11 @@ def _sample_pairs(field, rng: random.Random, count: int) -> list[tuple[int, int,
     return out
 
 
-def _identity_checks(cfg: RunConfig) -> list[dict]:
+def _identity_results(args: argparse.Namespace) -> tuple[list[dict], dict]:
     from . import charsums, gf
 
-    f = gf.make_field(cfg.q, cfg.m)
-    rng = random.Random(cfg.seed)
+    f = gf.make_field(args.q, args.m)
+    rng = random.Random(args.seed)
     q = f.q
     results = []
 
@@ -192,7 +177,7 @@ def _identity_checks(cfg: RunConfig) -> list[dict]:
         "gauss-sum",
         [("extension",), ("base",)],
         lambda lvl: charsums.gauss_sum_closed(f, lvl).embedding,
-        lambda lvl: charsums.gauss_sum_oracle(f, lvl, budget=cfg.budget),
+        lambda lvl: charsums.gauss_sum_oracle(f, lvl, budget=args.budget),
     )
     quad_params = [(rng.randrange(1, f.order), rng.randrange(f.order), rng.randrange(f.order))
                    for _ in range(20)]
@@ -200,25 +185,25 @@ def _identity_checks(cfg: RunConfig) -> list[dict]:
         "quadratic-sum",
         quad_params,
         lambda b2, b1, b0: charsums.quadratic_sum(f, b2, b1, b0, mode="closed"),
-        lambda b2, b1, b0: charsums.quadratic_sum(f, b2, b1, b0, mode="oracle", budget=cfg.budget),
+        lambda b2, b1, b0: charsums.quadratic_sum(f, b2, b1, b0, mode="oracle", budget=args.budget),
     )
     run(
         "square-trace-count",
         [(s,) for s in range(q)],
         lambda s: charsums.square_trace_count(f, s).value,
-        lambda s: charsums.square_trace_count(f, s, mode="oracle", budget=cfg.budget).value,
+        lambda s: charsums.square_trace_count(f, s, mode="oracle", budget=args.budget).value,
     )
     run(
         "single-character-sum",
         [(s,) for s in range(q)],
         lambda s: charsums.square_trace_char_sum(f, s),
-        lambda s: charsums.square_trace_char_sum(f, s, mode="oracle", budget=cfg.budget),
+        lambda s: charsums.square_trace_char_sum(f, s, mode="oracle", budget=args.budget),
     )
     run(
         "pair-trace-count",
         [(s, t) for s in range(q) for t in range(q)],
         lambda s, t: charsums.square_trace_pair_count(f, s, t).value,
-        lambda s, t: charsums.square_trace_pair_count(f, s, t, mode="oracle", budget=cfg.budget).value,
+        lambda s, t: charsums.square_trace_pair_count(f, s, t, mode="oracle", budget=args.budget).value,
     )
 
     exhaustive = f.order <= 27
@@ -239,68 +224,54 @@ def _identity_checks(cfg: RunConfig) -> list[dict]:
             f"nested-sum-{kind}",
             single,
             lambda b, lam, k=kind: charsums.nested_char_sum(f, k, b, lam),
-            lambda b, lam, k=kind: charsums.nested_char_sum(f, k, b, lam, mode="oracle", budget=cfg.budget),
+            lambda b, lam, k=kind: charsums.nested_char_sum(f, k, b, lam, mode="oracle", budget=args.budget),
         )
     run(
         "nested-sum-coupled",
         pairs,
         lambda a, b, lam: charsums.nested_char_sum(f, "coupled", b, lam, alpha=a),
-        lambda a, b, lam: charsums.nested_char_sum(f, "coupled", b, lam, alpha=a, mode="oracle", budget=cfg.budget),
+        lambda a, b, lam: charsums.nested_char_sum(f, "coupled", b, lam, alpha=a, mode="oracle", budget=args.budget),
     )
     run(
         "zero-trace-pair-count",
         pair_count_params,
         lambda a, b, lam: charsums.zero_trace_pair_count(f, a, b, lam).value,
-        lambda a, b, lam: charsums.zero_trace_pair_count(f, a, b, lam, mode="oracle", budget=cfg.budget).value,
+        lambda a, b, lam: charsums.zero_trace_pair_count(f, a, b, lam, mode="oracle", budget=args.budget).value,
     )
-    return results
+    return results, {}
 
 
-def _spectrum_results(cfg: RunConfig) -> tuple[list[dict], dict]:
+def _count_results(args: argparse.Namespace, route: str, closed_fn: str, count_fn: str
+                   ) -> tuple[list[dict], dict]:
+    """Closed form vs count for one route; closed_fn and count_fn name codes functions."""
     from . import codes, gf
 
     results: dict = {}
     verdicts = []
-    closed = brute = None
-    if cfg.mode in ("closed", "both"):
-        closed = codes.lee_spectrum_closed(cfg.q, cfg.m)
+    if args.mode != "brute":
+        closed = getattr(codes, closed_fn)(args.q, args.m)
         results["closed"] = closed.records()
-    if cfg.mode in ("brute", "both"):
-        D = codes.build_defining_set(gf.make_field(cfg.q, cfg.m), budget=cfg.budget)
-        brute = codes.lee_spectrum_bruteforce(D, budget=cfg.budget, threads=cfg.threads)
+    if args.mode != "closed":
+        # refuse past the reach from q and m alone, before the field is built
+        codes._check_scan_budget(args.q, args.m, args.budget)
+        codes._check_count_budget(args.q, args.m, args.budget, route)
+        D = codes.build_defining_set(gf.make_field(args.q, args.m), budget=args.budget)
+        brute = getattr(codes, count_fn)(D, budget=args.budget, threads=args.threads)
         results["brute"] = brute.records()
-        results["defining_set_size"] = len(D)
-    if cfg.mode == "both":
+        if route == "lee":
+            results["defining_set_size"] = len(D)
+    if args.mode == "both":
         ok = closed.entries == brute.entries
-        verdicts.append({"check": "lee-closed-vs-brute", "status": "PASS" if ok else "FAIL"})
+        verdicts.append({"check": f"{route}-closed-vs-brute", "status": "PASS" if ok else "FAIL"})
     return verdicts, results
 
 
-def _cwe_results(cfg: RunConfig) -> tuple[list[dict], dict]:
-    from . import codes, gf
-
-    results: dict = {}
-    verdicts = []
-    closed = brute = None
-    if cfg.mode in ("closed", "both"):
-        closed = codes.cwe_closed(cfg.q, cfg.m)
-        results["closed"] = closed.records()
-    if cfg.mode in ("brute", "both"):
-        D = codes.build_defining_set(gf.make_field(cfg.q, cfg.m), budget=cfg.budget)
-        brute = codes.cwe_bruteforce(D, budget=cfg.budget, threads=cfg.threads)
-        results["brute"] = brute.records()
-    if cfg.mode == "both":
-        ok = closed.entries == brute.entries
-        verdicts.append({"check": "cwe-closed-vs-brute", "status": "PASS" if ok else "FAIL"})
-    return verdicts, results
-
-
-def _minimality_results(cfg: RunConfig) -> tuple[list[dict], dict]:
+def _minimality_results(args: argparse.Namespace) -> tuple[list[dict], dict]:
     from . import codes, gf, sss
 
-    spectrum = codes.lee_spectrum_closed(cfg.q, cfg.m)
+    spectrum = codes.lee_spectrum_closed(args.q, args.m)
     try:
-        report = sss.ab_check(spectrum, cfg.q)
+        report = sss.ab_check(spectrum, args.q)
     except DegenerateSpectrumError:
         # an empty defining set (every m = 2, q = 1 mod 4) gives the zero code:
         # there is no weight ratio to test, but the scan still runs
@@ -314,13 +285,17 @@ def _minimality_results(cfg: RunConfig) -> tuple[list[dict], dict]:
             "ab_threshold": [report.ab_threshold.numerator, report.ab_threshold.denominator],
             "ab_holds": report.ab_holds,
         }
-    results["module_generators"] = cfg.m
+    results["module_generators"] = args.m
     # ab_holds is a finding, not a check; the verifiable check is soundness:
     # whenever the ratio condition holds, the exhaustive scan must agree.
     verdicts = []
     try:
-        D = codes.build_defining_set(gf.make_field(cfg.q, cfg.m), budget=cfg.budget)
-        count, all_min = sss.minimal_codewords_exhaustive(D, budget=cfg.budget)
+        # refuse past the reach from q, m and |D| alone, before the field is built
+        codes._check_scan_budget(args.q, args.m, args.budget)
+        sss._check_rank_budget(args.q, args.m, codes.gray_image_length(args.q, args.m) // 2,
+                               args.budget)
+        D = codes.build_defining_set(gf.make_field(args.q, args.m), budget=args.budget)
+        count, all_min = sss.minimal_codewords_exhaustive(D, budget=args.budget)
         results["minimal_count"] = count
         results["all_minimal"] = all_min
         sound = report is None or not report.ab_holds or all_min
@@ -329,6 +304,24 @@ def _minimality_results(cfg: RunConfig) -> tuple[list[dict], dict]:
     except BudgetExceededError as exc:
         results["exhaustive_scan"] = f"SKIPPED: {exc}"
         verdicts.append({"check": "ab-soundness", "status": "SKIPPED", "reason": str(exc)})
+    return verdicts, results
+
+
+RUNNERS = {
+    "verify-identities": _identity_results,
+    "spectrum": lambda args: _count_results(args, "lee", "lee_spectrum_closed",
+                                            "lee_spectrum_bruteforce"),
+    "cwe": lambda args: _count_results(args, "cwe", "cwe_closed", "cwe_bruteforce"),
+    "minimality": _minimality_results,
+}
+
+
+def _check_all(args: argparse.Namespace) -> tuple[list[dict], dict]:
+    verdicts, results = [], {}
+    for command, runner in RUNNERS.items():
+        v, results[command] = runner(args)
+        verdicts += v
+    del results["verify-identities"]  # it reports verdicts only
     return verdicts, results
 
 
@@ -420,48 +413,28 @@ def main(argv: list[str] | None = None) -> int:
         _freeze_at_exit = True
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config(args, parser)
+    _validate(args, parser)
 
     started = time.monotonic()
+    runner = _check_all if args.command == "check-all" else RUNNERS[args.command]
     try:
-        if args.command == "verify-identities":
-            verdicts = _identity_checks(cfg)
-            results = {}
-        elif args.command == "spectrum":
-            verdicts, results = _spectrum_results(cfg)
-        elif args.command == "cwe":
-            verdicts, results = _cwe_results(cfg)
-        elif args.command == "minimality":
-            verdicts, results = _minimality_results(cfg)
-        else:  # check-all
-            verdicts = _identity_checks(cfg)
-            v1, r1 = _spectrum_results(cfg)
-            v2, r2 = _cwe_results(cfg)
-            v3, r3 = _minimality_results(cfg)
-            verdicts += v1 + v2 + v3
-            results = {"spectrum": r1, "cwe": r2, "minimality": r3}
+        verdicts, results = runner(args)
+        timing = {"elapsed_ms": int((time.monotonic() - started) * 1000)} if args.timing else None
     except BudgetExceededError as exc:
-        payload = {
-            "command": args.command,
-            "params": _params_dict(cfg),
-            "results": {},
-            "verdicts": [{"check": args.command, "status": "SKIPPED", "reason": str(exc)}],
-            "timing": None,
-        }
-        _write_output(_render(payload, cfg), cfg.out)
-        return EXIT_BUDGET
+        results = {}
+        verdicts = [{"check": args.command, "status": "SKIPPED", "reason": str(exc)}]
+        timing = None
     except LeecodesError as exc:
         parser.exit(EXIT_USAGE, f"error: {exc}\n")
 
-    elapsed_ms = int((time.monotonic() - started) * 1000)
     payload = {
         "command": args.command,
-        "params": _params_dict(cfg),
+        "params": {key: getattr(args, key) for key in ("q", "m", "mode", "budget", "threads", "seed")},
         "results": results,
         "verdicts": verdicts,
-        "timing": {"elapsed_ms": elapsed_ms} if cfg.timing else None,
+        "timing": timing,
     }
-    _write_output(_render(payload, cfg), cfg.out)
+    _write_output(_render(payload, args.output_format), args.out)
 
     if any(v.get("status") == "FAIL" for v in verdicts):
         return EXIT_FAIL
@@ -470,21 +443,10 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_PASS
 
 
-def _params_dict(cfg: RunConfig) -> dict:
-    return {
-        "q": cfg.q,
-        "m": cfg.m,
-        "mode": cfg.mode,
-        "budget": cfg.budget,
-        "threads": cfg.threads,
-        "seed": cfg.seed,
-    }
-
-
-def _render(payload: dict, cfg: RunConfig) -> str:
-    if cfg.output_format == "json":
+def _render(payload: dict, output_format: str) -> str:
+    if output_format == "json":
         return _render_json(payload)
-    if cfg.output_format == "csv":
+    if output_format == "csv":
         return _render_csv(payload)
     return _render_human(payload)
 

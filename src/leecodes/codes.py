@@ -155,9 +155,14 @@ class DefiningSet:
         return f"DefiningSet(q={self.field.q}, m={self.field.m}, n={len(self)})"
 
 
+def _check_scan_budget(q: int, m: int, budget: int) -> None:
+    """The scan for Z reads each of the q^m elements once."""
+    check_budget(q**m, budget, "defining-set scan")
+
+
 def build_defining_set(field: Field, budget: int = DEFAULT_OPS_BUDGET) -> DefiningSet:
     """Scan F_{q^m} in canonical order and keep Z; D's pairs follow in pair order."""
-    check_budget(field.order, budget, "defining-set scan")
+    _check_scan_budget(field.q, field.m, budget)
     elements = field.canonical_elements()
     return DefiningSet(field, elements[field.trace_sq_array[elements] == 0])
 
@@ -207,14 +212,24 @@ def _enumeration_tables(D: DefiningSet) -> np.ndarray:
     return D._cache["H"]
 
 
-def _compositions(D: DefiningSet, budget: int, what: str) -> Counter:
-    """Multiset over all messages of 2 (H[alpha] (*) H[beta]) - 2 e_0 (module docstring)."""
-    q, m = D.field.q, D.field.m
-    # the transform and H, then one length-q convolution per pair of the U distinct rows
+_COUNT_TASKS = {"lee": "Lee spectrum enumeration", "cwe": "CWE enumeration"}
+
+
+def _check_count_budget(q: int, m: int, budget: int, route: str) -> int:
+    """The count's price before its convolutions, from q and m alone: the
+    transform, m q^(m+2) steps, and the gather of H, q^(m+1).  Returns it."""
     cost = m * q ** (m + 2) + q ** (m + 1)
-    check_budget(cost, budget, what)
+    check_budget(cost, budget, _COUNT_TASKS[route])
+    return cost
+
+
+def _compositions(D: DefiningSet, budget: int, route: str) -> Counter:
+    """Multiset over all messages of 2 (H[alpha] (*) H[beta]) - 2 e_0 (module docstring)."""
+    q = D.field.q
+    cost = _check_count_budget(q, D.field.m, budget, route)
     rows, mult = np.unique(_enumeration_tables(D), axis=0, return_counts=True)
-    check_budget(cost + (rows.shape[0] * q) ** 2, budget, what)
+    # then one length-q convolution per pair of the U distinct rows
+    check_budget(cost + (rows.shape[0] * q) ** 2, budget, _COUNT_TASKS[route])
     comps = 2 * _cyclic_convolve(rows[:, None], rows[None, :]).reshape(-1, q)
     comps[:, 0] -= 2
     acc: Counter = Counter()
@@ -223,19 +238,23 @@ def _compositions(D: DefiningSet, budget: int, what: str) -> Counter:
     return acc
 
 
+def _count(D: DefiningSet, budget: int, route: str) -> CweSpectrum:
+    """The composition multiset, counted once per defining set: both public
+    counts read it, so a cached count answers whatever the budget.  Neither
+    public count calls the other, so a wrapper around one times only its own."""
+    if "cwe" not in D._cache:
+        comps = _compositions(D, budget, route)
+        D._cache["cwe"] = CweSpectrum(dict(comps), D.field.order**2, D.gray_length)
+    return D._cache["cwe"]
+
+
 def lee_spectrum_bruteforce(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET,
                             threads: int = 1) -> LeeSpectrum:
     """Exact Lee-weight multiset over all q^{2m} messages.
 
     ``threads`` is accepted for compatibility and ignored.
     """
-    if "lee" in D._cache:
-        return D._cache["lee"]
-    f = D.field
-    comps = _compositions(D, budget, "Lee spectrum enumeration")
-    spec = CweSpectrum(dict(comps), f.order**2, D.gray_length).to_lee()
-    D._cache["lee"] = spec
-    return spec
+    return _count(D, budget, "lee").to_lee()
 
 
 def cwe_bruteforce(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET,
@@ -244,13 +263,7 @@ def cwe_bruteforce(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET,
 
     ``threads`` is accepted for compatibility and ignored.
     """
-    if "cwe" in D._cache:
-        return D._cache["cwe"]
-    f = D.field
-    comps = _compositions(D, budget, "CWE enumeration")
-    spec = CweSpectrum(dict(comps), f.order**2, D.gray_length)
-    D._cache["cwe"] = spec
-    return spec
+    return _count(D, budget, "cwe")
 
 
 # ----------------------------------------------------------------------
@@ -374,13 +387,9 @@ def _closed_cwe_terms(q: int, m: int) -> list[tuple[Fraction, Fraction, Fraction
 
 
 def gray_image_length(q: int, m: int) -> int:
-    """2n for the closed-form tables (twice the defining-set size)."""
+    """2n for the closed-form tables: the zero codeword's zero-symbol count."""
     _validate_closed_params(q, m)
-    if m % 2:
-        return 2 * (q ** (2 * m - 2) - 1)
-    g = quadratic_gauss_sum(q, m).as_int()
-    P3 = Fraction(q) ** (m - 1) + Fraction((q - 1) * g, q)
-    return _as_exponent(2 * P3**2 - 2)
+    return _as_exponent(_closed_cwe_terms(q, m)[0][1])
 
 
 def cwe_closed(q: int, m: int) -> CweSpectrum:

@@ -12,8 +12,9 @@ builds.  Multiplication by a fixed element and the trace are F_q-linear maps
 on coordinate vectors, so the log/antilog and per-element tables are built
 from a few array products with m x m matrices, never by a loop over the
 elements.  The one size limit, _DENSE_TABLE_LIMIT, applies only to the dense
-q^m x q^m tables, which are built lazily.  No CLI command reads them: they
-serve RingVector addition and, as an independent route, the test oracles.
+q^m x q^m tables, which are built lazily.  No CLI command and no library
+route reads them (RingVector adds base-q digits): they serve only as an
+independent route in the test oracles and the benchmark's set-up.
 
 The quadratic Gauss sum of F_{q^m} (GaussValue, exact) and the cyclic
 convolution of length-q histograms live here too: codes reads both for the
@@ -382,12 +383,6 @@ class Field:
             table[1:, 1:] = self._exp[(logv[:, None] + logv[None, :]) % (self.order - 1)]
             self._dense["mul"] = table
         return self._dense["mul"]
-
-    @property
-    def neg_array(self) -> np.ndarray:
-        if "neg" not in self._dense:
-            self._dense["neg"] = (-self.digit_matrix % self.q @ self._place).astype(np.int32)
-        return self._dense["neg"]
 
     @property
     def trace_array(self) -> np.ndarray:

@@ -135,18 +135,23 @@ class RingVector:
         if len(other) != len(self):
             raise LengthMismatchError(f"lengths differ: {len(self)} vs {len(other)}")
 
-    def __add__(self, other: "RingVector") -> "RingVector":
+    def _digitwise(self, other: "RingVector", sign: int) -> "RingVector":
+        # x // q^i is base-q digit i of x plus q times the higher digits, which
+        # drop out mod q; no q^m x q^m table is read, so any field size works
         self._check(other)
         f = self.field
-        add = f.add_array
-        return RingVector(f, add[self.a, other.a], add[self.b, other.b])
+        place = f._place
+
+        def op(x, y):
+            return (x[:, None] // place + sign * (y[:, None] // place)) % f.q @ place
+
+        return RingVector(f, op(self.a, other.a), op(self.b, other.b))
+
+    def __add__(self, other: "RingVector") -> "RingVector":
+        return self._digitwise(other, 1)
 
     def __sub__(self, other: "RingVector") -> "RingVector":
-        self._check(other)
-        f = self.field
-        neg = f.neg_array
-        add = f.add_array
-        return RingVector(f, add[self.a, neg[other.a]], add[self.b, neg[other.b]])
+        return self._digitwise(other, -1)
 
     def __eq__(self, other) -> bool:
         return (

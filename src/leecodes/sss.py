@@ -79,8 +79,6 @@ class MinimalityReport:
     ab_ratio: Fraction
     ab_threshold: Fraction
     ab_holds: bool
-    minimal_count: int | None = None
-    all_minimal: bool | None = None
 
 
 def ab_check(spectrum: LeeSpectrum, q: int) -> MinimalityReport:
@@ -188,6 +186,18 @@ def _zero_set_ranks(X: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
     return ranks
 
 
+def _check_rank_budget(q: int, m: int, size: int, budget: int) -> tuple[int, int]:
+    """The rank test's lower bound from q, m and |D| = size alone (module
+    docstring); returns the first-half columns n, one per F_q*-orbit, and the
+    subset size c."""
+    n = size // (q - 1)
+    c = min(n, 8 * m * q)
+    lines = (q ** (2 * m) - 1) // (q - 1)
+    check_budget(-(-lines // (4 * m)) * c * (2 * m) ** 2, budget,
+                 "minimality rank test (lower bound)")
+    return n, c
+
+
 def minimal_codewords_exhaustive(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET
                                  ) -> tuple[int, bool]:
     """Hyperplane-rank test of one message per orbit, on one column per
@@ -197,11 +207,8 @@ def minimal_codewords_exhaustive(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGE
     """
     f = D.field
     q, m = f.q, f.m
-    n = len(D) // (q - 1)  # first-half columns, one per F_q*-orbit
-    c = min(n, 8 * m * q)
+    n, c = _check_rank_budget(q, m, len(D), budget)
     step = (2 * m) ** 2  # per column a rank reads
-    lines = (q ** (2 * m) - 1) // (q - 1)
-    check_budget(-(-lines // (4 * m)) * c * step, budget, "minimality rank test (lower bound)")
 
     reps, sizes = _line_orbits(f)
     # k = alpha q^m + beta has the base-q digits of beta, then those of alpha, so

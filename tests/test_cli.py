@@ -90,6 +90,33 @@ def test_budget_exceeded_exit_code(capsys):
     assert payload["verdicts"][0]["status"] == "SKIPPED"
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["spectrum", "--q", "5", "--m", "10", "--mode", "both"],
+     "Lee spectrum enumeration needs ~2490234375 elementary steps, budget is 1000000000"),
+    (["cwe", "--q", "3", "--m", "15", "--mode", "both"],
+     "CWE enumeration needs ~1980149166 elementary steps, budget is 1000000000"),
+    (["minimality", "--q", "5", "--m", "10"],
+     "minimality rank test (lower bound) needs ~95367431640640000 elementary steps, "
+     "budget is 1000000000"),
+], ids=["spectrum", "cwe", "minimality"])
+def test_refusal_past_the_reach_builds_no_field(argv, reason, monkeypatch, capsys):
+    # the prices read only q, m (and |D| from the closed tables), so the
+    # extension field, whose log/exp tables take seconds here, is never built
+    from leecodes import gf
+
+    field_init = gf.Field.__init__
+
+    def base_fields_only(self, q, m=1):
+        if m > 1:
+            raise AssertionError(f"F_{q}^{m} built for a refused run")
+        field_init(self, q, m)
+
+    monkeypatch.setattr(gf.Field, "__init__", base_fields_only)
+    code, out = run(argv, capsys)
+    assert code == cli.EXIT_BUDGET
+    assert json.loads(out)["verdicts"][0]["reason"] == reason
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--q", "3", "--m", "6"],
     ["cwe", "--q", "5", "--m", "4"],

@@ -149,6 +149,35 @@ def test_bruteforce_budget(defining_sets):
         codes.lee_spectrum_bruteforce(D, budget=10**4)
 
 
+def test_lee_and_cwe_calls_share_one_count(monkeypatch):
+    D = codes.build_defining_set(make_field(3, 3))  # fresh instance, empty cache
+    calls = []
+    compositions = codes._compositions
+
+    def counting(*args):
+        calls.append(args)
+        return compositions(*args)
+
+    monkeypatch.setattr(codes, "_compositions", counting)
+    assert codes.lee_spectrum_bruteforce(D).entries == BRUTE_LEE[(3, 3)]
+    assert codes.cwe_bruteforce(D).entries == codes.cwe_closed(3, 3).entries
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("route,other", [("lee_spectrum_bruteforce", "cwe_bruteforce"),
+                                         ("cwe_bruteforce", "lee_spectrum_bruteforce")])
+def test_public_counts_never_call_each_other(route, other, monkeypatch):
+    # a wrapper around one public count (the benchmark's tracer) must time only its own work
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{route} called {other}")
+
+    monkeypatch.setattr(codes, other, unreachable)
+    D = codes.build_defining_set(make_field(5, 3))  # fresh instance, empty cache
+    spec = getattr(codes, route)(D)
+    expected = BRUTE_LEE[(5, 3)] if route == "lee_spectrum_bruteforce" else codes.cwe_closed(5, 3).entries
+    assert spec.entries == expected
+
+
 def test_codeword_map_is_injective(defining_sets):
     for (q, m) in [(3, 2), (3, 3)]:
         f = make_field(q, m)

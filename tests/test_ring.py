@@ -169,3 +169,23 @@ def test_lee_weight_examples():
     assert lee_weight(RingVector(f, [1], [0])) == 1
     assert lee_weight(RingVector(f, [2], [2])) == 2
     assert lee_weight(RingVector(f, [1, 0], [0, 2])) == 2
+
+
+def test_lee_distance_past_the_dense_table_limit():
+    # q^2 = 2053^2 entries would be a dense addition table; digits need none
+    f = R(2053)
+    x = RingVector(f, [0, 2052, 1000], [5, 7, 0])
+    y = RingVector(f, [1, 2052, 1000], [5, 0, 2052])
+    assert lee_distance(x, y) == 3
+    assert (x - y).a.tolist() == [2052, 0, 0] and (x - y).b.tolist() == [0, 7, 1]
+    assert (x + y).a.tolist() == [1, 2051, 2000] and (x + y).b.tolist() == [10, 7, 2052]
+
+
+def test_vector_arithmetic_by_digits_matches_ring_elements():
+    f = R(3, 7)  # q^m = 2187, past the dense-table limit
+    rng = random.Random(29)
+    x = _random_vector(f, 50, rng)
+    y = _random_vector(f, 50, rng)
+    for i in range(50):
+        assert (x + y)[i] == x[i] + y[i]
+        assert (x - y)[i] == x[i] - y[i]

@@ -150,7 +150,8 @@ def test_minimality_counts(defining_sets):
     # (3,4) sits exactly on the Ashikhmin-Barg threshold, so only the scan decides it;
     # every point runs at the default budget
     for (q, m), count in {(7, 2): 2328, (3, 4): 6520, (5, 3): 15496, (7, 3): 117300,
-                          (5, 4): 390416, (11, 3): 1770220}.items():
+                          (5, 4): 390416, (11, 3): 1770220, (13, 3): 4824600,
+                          (7, 4): 5764200}.items():
         assert minimal_codewords_exhaustive(defining_sets(q, m)) == (count, False)
 
 
