@@ -80,21 +80,18 @@ def gauss_sum_oracle(field: Field, level: str = "extension", budget: int = DEFAU
     """Direct summation of eta(r) * zeta_q^{Tr(r)} over the nonzero elements."""
     f = field.prime_subfield() if level == "base" else field
     check_budget(f.order, budget, "Gauss sum oracle")
-    q = f.q
-    hist = np.zeros(q, dtype=np.int64)
-    eta = f.quad_char_array
-    tr = f.trace_array
-    for k in range(q):
-        hist[k] = int(eta[tr == k].sum())
-    return embed_histogram(q, hist)
+    # hist[k] = sum of eta(r) over Tr(r) = k, exact in float64 below 2^53
+    hist = np.bincount(f.trace_array, weights=f.quad_char_array, minlength=f.q)
+    return embed_histogram(f.q, hist.astype(np.int64))
 
 
-def gauss_sum(field: Field, level: str = "extension", mode: str = "closed"):
+def gauss_sum(field: Field, level: str = "extension", mode: str = "closed",
+              budget: int = DEFAULT_OPS_BUDGET):
     """Dispatcher: closed mode returns a GaussValue, oracle mode its complex value."""
     if mode == "closed":
         return gauss_sum_closed(field, level)
     if mode == "oracle":
-        return gauss_sum_oracle(field, level)
+        return gauss_sum_oracle(field, level, budget)
     raise ValueError("mode must be 'closed' or 'oracle'")
 
 

@@ -17,8 +17,10 @@ one count runner calls codes.lee_spectrum_bruteforce for spectrum and
 codes.cwe_bruteforce for cwe, and the two share one cached count in codes.
 
 One table, RUNNERS, maps each command to its runner, and check-all runs them
-all in order.  Each runner returns (verdicts, results); a run refused by the
-budget reports a single SKIPPED verdict instead, and exits 3.
+all in order.  Each runner takes args and a function that returns the one
+defining set of the main() call, built on first use, and returns (verdicts,
+results); a run refused by the budget reports a single SKIPPED verdict
+instead, and exits 3.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import csv
+import functools
 import gc
 import io
 import json
@@ -133,118 +136,80 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
 # check runners: each returns verdict dicts (check/status[/detail])
 # ----------------------------------------------------------------------
 
-def _sample_pairs(field, rng: random.Random, count: int) -> list[tuple[int, int, int]]:
-    out = []
-    for _ in range(count):
-        out.append(
-            (
-                rng.randrange(1, field.order),
-                rng.randrange(1, field.order),
-                rng.randrange(1, field.q),
-            )
-        )
-    return out
+def _identity_results(args: argparse.Namespace, defining_set) -> tuple[list[dict], dict]:
+    """Each identity's closed form against its exhaustive oracle.
 
-
-def _identity_results(args: argparse.Namespace) -> tuple[list[dict], dict]:
+    One row per check: (name, charsums function, parameter tuples).  A row's
+    function is called as fn(f, *params) and fn(f, *params, mode="oracle",
+    budget=...); the tuples are every one at q^m <= 27 and seeded samples above.
+    """
     from . import charsums, gf
 
     f = gf.make_field(args.q, args.m)
     rng = random.Random(args.seed)
-    q = f.q
-    results = []
+    q, n = f.q, f.order
 
-    def run(name: str, pairs_iter, closed_fn, oracle_fn) -> None:
+    def nested(kind):
+        def fn(f, *params, **kwargs):  # (b, lam) or (a, b, lam) -> alpha = a
+            *alpha, b, lam = params
+            return charsums.nested_char_sum(f, kind, b, lam, *alpha, **kwargs)
+        return fn
+
+    quadratic = [(rng.randrange(1, n), rng.randrange(n), rng.randrange(n)) for _ in range(20)]
+    if n <= 27:
+        singles = [(b, lam) for b in range(1, n) for lam in range(1, q)]
+        triples = [(a, *p) for a in range(1, n) for p in singles]
+        pair_count = [(a, b, lam) for a in range(n) for b in range(n) for lam in range(1, q)]
+    else:
+        triples = [(rng.randrange(1, n), rng.randrange(1, n), rng.randrange(1, q))
+                   for _ in range(100)]
+        singles = [p[1:] for p in triples]
+        pair_count = triples + [(0, *p[1:]) for p in triples[:20]]
+    residues = [(s,) for s in range(q)]
+    checks = [
+        ("gauss-sum", charsums.gauss_sum, [("extension",), ("base",)]),
+        ("quadratic-sum", charsums.quadratic_sum, quadratic),
+        ("square-trace-count", charsums.square_trace_count, residues),
+        ("single-character-sum", charsums.square_trace_char_sum, residues),
+        ("pair-trace-count", charsums.square_trace_pair_count,
+         [(s, t) for s in range(q) for t in range(q)]),
+        ("nested-sum-single", nested("single"), singles),
+        ("nested-sum-split", nested("split"), singles),
+        ("nested-sum-coupled", nested("coupled"), triples),
+        ("zero-trace-pair-count", charsums.zero_trace_pair_count, pair_count),
+    ]
+
+    def plain(value):
+        """A count's value, a Gauss sum's complex embedding, anything else as is."""
+        if isinstance(value, charsums.CountResult):
+            return value.value
+        return value.embedding if isinstance(value, gf.GaussValue) else value
+
+    verdicts = []
+    for name, fn, cases in checks:
+        verdict = {"check": name, "status": "PASS"}
         try:
-            for params in pairs_iter:
-                c = closed_fn(*params)
-                o = oracle_fn(*params)
+            for params in cases:
+                c = plain(fn(f, *params))
+                o = plain(fn(f, *params, mode="oracle", budget=args.budget))
                 if isinstance(c, complex) or isinstance(o, complex):
                     ok = abs(c - o) <= 1e-6 * max(1.0, abs(o))
                 else:
                     ok = c == o
                 if not ok:
-                    results.append(
-                        {"check": name, "status": "FAIL",
-                         "counterexample": list(params), "closed": repr(c), "oracle": repr(o)}
-                    )
-                    return
-            results.append({"check": name, "status": "PASS"})
+                    verdict = {"check": name, "status": "FAIL", "counterexample": list(params),
+                               "closed": repr(c), "oracle": repr(o)}
+                    break
         except BudgetExceededError as exc:
-            results.append({"check": name, "status": "SKIPPED", "reason": str(exc)})
-
-    run(
-        "gauss-sum",
-        [("extension",), ("base",)],
-        lambda lvl: charsums.gauss_sum_closed(f, lvl).embedding,
-        lambda lvl: charsums.gauss_sum_oracle(f, lvl, budget=args.budget),
-    )
-    quad_params = [(rng.randrange(1, f.order), rng.randrange(f.order), rng.randrange(f.order))
-                   for _ in range(20)]
-    run(
-        "quadratic-sum",
-        quad_params,
-        lambda b2, b1, b0: charsums.quadratic_sum(f, b2, b1, b0, mode="closed"),
-        lambda b2, b1, b0: charsums.quadratic_sum(f, b2, b1, b0, mode="oracle", budget=args.budget),
-    )
-    run(
-        "square-trace-count",
-        [(s,) for s in range(q)],
-        lambda s: charsums.square_trace_count(f, s).value,
-        lambda s: charsums.square_trace_count(f, s, mode="oracle", budget=args.budget).value,
-    )
-    run(
-        "single-character-sum",
-        [(s,) for s in range(q)],
-        lambda s: charsums.square_trace_char_sum(f, s),
-        lambda s: charsums.square_trace_char_sum(f, s, mode="oracle", budget=args.budget),
-    )
-    run(
-        "pair-trace-count",
-        [(s, t) for s in range(q) for t in range(q)],
-        lambda s, t: charsums.square_trace_pair_count(f, s, t).value,
-        lambda s, t: charsums.square_trace_pair_count(f, s, t, mode="oracle", budget=args.budget).value,
-    )
-
-    exhaustive = f.order <= 27
-    if exhaustive:
-        single = [(b, lam) for b in range(1, f.order) for lam in range(1, q)]
-        pairs = [(a, b, lam) for a in range(1, f.order) for b in range(1, f.order)
-                 for lam in range(1, q)]
-        pair_count_params = [(a, b, lam) for a in range(f.order) for b in range(f.order)
-                       for lam in range(1, q)]
-    else:
-        sampled = _sample_pairs(f, rng, 100)
-        single = [(b, lam) for (_, b, lam) in sampled]
-        pairs = sampled
-        pair_count_params = sampled + [(0, b, lam) for (_, b, lam) in sampled[:20]]
-
-    for kind in ("single", "split"):
-        run(
-            f"nested-sum-{kind}",
-            single,
-            lambda b, lam, k=kind: charsums.nested_char_sum(f, k, b, lam),
-            lambda b, lam, k=kind: charsums.nested_char_sum(f, k, b, lam, mode="oracle", budget=args.budget),
-        )
-    run(
-        "nested-sum-coupled",
-        pairs,
-        lambda a, b, lam: charsums.nested_char_sum(f, "coupled", b, lam, alpha=a),
-        lambda a, b, lam: charsums.nested_char_sum(f, "coupled", b, lam, alpha=a, mode="oracle", budget=args.budget),
-    )
-    run(
-        "zero-trace-pair-count",
-        pair_count_params,
-        lambda a, b, lam: charsums.zero_trace_pair_count(f, a, b, lam).value,
-        lambda a, b, lam: charsums.zero_trace_pair_count(f, a, b, lam, mode="oracle", budget=args.budget).value,
-    )
-    return results, {}
+            verdict = {"check": name, "status": "SKIPPED", "reason": str(exc)}
+        verdicts.append(verdict)
+    return verdicts, {}
 
 
-def _count_results(args: argparse.Namespace, route: str, closed_fn: str, count_fn: str
-                   ) -> tuple[list[dict], dict]:
+def _count_results(args: argparse.Namespace, defining_set, route: str, closed_fn: str,
+                   count_fn: str) -> tuple[list[dict], dict]:
     """Closed form vs count for one route; closed_fn and count_fn name codes functions."""
-    from . import codes, gf
+    from . import codes
 
     results: dict = {}
     verdicts = []
@@ -255,7 +220,7 @@ def _count_results(args: argparse.Namespace, route: str, closed_fn: str, count_f
         # refuse past the reach from q and m alone, before the field is built
         codes._check_scan_budget(args.q, args.m, args.budget)
         codes._check_count_budget(args.q, args.m, args.budget, route)
-        D = codes.build_defining_set(gf.make_field(args.q, args.m), budget=args.budget)
+        D = defining_set()
         brute = getattr(codes, count_fn)(D, budget=args.budget, threads=args.threads)
         results["brute"] = brute.records()
         if route == "lee":
@@ -266,8 +231,8 @@ def _count_results(args: argparse.Namespace, route: str, closed_fn: str, count_f
     return verdicts, results
 
 
-def _minimality_results(args: argparse.Namespace) -> tuple[list[dict], dict]:
-    from . import codes, gf, sss
+def _minimality_results(args: argparse.Namespace, defining_set) -> tuple[list[dict], dict]:
+    from . import codes, sss
 
     spectrum = codes.lee_spectrum_closed(args.q, args.m)
     try:
@@ -294,7 +259,7 @@ def _minimality_results(args: argparse.Namespace) -> tuple[list[dict], dict]:
         codes._check_scan_budget(args.q, args.m, args.budget)
         sss._check_rank_budget(args.q, args.m, codes.gray_image_length(args.q, args.m) // 2,
                                args.budget)
-        D = codes.build_defining_set(gf.make_field(args.q, args.m), budget=args.budget)
+        D = defining_set()
         count, all_min = sss.minimal_codewords_exhaustive(D, budget=args.budget)
         results["minimal_count"] = count
         results["all_minimal"] = all_min
@@ -307,19 +272,31 @@ def _minimality_results(args: argparse.Namespace) -> tuple[list[dict], dict]:
     return verdicts, results
 
 
+def _defining_set_once(args: argparse.Namespace):
+    """A function that builds the defining set of (q, m) on its first call and
+    returns that D after, so check-all's runners share one build and one cached
+    count; each main() call gets its own."""
+    @functools.cache
+    def defining_set():
+        from . import codes, gf
+
+        return codes.build_defining_set(gf.make_field(args.q, args.m), budget=args.budget)
+    return defining_set
+
+
 RUNNERS = {
     "verify-identities": _identity_results,
-    "spectrum": lambda args: _count_results(args, "lee", "lee_spectrum_closed",
-                                            "lee_spectrum_bruteforce"),
-    "cwe": lambda args: _count_results(args, "cwe", "cwe_closed", "cwe_bruteforce"),
+    "spectrum": lambda args, D: _count_results(args, D, "lee", "lee_spectrum_closed",
+                                               "lee_spectrum_bruteforce"),
+    "cwe": lambda args, D: _count_results(args, D, "cwe", "cwe_closed", "cwe_bruteforce"),
     "minimality": _minimality_results,
 }
 
 
-def _check_all(args: argparse.Namespace) -> tuple[list[dict], dict]:
+def _check_all(args: argparse.Namespace, defining_set) -> tuple[list[dict], dict]:
     verdicts, results = [], {}
     for command, runner in RUNNERS.items():
-        v, results[command] = runner(args)
+        v, results[command] = runner(args, defining_set)
         verdicts += v
     del results["verify-identities"]  # it reports verdicts only
     return verdicts, results
@@ -418,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     runner = _check_all if args.command == "check-all" else RUNNERS[args.command]
     try:
-        verdicts, results = runner(args)
+        verdicts, results = runner(args, _defining_set_once(args))
         timing = {"elapsed_ms": int((time.monotonic() - started) * 1000)} if args.timing else None
     except BudgetExceededError as exc:
         results = {}

@@ -73,9 +73,6 @@ class LeeSpectrum:
     def min_nonzero(self) -> int:
         return min((w for w in self.entries if w > 0), default=0)
 
-    def max_weight(self) -> int:
-        return max(self.entries)
-
     def records(self) -> list[dict]:
         return [{"weight": w, "multiplicity": self.entries[w]} for w in sorted(self.entries)]
 
@@ -395,9 +392,10 @@ def gray_image_length(q: int, m: int) -> int:
 def cwe_closed(q: int, m: int) -> CweSpectrum:
     """Closed-form complete weight enumerator for the Gray image."""
     _validate_closed_params(q, m)
-    two_n = gray_image_length(q, m)
+    terms = _closed_cwe_terms(q, m)
+    two_n = _as_exponent(terms[0][1])  # the zero codeword's n_0, as in gray_image_length
     acc: Counter = Counter()
-    for mult_f, n0_f, ni_f in _closed_cwe_terms(q, m):
+    for mult_f, n0_f, ni_f in terms:
         mult = _as_count(mult_f)
         if mult == 0:
             continue

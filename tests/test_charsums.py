@@ -68,6 +68,8 @@ def test_gauss_closed_vs_oracle(q, m):
 def test_gauss_oracle_budget():
     with pytest.raises(BudgetExceededError):
         cs.gauss_sum_oracle(make_field(3, 3), budget=10)
+    with pytest.raises(BudgetExceededError):
+        cs.gauss_sum(make_field(3, 3), mode="oracle", budget=10)
 
 
 # -- quadratic polynomial sums --------------------------------------------

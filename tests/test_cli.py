@@ -2,6 +2,7 @@ import gc
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +53,68 @@ def test_verify_identities_runs_every_check_above_dense_table_limit(capsys):
     assert code == cli.EXIT_PASS
     verdicts = json.loads(out)["verdicts"]
     assert len(verdicts) == 9 and {v["status"] for v in verdicts} == {"PASS"}
+
+
+def _closed_off_by_one(fn):
+    """fn with each closed-mode value moved by one (a Gauss sum's embedding by 1)."""
+    from leecodes import charsums, gf
+
+    def patched(*args, mode="closed", **kwargs):
+        value = fn(*args, mode=mode, **kwargs)
+        if mode != "closed":
+            return value
+        if isinstance(value, charsums.CountResult):
+            return charsums.CountResult(value.value + 1, value.branch)
+        if isinstance(value, gf.GaussValue):
+            return value.embedding + 1
+        return value + 1
+    return patched
+
+
+def _first_sampled_triple(seed: int, n: int, q: int) -> list[int]:
+    """The first (a, b, lam) sample: drawn after the 20 quadratic-sum tuples."""
+    rng = random.Random(seed)
+    for _ in range(20):
+        rng.randrange(1, n), rng.randrange(n), rng.randrange(n)
+    return [rng.randrange(1, n), rng.randrange(1, n), rng.randrange(1, q)]
+
+
+@pytest.mark.parametrize("fname,failing,q,m,counterexample", [
+    ("square_trace_count", {"square-trace-count"}, 3, 2, [0]),
+    ("gauss_sum", {"gauss-sum"}, 3, 2, ["extension"]),
+    ("nested_char_sum", {"nested-sum-single", "nested-sum-split", "nested-sum-coupled"},
+     3, 2, [1, 1, 1]),
+    ("nested_char_sum", {"nested-sum-single", "nested-sum-split", "nested-sum-coupled"},
+     3, 4, _first_sampled_triple(5, 81, 3)),
+], ids=["residue", "level", "exhaustive-triple", "sampled-triple"])
+def test_identity_fail_reports_the_first_counterexample(fname, failing, q, m, counterexample,
+                                                        monkeypatch, capsys):
+    from leecodes import charsums
+
+    monkeypatch.setattr(charsums, fname, _closed_off_by_one(getattr(charsums, fname)))
+    code, out = run(["verify-identities", "--q", str(q), "--m", str(m), "--seed", "5"], capsys)
+    assert code == cli.EXIT_FAIL
+    verdicts = json.loads(out)["verdicts"]
+    assert {v["check"] for v in verdicts if v["status"] == "FAIL"} == failing
+    assert {v["check"] for v in verdicts if v["status"] == "PASS"} | failing == {
+        v["check"] for v in verdicts}
+    last = [v for v in verdicts if v["status"] == "FAIL"][-1]
+    assert set(last) == {"check", "status", "counterexample", "closed", "oracle"}
+    assert last["counterexample"] == counterexample
+
+
+def test_identity_budget_skips_only_the_nested_pair_sums(capsys):
+    code, out = run(["verify-identities", "--q", "7", "--m", "5", "--budget", "1000000"], capsys)
+    assert code == cli.EXIT_BUDGET
+    skipped = {"nested-sum-split", "nested-sum-coupled"}
+    verdicts = json.loads(out)["verdicts"]
+    assert len(verdicts) == 9
+    for v in verdicts:
+        assert v["status"] == ("SKIPPED" if v["check"] in skipped else "PASS")
+        if v["status"] == "SKIPPED":
+            kind = v["check"].removeprefix("nested-sum-")
+            assert v["reason"] == (f"{kind}-sum oracle needs ~1210398 elementary steps, "
+                                   "budget is 1000000")
 
 
 def test_spectrum_both_match(capsys):
@@ -232,6 +295,21 @@ def test_check_all(capsys):
     statuses = {v["status"] for v in payload["verdicts"]}
     assert statuses == {"PASS"}
     assert "spectrum" in payload["results"]
+
+
+def test_check_all_builds_one_defining_set_and_counts_once(monkeypatch, capsys):
+    # spectrum, cwe and minimality share one D per main() call, and a new call builds anew
+    from leecodes import codes
+
+    calls = {"build_defining_set": 0, "_compositions": 0}
+    for name in calls:
+        def counting(*args, _fn=getattr(codes, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(codes, name, counting)
+    for runs in (1, 2):
+        assert run(["check-all", "--q", "3", "--m", "3"], capsys)[0] == cli.EXIT_PASS
+        assert calls == {"build_defining_set": runs, "_compositions": runs}
 
 
 def test_csv_format(capsys):
