@@ -301,15 +301,20 @@ def _nested_char_sum_oracle(f: Field, kind: str, beta: int, lam: int, alpha: int
     tr = f.trace_array.astype(np.int64)
     tr_beta = tr[f.mul_row(beta)]  # Tr(beta * a) over a
     sides = 1 if kind == "single" else 2
-    check_budget(sides * (q - 1) ** 2 * f.order + (sides - 1) * (q - 1) * q * q, budget,
-                 f"{kind}-sum oracle")
+    check_budget(sides * (f.order + (q - 1) ** 2 * q * q) + (sides - 1) * (q - 1) * q * q,
+                 budget, f"{kind}-sum oracle")
     units = np.arange(1, q)
+    t, u = np.divmod(np.arange(q * q), q)
+    # k[x - 1, z - 1, t q + u] = x t + z u mod q
+    k = (units[:, None, None] * t + units[:, None] * u) % q
 
     def summed(lin: np.ndarray) -> np.ndarray:
-        """out[z - 1, k] = #{(x, a) : x Tr(a^2) + z lin(a) = k}, x and z in F_q*;
-        one z at a time, so memory stays at (q - 1) q^m."""
-        xt = units[:, None] * ta2
-        return np.stack([np.bincount(((xt + z * lin) % q).ravel(), minlength=q) for z in units])
+        """out[z - 1, k] = #{(x, a) : x Tr(a^2) + z lin(a) = k}, x and z in F_q*,
+        from one joint count J[t, u] = #{a : Tr(a^2) = t, lin(a) = u}."""
+        J = np.bincount(ta2 * q + lin % q, minlength=q * q)
+        out = np.zeros((q - 1, q), dtype=np.int64)
+        np.add.at(out, (units[:, None] - 1, k), J)
+        return out
 
     ha = summed(tr_beta - lam)
     if kind == "single":

@@ -38,7 +38,7 @@ import sys
 import tempfile
 import time
 
-from ._budget import DEFAULT_OPS_BUDGET
+from ._budget import DEFAULT_OPS_BUDGET, check_budget
 from .errors import BudgetExceededError, DegenerateSpectrumError, LeecodesError
 
 ENV_PREFIX = "LEECODES_"
@@ -145,6 +145,9 @@ def _identity_results(args: argparse.Namespace, defining_set) -> tuple[list[dict
     """
     from . import charsums, gf
 
+    # every oracle reads all q^m elements, so none runs past this; refuse
+    # before the field is built
+    check_budget(args.q**args.m, args.budget, "identity oracle scan")
     f = gf.make_field(args.q, args.m)
     rng = random.Random(args.seed)
     q, n = f.q, f.order

@@ -463,9 +463,12 @@ def gray_rank(D: DefiningSet) -> int:
     first Gray coordinate of d = (a, b) and (W[:, b], W[:, a]) at the second.
     As 0 is in Z, D holds (a, 0) and (0, b) for every nonzero a and b of Z, and
     every column is the sum of the columns there: the rank is that of the
-    block-diagonal matrix of W and W, twice the rank of W.
+    block-diagonal matrix of W and W, twice the rank of W.  Cached per
+    defining set: the minimality test and its report both read it.
     """
-    return 2 * _rank_mod_q(_trace_rows(D), D.field.q)
+    if "rank" not in D._cache:
+        D._cache["rank"] = 2 * _rank_mod_q(_trace_rows(D), D.field.q)
+    return D._cache["rank"]
 
 
 @dataclass(frozen=True)

@@ -390,11 +390,18 @@ class Field:
         (int8 for every q <= 127)."""
         if "trace" not in self._dense:
             # Tr is F_q-linear: Tr(x) = sum_i x_i Tr(x^i) over the coordinates x_i of x
-            tr = np.zeros(1, dtype=np.int64)
-            for i in reversed(range(self.m)):  # appends digit i below the higher ones
-                tr = (tr[:, None] + self.trace(self.q**i) * np.arange(self.q)).ravel() % self.q
-            self._dense["trace"] = tr.astype(np.min_scalar_type(1 - self.q))
+            self._dense["trace"] = self.linear_form_array(
+                [self.trace(self.q**i) for i in range(self.m)])
         return self._dense["trace"]
+
+    def linear_form_array(self, coeffs) -> np.ndarray:
+        """(q^m,) table of sum_i coeffs[i] x_i mod q over the coordinates x_i of
+        every x, in the dtype of trace_array; built on each call."""
+        out = np.zeros(1, dtype=np.int32)
+        digit = np.arange(self.q, dtype=np.int32)
+        for i in reversed(range(self.m)):  # appends digit i below the higher ones
+            out = (out[:, None] + coeffs[i] * digit).ravel() % self.q
+        return out.astype(np.min_scalar_type(1 - self.q))
 
     @property
     def trace_add_array(self) -> np.ndarray:

@@ -28,24 +28,30 @@ The test keeps three exact reductions.
   line.  The test reads (a, b) with a in Z1, and (0, b) with b in Z1, where Z1
   holds the nonzero elements of Z whose leading base-q digit is 1: that is
   n = (|Z|^2 - 1)/(q - 1) columns.
-- One message per orbit: scalar multiples share a support, and
-  (alpha, beta) -> (beta, alpha), (alpha, -beta) and Frobenius each permute
-  the coordinates of every support by one fixed permutation ((a, b) -> (b, a),
-  (a, -b) and (phi^-1 a, phi^-1 b); Z = -Z and Z is Frobenius-stable), so
-  minimality is constant on each orbit of F_q-lines.
+- One message per class: write Q(x) = Tr(x^2) and B(x, y) = Tr(xy), a
+  nondegenerate symmetric form on F_q^m with Z = {Q = 0}.  An isometry g of Q
+  maps Z onto Z, and B(g alpha, a) = B(alpha, g^-1 a), so the message
+  (g alpha, g beta) has the codeword of (alpha, beta) with its coordinates
+  permuted by (a, b) -> (g^-1 a, g^-1 b).  By Witt's extension theorem
+  (E. Witt, J. reine angew. Math. 176, 1937) two messages lie in one orbit of
+  the isometries exactly when they share the key (relation, Q(alpha),
+  Q(beta), B(alpha, beta)), the relation being alpha = 0, beta = 0,
+  beta = c alpha or independent.  So minimality is constant on each class of
+  that key, of which there are at most q^3 + q^2 + q whatever m is.  This
+  needs Z to be the quadric itself: any other zero set is refused.
 
-Each orbit representative is tested first on c = min(n, 8mq) evenly spaced
+Each class's message is ranked first on c = min(n, 8mq) evenly spaced
 columns.  A subset's rank never exceeds that of the full zero set, so a rank
-of r - 1 there makes the representative minimal when its codeword is nonzero,
-as every nonzero message's is when r = 2m.  Only the others get a full
-zero-set rank: the subset sets the speed, never the verdict.  (A contiguous prefix is a poor
-subset: its first |Z| columns share one a.)
+of r - 1 there makes the message minimal when its codeword is nonzero, as
+every nonzero message's is when r = 2m.  The others are ranked again on 4c,
+16c, ... columns, and last on all n: the subsets set the speed, never the
+verdict.  (A contiguous prefix is a poor subset: its first |Z| columns share
+one a.)  Only the columns a rank reads are built, by their index.
 
-The work is priced (2m)^2 steps per column a rank reads: R c for the subset
-pass over R representatives, plus n per full check.  An orbit holds at most
-4m lines, so R >= ceil(L / 4m) for the L F_q-lines; that lower bound needs
-only q, m and |Z|, and refuses an unaffordable test before a line or a table
-is built.
+The work is priced (2m)^2 steps per column a rank reads, plus m q^m per
+class pass.  From q, m and |Z| alone, before the field is built, the q + 1
+passes and a subset rank for each of at most q^3 + q^2 + q classes are
+priced; after the passes, each stage is priced for the classes it ranks.
 """
 
 from __future__ import annotations
@@ -57,7 +63,12 @@ import numpy as np
 
 from ._budget import DEFAULT_OPS_BUDGET, check_budget
 from .codes import DefiningSet, LeeSpectrum, _rank_mod_q, _trace_rows, gray_rank
-from .errors import DegenerateSpectrumError, LengthMismatchError, UnsupportedParametersError
+from .errors import (
+    ContextMismatchError,
+    DegenerateSpectrumError,
+    LengthMismatchError,
+    UnsupportedParametersError,
+)
 from .gf import Field
 
 _BATCH = 1 << 20  # codeword entries per batch of zero-set ranks
@@ -126,12 +137,6 @@ def minimality_ratios(q: int, m: int) -> MinimalityRatios:
     return MinimalityRatios(ratios, threshold, all(r > threshold for r in ratios))
 
 
-def _line_representatives(q: int, m: int) -> np.ndarray:
-    """One pair index k = alpha q^m + beta per F_q-line: the k whose leading
-    base-q digit is 1 (a scalar c in F_q* multiplies every digit by c)."""
-    return np.concatenate([np.arange(q**e, 2 * q**e) for e in range(2 * m)])
-
-
 def _leading_digit(x: np.ndarray, q: int) -> np.ndarray:
     """The leading base-q digit of each x; a scalar c in F_q* multiplies every
     digit of an element by c."""
@@ -140,36 +145,54 @@ def _leading_digit(x: np.ndarray, q: int) -> np.ndarray:
     return x
 
 
-def _line_orbits(f: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Orbits of the F_q-lines under (alpha, beta) -> (beta, alpha),
-    (alpha, -beta) and Frobenius: the smallest line representative of each
-    orbit, and the number of lines in it.
+def _witt_classes(f: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One message (alpha, beta) per class of nonzero messages keyed by
+    (relation, Q(alpha), Q(beta), B(alpha, beta)), and the size of each class
+    (module docstring): the alphas, the betas and the sizes.
 
-    The group these generate acts on lines through 4m maps; each line is
-    labelled with the smallest representative among its 4m images.  Scalars
-    c in F_q are the elements 0, ..., q-1, so the q rows mul_row(c) hold every
-    product the labelling needs; -1 is q - 1.
+    One pass over every beta for alpha = 0 and for the first nonzero alpha of
+    each value of Q.  A pass keys beta by Q(beta) q + B(alpha, beta) when the
+    two are independent, q^2 + c - 1 when beta = c alpha and q^2 + q - 1 when
+    beta = 0, and keeps the first beta of each key.  The nonzero alpha with one
+    value of Q form one orbit, so a class's size is its count in the pass times
+    their number.
     """
-    q, order = f.q, f.order
-    mul = np.stack([f.mul_row(c) for c in range(q)])
-    neg = mul[q - 1]
-    frob = f.power_row(q)
-    lead = _leading_digit(np.arange(order), q)
-    inv = np.array([0] + [pow(c, q - 2, q) for c in range(1, q)])
+    q = f.q
+    tsq = f.trace_sq_array.astype(np.int32)
+    per_q = np.bincount(tsq[1:], minlength=q)  # the nonzero alpha per value of Q
+    n_keys = q * q + q
+    alphas, betas, sizes = [], [], []
+    for alpha in [0] + [1 + int(np.argmax(tsq[1:] == s)) for s in range(q) if per_q[s]]:
+        # B(alpha, beta) = sum_i beta_i Tr(alpha x^i) over the digits of beta
+        key = tsq * q + f.linear_form_array([f.trace(f.mul(alpha, q**i)) for i in range(f.m)])
+        if alpha:
+            for c in range(1, q):  # the digits of c alpha are c times those of alpha
+                key[f.element([c * d for d in f.coeffs(alpha)])] = q * q + c - 1
+            key[0] = q * q + q - 1
+        else:
+            key = key[1:]  # (0, 0) is the zero message
+        count = np.bincount(key, minlength=n_keys)
+        first = np.full(n_keys, key.size)
+        np.minimum.at(first, key, np.arange(key.size))
+        found = np.flatnonzero(count)
+        alphas.append(np.full(found.size, alpha))
+        betas.append(first[found] + (alpha == 0))
+        sizes.append(count[found] * (per_q[tsq[alpha]] if alpha else 1))
+    return np.concatenate(alphas), np.concatenate(betas), np.concatenate(sizes)
 
-    def line(x, y):
-        c = inv[np.where(x > 0, lead[x], lead[y])]
-        return mul[c, x] * order + mul[c, y]
 
-    lines = _line_representatives(q, f.m)
-    label = lines
-    a, b = np.divmod(lines, order)
-    for _ in range(f.m):
-        # the signed swaps modulo the scalar -1: identity, swap, negate beta, both
-        for x, y in ((a, b), (b, a), (a, neg[b]), (b, neg[a])):
-            label = np.minimum(label, line(x, y))
-        a, b = frob[a], frob[b]
-    return np.unique(label, return_counts=True)
+def _columns(D: DefiningSet, Z1: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The generator columns j of the rank test, one per row: (a, b) =
+    (Z1[j // |Z|], Z[j % |Z|]) for the first |Z1| |Z|, then (0, Z1[j - |Z1| |Z|]);
+    Z1 indexes Z.  A message's row holds the base-q digits of beta, then those
+    of alpha, so the column at (a, b) is (W[:, b], W[:, a]):
+    x . g = Tr(beta b) + Tr(alpha a)."""
+    W = _trace_rows(D)  # W[:, 0] = 0: Z starts at 0
+    a, b = np.divmod(j, D.zeros.size)
+    tail = a >= Z1.size
+    b[tail] = Z1[j[tail] - Z1.size * D.zeros.size]
+    a = np.where(tail, 0, Z1[np.minimum(a, Z1.size - 1)])
+    return np.hstack([W[:, b].T, W[:, a].T])
 
 
 def _zero_set_ranks(X: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
@@ -187,21 +210,23 @@ def _zero_set_ranks(X: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
 
 
 def _check_rank_budget(q: int, m: int, size: int, budget: int) -> tuple[int, int]:
-    """The rank test's lower bound from q, m and |D| = size alone (module
-    docstring); returns the first-half columns n, one per F_q*-orbit, and the
+    """The rank test's price from q, m and |D| = size alone (module docstring):
+    the q + 1 class passes and a subset rank for each of at most q^3 + q^2 + q
+    classes.  Returns the first-half columns n, one per F_q*-orbit, and the
     subset size c."""
     n = size // (q - 1)
     c = min(n, 8 * m * q)
-    lines = (q ** (2 * m) - 1) // (q - 1)
-    check_budget(-(-lines // (4 * m)) * c * (2 * m) ** 2, budget,
-                 "minimality rank test (lower bound)")
+    check_budget((q + 1) * m * q**m + (q**3 + q**2 + q) * c * (2 * m) ** 2, budget,
+                 "minimality rank test (class bound)")
     return n, c
 
 
 def minimal_codewords_exhaustive(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET
                                  ) -> tuple[int, bool]:
-    """Hyperplane-rank test of one message per orbit, on one column per
-    F_q*-orbit of coordinates, a subset of them first (module docstring).
+    """Hyperplane-rank test of one message per class, on one column per
+    F_q*-orbit of coordinates, evenly spaced subsets of them first (module
+    docstring).  Z must be {x : Tr(x^2) = 0}, as build_defining_set makes it;
+    any other D raises ContextMismatchError.
 
     Returns (number of minimal nonzero codewords, whether all are minimal).
     """
@@ -210,22 +235,30 @@ def minimal_codewords_exhaustive(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGE
     n, c = _check_rank_budget(q, m, len(D), budget)
     step = (2 * m) ** 2  # per column a rank reads
 
-    reps, sizes = _line_orbits(f)
-    # k = alpha q^m + beta has the base-q digits of beta, then those of alpha, so
-    # the column at (a, b) is (W[:, b], W[:, a]): x . g = Tr(beta b) + Tr(alpha a)
-    X = reps[:, None] // q ** np.arange(2 * m) % q
-    W = _trace_rows(D).T  # row j: Tr(x^i z_j) over i
+    quadric = np.zeros(f.order, dtype=bool)
+    quadric[D.zeros] = True
+    if quadric.sum() != D.zeros.size or not np.array_equal(quadric, f.trace_sq_array == 0):
+        raise ContextMismatchError("the class route needs Z = {x : Tr(x^2) = 0}")
+    if not n:  # Z = {0}: every codeword is zero
+        return 0, True
+    alphas, betas, sizes = _witt_classes(f)
+    digits = q ** np.arange(m)
+    X = np.hstack([betas[:, None] // digits % q, alphas[:, None] // digits % q])
     Z1 = 1 + np.flatnonzero(_leading_digit(D.zeros[1:], q) == 1)  # indices into Z
-    # (a, b) for a in Z1 and b in Z, then (0, b) for b in Z1
-    Wb = np.vstack([np.tile(W, (Z1.size, 1)), W[Z1]])
-    Wa = np.vstack([np.repeat(W[Z1], D.zeros.size, axis=0), 0 * W[Z1]])
-    G = np.hstack([Wb, Wa])
     r = gray_rank(D)
 
-    ranks = _zero_set_ranks(X, G[np.arange(c) * n // c], q)
-    # with r < 2m some messages give the zero codeword, which a subset cannot tell
-    full = ((ranks != r - 1) | (r < 2 * m)) & (c < n)
-    check_budget((reps.size * c + int(full.sum()) * n) * step, budget, "minimality rank test")
-    ranks[full] = _zero_set_ranks(X[full], G, q)
+    ranks = np.zeros(sizes.size, dtype=np.int64)
+    todo = np.arange(sizes.size)
+    cost = 0
+    while todo.size:
+        cost += todo.size * c * step
+        check_budget(cost, budget, "minimality rank test")
+        # c evenly spaced columns, i n / c for i < c, without forming i n
+        i = np.arange(c)
+        cols = _columns(D, Z1, i * (n // c) + i * (n % c) // c)
+        ranks[todo] = _zero_set_ranks(X[todo], cols, q)
+        # with r < 2m some messages give the zero codeword, which a subset cannot tell
+        todo = todo[(ranks[todo] != r - 1) | (r < 2 * m)] if c < n else todo[:0]
+        c = min(n, 4 * c)
     # rank r: the zero codeword; below r - 1: a smaller support exists
-    return (q - 1) * int(sizes[ranks == r - 1].sum()), not (ranks < r - 1).any()
+    return int(sizes[ranks == r - 1].sum()), not (ranks < r - 1).any()

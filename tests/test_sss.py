@@ -7,6 +7,7 @@ import pytest
 from leecodes import codes
 from leecodes.errors import (
     BudgetExceededError,
+    ContextMismatchError,
     DegenerateSpectrumError,
     LengthMismatchError,
     UnsupportedParametersError,
@@ -14,9 +15,9 @@ from leecodes.errors import (
 from leecodes.gf import make_field
 from leecodes.ring import RingElement, gray_map
 from leecodes.sss import (
+    _columns,
     _leading_digit,
-    _line_orbits,
-    _line_representatives,
+    _witt_classes,
     _zero_set_ranks,
     ab_check,
     covers,
@@ -135,11 +136,16 @@ def test_minimality_scan_matches_naive(q, m, defining_sets):
 
 @pytest.mark.parametrize("q,m", [(3, 3), (3, 4)])
 def test_minimality_scan_matches_naive_on_a_subfield_zero_set(q, m):
-    # Z = F_q spans one dimension of F_{q^m}: the Gray rank is 2 < 2m, and every
-    # message orthogonal to all the columns gives the zero codeword
+    # Z = F_q is not the quadric Tr(x^2) = 0, so an isometry of the trace form
+    # need not permute its coordinates and minimality need not be constant on
+    # a class: the class route refuses it rather than disagree with the naive
+    # oracle (which counts 5832 at (3,4), where one rank per class would give 5940)
     D = codes.DefiningSet(make_field(q, m), range(q))
     assert codes.gray_rank(D) == 2
-    assert minimal_codewords_exhaustive(D) == _naive_minimality(q, m, lambda *_: D)
+    with pytest.raises(ContextMismatchError, match="Tr\\(x\\^2\\) = 0"):
+        minimal_codewords_exhaustive(D)
+    if (q, m) == (3, 4):
+        assert _naive_minimality(q, m, lambda *_: D) == (5832, True)
 
 
 def test_minimality_counts(defining_sets):
@@ -151,19 +157,10 @@ def test_minimality_counts(defining_sets):
     # every point runs at the default budget
     for (q, m), count in {(7, 2): 2328, (3, 4): 6520, (5, 3): 15496, (7, 3): 117300,
                           (5, 4): 390416, (11, 3): 1770220, (13, 3): 4824600,
-                          (7, 4): 5764200}.items():
+                          (7, 4): 5764200, (13, 4): 815726640}.items():
         assert minimal_codewords_exhaustive(defining_sets(q, m)) == (count, False)
-
-
-@pytest.mark.parametrize("q,m", [(3, 2), (5, 2)])
-def test_line_representatives_cover_each_nonzero_pair_once(q, m):
-    f = make_field(q, m)
-    hits = np.zeros(f.order**2, dtype=int)
-    for k in _line_representatives(q, m).tolist():
-        alpha, beta = divmod(k, f.order)
-        for c in range(1, q):
-            hits[f.mul(c, alpha) * f.order + f.mul(c, beta)] += 1
-    assert hits[0] == 0 and (hits[1:] == 1).all()
+    # the ratio 26/27 > 2/3 holds at (3,8): every nonzero codeword is minimal
+    assert minimal_codewords_exhaustive(defining_sets(3, 8)) == (3**16 - 1, True)
 
 
 @pytest.mark.parametrize("q,m", [(3, 3), (5, 3), (7, 2)])
@@ -183,6 +180,14 @@ def test_scan_coordinates_cover_each_orbit_of_pairs_once(q, m, defining_sets):
     pairs[np.ix_(Z, Z)] = True
     pairs[0, 0] = False
     assert (hits[pairs] == 1).all() and (hits[~pairs] == 0).all()
+    # _columns builds the column (W[:, b], W[:, a]) of each, in this order
+    D = defining_sets(q, m)
+    W = codes._trace_rows(D)
+    where = {int(z): j for j, z in enumerate(Z)}
+    Z1_index = 1 + np.flatnonzero(_leading_digit(Z[1:], q) == 1)
+    expected = np.hstack([W[:, [where[x] for x in b.tolist()]].T,
+                          W[:, [where[x] for x in a.tolist()]].T])
+    assert np.array_equal(_columns(D, Z1_index, np.arange(a.size)), expected)
 
 
 @pytest.mark.parametrize("q,m", [(3, 2), (3, 3)])
@@ -195,34 +200,48 @@ def test_ab_soundness_implication(q, m, defining_sets):
 
 def test_minimality_budget(defining_sets):
     with pytest.raises(BudgetExceededError):
-        minimal_codewords_exhaustive(defining_sets(5, 5))
+        minimal_codewords_exhaustive(defining_sets(5, 4), budget=10**6)
 
 
 def test_minimality_budget_prices_lines(defining_sets):
-    # (R c + F n) (2m)^2: the 36 orbit representatives are ranked on
-    # c = min(n, 8mq) = n = 80 / (q - 1) = 40 columns, one per F_q*-orbit, each
-    # read at (2m)^2 = 36 steps; with c = n that rank is the full one, so F = 0
+    # the price before the field: (q + 1) m q^m = 324 steps for the class passes,
+    # and (q^3 + q^2 + q) c (2m)^2 = 39 * 40 * 36 for the subset ranks, on
+    # c = min(n, 8mq) = n = 80 / (q - 1) = 40 columns, one per F_q*-orbit
     D = defining_sets(3, 3)
-    assert _line_orbits(D.field)[0].size == 36
-    assert minimal_codewords_exhaustive(D, budget=36 * 40 * 36) == (700, False)
-    with pytest.raises(BudgetExceededError, match="rank test needs"):
-        minimal_codewords_exhaustive(D, budget=36 * 40 * 36 - 1)
+    price = 4 * 3 * 27 + 39 * 40 * 36
+    assert minimal_codewords_exhaustive(D, budget=price) == (700, False)
+    with pytest.raises(BudgetExceededError, match="class bound"):
+        minimal_codewords_exhaustive(D, budget=price - 1)
 
 
 def test_minimality_budget_prices_full_checks(defining_sets):
-    # n = 440 / 2 = 220 columns, c = 8mq = 96 of them first: 3 of the 234
-    # representatives fail there and take a full rank over all 220
+    # n = 440 / 2 = 220 columns, c = 8mq = 96 of them first: 2 of the 38
+    # classes fall short there and are ranked again on min(n, 4c) = 220
     D = defining_sets(3, 4)
-    assert _line_orbits(D.field)[0].size == 234
-    estimate = (234 * 96 + 3 * 220) * 8**2
+    assert _witt_classes(D.field)[2].size == 38
+    estimate = (38 * 96 + 2 * 220) * 8**2
     assert minimal_codewords_exhaustive(D, budget=estimate) == (6520, False)
     with pytest.raises(BudgetExceededError, match="rank test needs"):
         minimal_codewords_exhaustive(D, budget=estimate - 1)
 
 
+def test_minimality_stages_grow_fourfold(defining_sets, monkeypatch):
+    # at (7,4) two classes are not minimal: no subset proves them so, and they
+    # are ranked on 4, 16 and 64 times c = 224 columns, then on all n = 15100
+    calls = []
+
+    def spy(X, cols, q):
+        calls.append((len(X), len(cols)))
+        return _zero_set_ranks(X, cols, q)
+
+    monkeypatch.setattr("leecodes.sss._zero_set_ranks", spy)
+    assert minimal_codewords_exhaustive(defining_sets(7, 4)) == (5764200, False)
+    assert calls == [(398, 224), (2, 896), (2, 3584), (2, 14336), (2, 15100)]
+
+
 def test_minimality_full_checks_alone_decide(defining_sets, monkeypatch):
-    # a subset that proves nothing sends every representative to the full
-    # zero-set rank over all n = 220 columns, which alone gives the verdicts
+    # a subset that proves nothing sends every class to the full zero-set rank
+    # over all n = 220 columns, which alone gives the verdicts
     calls = []
 
     def subset_proves_nothing(X, cols, q):
@@ -235,37 +254,70 @@ def test_minimality_full_checks_alone_decide(defining_sets, monkeypatch):
 
 
 def test_minimality_budget_refuses_before_labelling_orbits(defining_sets, monkeypatch):
-    # an orbit holds at most 4m = 12 of the L = 364 lines, so R >= ceil(364 / 12) = 31;
-    # 31 c (2m)^2 = 31 * 40 * 36 is refused without labelling a single orbit
+    # the price reads only q, m and |Z|: a refused test runs no class pass
     D = defining_sets(3, 3)
 
     def unreachable(f):
-        raise AssertionError("orbits labelled for a refused scan")
+        raise AssertionError("classes built for a refused test")
 
-    monkeypatch.setattr("leecodes.sss._line_orbits", unreachable)
-    with pytest.raises(BudgetExceededError, match="lower bound"):
-        minimal_codewords_exhaustive(D, budget=31 * 40 * 36 - 1)
+    monkeypatch.setattr("leecodes.sss._witt_classes", unreachable)
+    with pytest.raises(BudgetExceededError, match="class bound"):
+        minimal_codewords_exhaustive(D, budget=4 * 3 * 27 + 39 * 40 * 36 - 1)
 
 
 def test_minimality_refusal_above_dense_table_limit_builds_no_lines(monkeypatch):
-    # q^m = 6561: L = (3^16 - 1) / 2 lines would take 172 MB as int64, the
-    # orbit labelling several arrays that size, the pair arrays D.a, D.b
-    # 36 MB each; the lower bound reads only q, m and |Z|, so the scan is
-    # refused before any of them
+    # q^m = 6561 at a budget of 10^6: the price, 4 * 8 * 6561 + 39 * 192 * 256,
+    # is refused before a class pass, a column, W or the pair arrays D.a, D.b
+    # (36 MB each) are built
     D = codes.build_defining_set(make_field(3, 8))
 
     def unreachable(*args):
-        raise AssertionError("lines built for a refused scan")
+        raise AssertionError("classes built for a refused test")
 
-    monkeypatch.setattr("leecodes.sss._line_representatives", unreachable)
-    monkeypatch.setattr("leecodes.sss._line_orbits", unreachable)
-    with pytest.raises(BudgetExceededError, match="lower bound"):
-        minimal_codewords_exhaustive(D)
+    monkeypatch.setattr("leecodes.sss._witt_classes", unreachable)
+    with pytest.raises(BudgetExceededError, match="class bound"):
+        minimal_codewords_exhaustive(D, budget=10**6)
     assert "a" not in vars(D) and "b" not in vars(D)
     assert D._cache == {}
 
 
-# -- the symmetries behind the orbit scan ------------------------------------------
+def _class_key(f, alpha, beta):
+    """(relation, Q(alpha), Q(beta), B(alpha, beta)) per message, from the
+    dense tables: the relation is -1 for alpha = 0, 0 for beta = 0, c for
+    beta = c alpha and q when the two are independent."""
+    q, tsq, tr = f.q, f.trace_sq_array, f.trace_array
+    relation = np.where(alpha == 0, -1, np.where(beta == 0, 0, q))
+    for c in range(1, q):
+        relation = np.where((alpha > 0) & (beta > 0) & (f.mul_array[c, alpha] == beta), c,
+                            relation)
+    return np.stack([relation, tsq[alpha], tsq[beta], tr[f.mul_array[alpha, beta]]], axis=1)
+
+
+@pytest.mark.parametrize("q,m", [(3, 2), (7, 2), (11, 2), (3, 3), (5, 3), (3, 4)])
+def test_rank_is_constant_on_each_class(q, m, defining_sets):
+    # the full zero-set rank of every nonzero message, on the generator columns
+    # read off the Gray images of the 2m basis messages x^i and u x^i
+    f = make_field(q, m)
+    D = defining_sets(q, m)
+    basis = [RingElement(f, q**i, 0) for i in range(m)] + [RingElement(f, 0, q**i)
+                                                           for i in range(m)]
+    G = np.stack([gray_map(codes.codeword(x, D)) for x in basis], axis=1)
+    alpha, beta = np.divmod(np.arange(1, f.order**2), f.order)
+    digits = q ** np.arange(m)
+    X = np.hstack([alpha[:, None] // digits % q, beta[:, None] // digits % q])
+    ranks = _zero_set_ranks(X, G, q)
+    keys, first, label = np.unique(_class_key(f, alpha, beta), axis=0, return_index=True,
+                                   return_inverse=True)
+    assert (ranks == ranks[first][label]).all()
+    # _witt_classes finds each class once, with one of its messages and its size
+    reps_alpha, reps_beta, sizes = _witt_classes(f)
+    rep_keys = _class_key(f, reps_alpha, reps_beta)
+    assert len(np.unique(rep_keys, axis=0)) == len(keys) == sizes.size
+    for key, size in zip(rep_keys, sizes):
+        assert size == (label == np.flatnonzero((keys == key).all(axis=1))[0]).sum()
+
+
+# -- symmetries of the messages permute the Gray supports --------------------------
 
 def _gray_support(f, D, alpha, beta):
     return gray_map(codes.codeword(RingElement(f, alpha, beta), D)) != 0
@@ -296,31 +348,3 @@ def test_orbit_maps_permute_gray_supports(q, m, defining_sets):
         support = _gray_support(f, D, alpha, beta)
         for g, perm in maps:
             assert np.array_equal(_gray_support(f, D, *g(alpha, beta)), support[perm])
-
-
-@pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (7, 2)])
-def test_line_orbits_match_closure(q, m):
-    # orbits of all messages under the three maps and F_q* scalars, by union-find
-    f = make_field(q, m)
-    parent = list(range(f.order**2))
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    for alpha in range(f.order):
-        for beta in range(f.order):
-            images = [(beta, alpha), (alpha, f.neg(beta)), (f.frobenius(alpha), f.frobenius(beta))]
-            images += [(f.mul(c, alpha), f.mul(c, beta)) for c in range(2, q)]
-            for x, y in images:
-                parent[find(alpha * f.order + beta)] = find(x * f.order + y)
-    orbits = {}
-    for k in range(1, f.order**2):
-        orbits.setdefault(find(k), []).append(k)
-    lead_one = lambda k: int(np.base_repr(k, q)[0]) == 1  # noqa: E731
-    expected = sorted((min(filter(lead_one, o)), len(o) // (q - 1)) for o in orbits.values())
-    reps, sizes = _line_orbits(f)
-    assert list(zip(reps.tolist(), sizes.tolist())) == expected
-    assert (q - 1) * sizes.sum() == q ** (2 * m) - 1
