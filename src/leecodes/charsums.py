@@ -15,12 +15,12 @@ them without loading this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from ._budget import DEFAULT_OPS_BUDGET, check_budget
+from ._record import Record
 from .errors import (
     NonIntegralValueError,
     ZeroLeadingCoefficientError,
@@ -29,10 +29,10 @@ from .errors import (
 from .gf import Field, GaussValue, _cyclic_convolve, quadratic_gauss_sum, root_of_unity
 
 
-@dataclass(frozen=True)
-class CountResult:
-    value: int
-    branch: str
+class CountResult(Record):
+    """(value, branch): a count and the closed branch (or route) that gave it."""
+
+    __slots__ = ("value", "branch")
 
 
 # ----------------------------------------------------------------------
@@ -112,8 +112,8 @@ def quadratic_sum(field: Field, b2: int, b1: int, b0: int, mode: str = "closed",
     if mode == "oracle":
         check_budget(f.order, budget, "quadratic sum oracle")
         # Tr is additive: Tr(b2 x^2 + b1 x + b0) = Tr(b2 x^2) + Tr(b1 x) + Tr(b0)
-        tr = f.trace_array.astype(np.int64)
-        traces = tr[f.mul_row(b2)[f.power_row(2)]] + tr[f.mul_row(b1)] + f.trace(b0)
+        traces = (f.trace_mul_row(b2)[f.power_row(2)].astype(np.int64)
+                  + f.trace_mul_row(b1) + f.trace(b0))
         hist = np.bincount(traces % f.q, minlength=f.q)
         return embed_histogram(f.q, hist)
     raise ValueError("mode must be 'closed' or 'oracle'")
@@ -297,9 +297,8 @@ def _nested_char_sum_oracle(f: Field, kind: str, beta: int, lam: int, alpha: int
     # convolving gives the sum over all (x, y, z); "split" is "coupled" with the
     # Tr(alpha b) term zero, and "single" is the a-part alone
     q = f.q
-    ta2 = f.trace_sq_array.astype(np.int64)
-    tr = f.trace_array.astype(np.int64)
-    tr_beta = tr[f.mul_row(beta)]  # Tr(beta * a) over a
+    ta2 = f.trace_sq_array
+    tr_beta = f.trace_mul_row(beta)  # Tr(beta * a) over a
     sides = 1 if kind == "single" else 2
     check_budget(sides * (f.order + (q - 1) ** 2 * q * q) + (sides - 1) * (q - 1) * q * q,
                  budget, f"{kind}-sum oracle")
@@ -311,7 +310,7 @@ def _nested_char_sum_oracle(f: Field, kind: str, beta: int, lam: int, alpha: int
     def summed(lin: np.ndarray) -> np.ndarray:
         """out[z - 1, k] = #{(x, a) : x Tr(a^2) + z lin(a) = k}, x and z in F_q*,
         from one joint count J[t, u] = #{a : Tr(a^2) = t, lin(a) = u}."""
-        J = np.bincount(ta2 * q + lin % q, minlength=q * q)
+        J = np.bincount(np.multiply(ta2, q, dtype=np.intp) + lin % q, minlength=q * q)
         out = np.zeros((q - 1, q), dtype=np.int64)
         np.add.at(out, (units[:, None] - 1, k), J)
         return out
@@ -319,7 +318,7 @@ def _nested_char_sum_oracle(f: Field, kind: str, beta: int, lam: int, alpha: int
     ha = summed(tr_beta - lam)
     if kind == "single":
         return exact_int_from_histogram(q, ha.sum(axis=0))
-    tr_alpha = tr[f.mul_row(alpha)] if kind == "coupled" else np.zeros_like(ta2)  # Tr(alpha * b)
+    tr_alpha = f.trace_mul_row(alpha) if kind == "coupled" else np.zeros_like(ta2)  # Tr(alpha * b)
     return exact_int_from_histogram(q, _cyclic_convolve(ha, summed(tr_alpha)).sum(axis=0))
 
 
@@ -339,8 +338,8 @@ def zero_trace_pair_count(field: Field, alpha: int, beta: int, lam: int, mode: s
     if mode == "oracle":
         check_budget(2 * f.order + q * q, budget, "zero-trace pair-count oracle")
         zeros = np.nonzero(f.trace_sq_array == 0)[0]
-        ha = np.bincount(f.trace_array[f.mul_row(beta)[zeros]], minlength=q).astype(np.int64)
-        hb = np.bincount(f.trace_array[f.mul_row(alpha)[zeros]], minlength=q).astype(np.int64)
+        ha = np.bincount(f.trace_mul_row(beta)[zeros], minlength=q).astype(np.int64)
+        hb = np.bincount(f.trace_mul_row(alpha)[zeros], minlength=q).astype(np.int64)
         conv = _cyclic_convolve(ha, hb)
         return CountResult(int(conv[lam]), "enumeration")
     if mode != "closed":

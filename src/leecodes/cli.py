@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import csv
 import functools
 import gc
 import io
@@ -314,6 +313,8 @@ def _render_json(payload: dict) -> str:
 
 
 def _render_csv(payload: dict) -> str:
+    import csv  # only a csv report loads it
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     results = payload["results"]

@@ -6,15 +6,18 @@ order on elements compares coefficient tuples low-degree-first, and the field
 modulus is the canonically smallest monic irreducible polynomial of degree m,
 so construction is deterministic across runs.
 
-There is one arithmetic path: multiplication, inversion, powers and the
-quadratic character read discrete log/antilog tables, which every field
-builds.  Multiplication by a fixed element and the trace are F_q-linear maps
-on coordinate vectors, so the log/antilog and per-element tables are built
-from a few array products with m x m matrices, never by a loop over the
-elements.  The one size limit, _DENSE_TABLE_LIMIT, applies only to the dense
-q^m x q^m tables, which are built lazily.  No CLI command and no library
-route reads them (RingVector adds base-q digits): they serve only as an
-independent route in the test oracles and the benchmark's set-up.
+Every trace the count, the defining set and the rank test read comes from the
+Gram matrix Tm[i, j] = Tr(x^(i+j)) of the trace form (Field.Tm): Tr is
+F_q-linear, so Tr(y z) = d(y) . Tm . d(z) over the coordinate vectors d
+(Lidl-Niederreiter, Finite Fields, S6.2).  Tr(x), Tr(c x) and Q(x) = Tr(x^2)
+are tables built from Tm one digit axis at a time, with no loop over the
+elements.  Multiplication, inversion, powers and the quadratic character read
+discrete log/antilog tables and a generator, which are built on first use, so
+a spectrum, CWE or minimality run builds none of them.  The one size limit,
+_DENSE_TABLE_LIMIT, applies only to the dense q^m x q^m tables, which are
+built lazily.  No CLI command and no library route reads them (RingVector
+adds base-q digits): they serve only as an independent route in the test
+oracles and the benchmark's set-up.
 
 The quadratic Gauss sum of F_{q^m} (GaussValue, exact) and the cyclic
 convolution of length-q histograms live here too: codes reads both for the
@@ -25,11 +28,11 @@ formula has one source and a count never loads charsums.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._record import Record
 from .errors import (
     BudgetExceededError,
     ContextMismatchError,
@@ -171,8 +174,6 @@ class Field:
         # the axes, hence the digits
         self._canonical = np.arange(self.order, dtype=np.int64).reshape((q,) * m).T.ravel()
         self._canonical.flags.writeable = False  # canonical_elements() hands it out
-        self.generator = self._find_generator()
-        self._build_tables()
 
     # -- construction helpers ------------------------------------------
 
@@ -188,7 +189,9 @@ class Field:
             e >>= 1
         return r
 
-    def _find_generator(self) -> int:
+    @cached_property
+    def generator(self) -> int:
+        """The canonically smallest generator of the multiplicative group."""
         n = self.order - 1
         checks = [n // p for p in _prime_factors(n)] if n > 1 else []
         for cand in map(int, self._canonical[1:]):
@@ -196,7 +199,8 @@ class Field:
                 return cand
         raise AssertionError("no generator found")  # unreachable
 
-    def _build_tables(self) -> None:
+    @cached_property
+    def _exp(self) -> np.ndarray:
         """exp[k] = g^k by doubling, exp[k + 2^j] = g^(2^j) exp[k]: each block is
         one product of coordinate rows with the matrix of multiplication by g^(2^j)."""
         q, m, n = self.q, self.m, self.order - 1
@@ -217,12 +221,38 @@ class Field:
                 coords[k + lo:k + hi] = coords[lo:hi] @ M % q
             M = M @ M % q
             k += step
-        self._exp = np.zeros(n, dtype=np.int64)
+        exp = np.zeros(n, dtype=np.int64)
         for i in reversed(range(m)):
-            self._exp = self._exp * q + coords[:, i]
-        self._log = np.full(self.order, -1, dtype=np.int64)
-        self._log[self._exp] = np.arange(n)
-        assert (self._log[1:] >= 0).all(), "generator order is wrong"
+            exp = exp * q + coords[:, i]
+        return exp
+
+    @cached_property
+    def _log(self) -> np.ndarray:
+        log = np.full(self.order, -1, dtype=np.int64)
+        log[self._exp] = np.arange(self.order - 1)
+        assert (log[1:] >= 0).all(), "generator order is wrong"
+        return log
+
+    @cached_property
+    def Tm(self) -> np.ndarray:
+        """Tm[i, j] = Tr(x^(i+j)) mod q, the Gram matrix of the trace form
+        (module docstring).
+
+        Multiplication by x has the modulus's companion matrix C, so
+        Tr(x^k) = trace(C^k): the k-th power sum p_k of the modulus's roots
+        x, x^q, ..., x^(q^(m-1)).  Newton's identities give the 2m - 1 of them
+        from the coefficients a_i of x^(m-i) (a_0 = 1, a_i = 0 for i > m):
+        p_k = -(a_1 p_(k-1) + ... + a_(k-1) p_1 + k a_k), with p_0 = m.
+        """
+        q, m = self.q, self.m
+        a = self.modulus[::-1]
+        p = [m % q]
+        for k in range(1, 2 * m - 1):
+            s = sum(a[i] * p[k - i] for i in range(1, min(k, m + 1)))
+            p.append(-(s + (k * a[k] if k <= m else 0)) % q)
+        Tm = np.array([p[i:i + m] for i in range(m)], dtype=np.int64)
+        Tm.flags.writeable = False
+        return Tm
 
     # -- element plumbing ----------------------------------------------
 
@@ -390,13 +420,18 @@ class Field:
         (int8 for every q <= 127)."""
         if "trace" not in self._dense:
             # Tr is F_q-linear: Tr(x) = sum_i x_i Tr(x^i) over the coordinates x_i of x
-            self._dense["trace"] = self.linear_form_array(
-                [self.trace(self.q**i) for i in range(self.m)])
+            self._dense["trace"] = self.linear_form_array(self.Tm[0].tolist())
         return self._dense["trace"]
+
+    def trace_mul_row(self, c: int) -> np.ndarray:
+        """(q^m,) table of Tr(c x) = d(x) . Tm . d(c) over every x, in the dtype
+        of trace_array; built on each call (callers keep what they need)."""
+        return self.linear_form_array((self.Tm @ self.coeffs(c) % self.q).tolist())
 
     def linear_form_array(self, coeffs) -> np.ndarray:
         """(q^m,) table of sum_i coeffs[i] x_i mod q over the coordinates x_i of
-        every x, in the dtype of trace_array; built on each call."""
+        every x, in the dtype of trace_array; built on each call.  Pass the
+        coefficients as Python ints, so the build stays in int32."""
         out = np.zeros(1, dtype=np.int32)
         digit = np.arange(self.q, dtype=np.int32)
         for i in reversed(range(self.m)):  # appends digit i below the higher ones
@@ -412,9 +447,24 @@ class Field:
 
     @property
     def trace_sq_array(self) -> np.ndarray:
-        """(q^m,) table of Tr(x^2), in the dtype of trace_array."""
+        """(q^m,) table of Q(x) = Tr(x^2) = d(x) . Tm . d(x), in the dtype of
+        trace_array.
+
+        Built one digit axis at a time, as linear_form_array builds a linear
+        form: appending digit k below the digits i > k already placed gives
+        Q + x_k (2 L_k + Tm[k, k] x_k), where L_j = sum_i Tm[i, j] x_i over the
+        placed digits, and each L_j is carried only until digit j is placed.
+        About m q^m steps, and no log/antilog table.
+        """
         if "trace_sq" not in self._dense:
-            self._dense["trace_sq"] = self.trace_array[self.power_row(2)]
+            q, Tm = self.q, self.Tm.tolist()
+            x = np.arange(q, dtype=np.int32)
+            Q = np.zeros(1, dtype=np.int32)
+            L = [Q] * self.m
+            for k in reversed(range(self.m)):
+                Q = (Q[:, None] + x * (2 * L[k][:, None] + Tm[k][k] * x)).ravel() % q
+                L = [(L[j][:, None] + Tm[k][j] * x).ravel() % q for j in range(k)]
+            self._dense["trace_sq"] = Q.astype(np.min_scalar_type(1 - q))
         return self._dense["trace_sq"]
 
     @property
@@ -460,16 +510,12 @@ def root_of_unity(q: int, k: int) -> complex:
 _I_POWERS = (1, 1j, -1, -1j)
 
 
-@dataclass(frozen=True)
-class GaussValue:
-    """Exact value sign * i^i_power * q^(half_exp/2)."""
+class GaussValue(Record):
+    """Exact value sign * i^i_power * q^(half_exp/2), from (q, sign, i_power, half_exp)."""
 
-    q: int
-    sign: int
-    i_power: int
-    half_exp: int
+    __slots__ = ("q", "sign", "i_power", "half_exp")
 
-    def __post_init__(self):
+    def _validate(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +-1")
         object.__setattr__(self, "i_power", self.i_power % 4)

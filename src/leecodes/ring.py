@@ -8,23 +8,19 @@ while the public representation stays in the (1, u) basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .errors import ContextMismatchError, ExtensionContextError, LengthMismatchError
 from .gf import Field
 
 
-@dataclass(frozen=True)
-class RingElement:
-    """a + u*b with both coordinates in one field."""
+class RingElement(Record):
+    """a + u*b with both coordinates in one field: (field, a, b)."""
 
-    field: Field
-    a: int
-    b: int
+    __slots__ = ("field", "a", "b")
 
-    def __post_init__(self):
+    def _validate(self):
         self.field.check_element(self.a)
         self.field.check_element(self.b)
 

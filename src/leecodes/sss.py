@@ -56,13 +56,20 @@ priced; after the passes, each stage is priced for the classes it ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from ._budget import DEFAULT_OPS_BUDGET, check_budget
-from .codes import DefiningSet, LeeSpectrum, _rank_mod_q, _trace_rows, gray_rank
+from ._record import Record
+from .codes import (
+    DefiningSet,
+    LeeSpectrum,
+    _evenly_spaced,
+    _rank_mod_q,
+    _trace_rows,
+    gray_rank,
+)
 from .errors import (
     ContextMismatchError,
     DegenerateSpectrumError,
@@ -72,6 +79,7 @@ from .errors import (
 from .gf import Field
 
 _BATCH = 1 << 20  # codeword entries per batch of zero-set ranks
+_GROUPS = 8  # slices of a batch, by zero count, per batched rank
 
 
 def covers(x, y) -> bool:
@@ -83,13 +91,11 @@ def covers(x, y) -> bool:
     return not np.any((y != 0) & (x == 0))
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
-    w_min: int
-    w_max: int
-    ab_ratio: Fraction
-    ab_threshold: Fraction
-    ab_holds: bool
+class MinimalityReport(Record):
+    """(w_min, w_max, ab_ratio, ab_threshold, ab_holds), the ratio and the
+    threshold as Fractions."""
+
+    __slots__ = ("w_min", "w_max", "ab_ratio", "ab_threshold", "ab_holds")
 
 
 def ab_check(spectrum: LeeSpectrum, q: int) -> MinimalityReport:
@@ -104,13 +110,11 @@ def ab_check(spectrum: LeeSpectrum, q: int) -> MinimalityReport:
     return MinimalityReport(w_min, w_max, ratio, threshold, ratio > threshold)
 
 
-@dataclass(frozen=True)
-class MinimalityRatios:
-    """Closed-form w_min/w_max candidates per parity, as exact rationals."""
+class MinimalityRatios(Record):
+    """Closed-form w_min/w_max candidates per parity, as exact rationals:
+    (ratios, threshold, holds)."""
 
-    ratios: tuple[Fraction, ...]
-    threshold: Fraction
-    holds: bool
+    __slots__ = ("ratios", "threshold", "holds")
 
 
 def minimality_ratios(q: int, m: int) -> MinimalityRatios:
@@ -163,8 +167,7 @@ def _witt_classes(f: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n_keys = q * q + q
     alphas, betas, sizes = [], [], []
     for alpha in [0] + [1 + int(np.argmax(tsq[1:] == s)) for s in range(q) if per_q[s]]:
-        # B(alpha, beta) = sum_i beta_i Tr(alpha x^i) over the digits of beta
-        key = tsq * q + f.linear_form_array([f.trace(f.mul(alpha, q**i)) for i in range(f.m)])
+        key = tsq * q + f.trace_mul_row(alpha)  # B(alpha, beta) = d(alpha) . Tm . d(beta)
         if alpha:
             for c in range(1, q):  # the digits of c alpha are c times those of alpha
                 key[f.element([c * d for d in f.coeffs(alpha)])] = q * q + c - 1
@@ -197,15 +200,21 @@ def _columns(D: DefiningSet, Z1: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def _zero_set_ranks(X: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
     """For each message (a row of base-q digits in X), the rank of the columns
-    of cols (one per row) at which its codeword vanishes."""
+    of cols (one per row) at which its codeword vanishes.  Each batch of
+    messages is ranked in _GROUPS slices of its rows sorted by zero count, so
+    that a slice pads each zero set only to the longest in that slice."""
     ranks = np.zeros(len(X), dtype=np.int64)
     step = max(1, _BATCH // max(1, len(cols)))
     for lo in range(0, len(X), step):
         zero = X[lo:lo + step] @ cols.T % q == 0
-        # each message's zero columns first, in a slice as long as the longest
-        front = np.argsort(~zero, axis=1, kind="stable")[:, :zero.sum(axis=1).max()]
-        batch = cols[front] * np.take_along_axis(zero, front, axis=1)[..., None]
-        ranks[lo:lo + step] = _rank_mod_q(batch, q)
+        counts = zero.sum(axis=1)
+        order = np.argsort(counts, kind="stable")
+        for rows in np.array_split(order, min(_GROUPS, len(order))):
+            # each message's zero columns first, in a slice as long as the longest
+            z = zero[rows]
+            front = np.argsort(~z, axis=1, kind="stable")[:, :counts[rows[-1]]]
+            batch = cols[front] * np.take_along_axis(z, front, axis=1)[..., None]
+            ranks[lo + rows] = _rank_mod_q(batch, q)
     return ranks
 
 
@@ -253,9 +262,7 @@ def minimal_codewords_exhaustive(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGE
     while todo.size:
         cost += todo.size * c * step
         check_budget(cost, budget, "minimality rank test")
-        # c evenly spaced columns, i n / c for i < c, without forming i n
-        i = np.arange(c)
-        cols = _columns(D, Z1, i * (n // c) + i * (n % c) // c)
+        cols = _columns(D, Z1, _evenly_spaced(n, c))
         ranks[todo] = _zero_set_ranks(X[todo], cols, q)
         # with r < 2m some messages give the zero codeword, which a subset cannot tell
         todo = todo[(ranks[todo] != r - 1) | (r < 2 * m)] if c < n else todo[:0]

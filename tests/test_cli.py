@@ -413,15 +413,37 @@ def test_importing_cli_loads_no_numeric_module():
 
 
 def test_spectrum_loads_neither_sss_nor_ring():
+    # nor dataclasses and fractions: the records are slotted classes, and the
+    # closed forms divide Python ints exactly
     loaded = _modules_loaded_by(SPECTRUM_BOTH)
     assert {"leecodes.codes", "leecodes.gf"} <= loaded
-    assert not {"leecodes.sss", "leecodes.ring", "leecodes.charsums"} & loaded
+    assert not {"leecodes.sss", "leecodes.ring", "leecodes.charsums", "dataclasses",
+                "fractions"} & loaded
+
+
+def test_cwe_loads_neither_dataclasses_nor_fractions():
+    loaded = _modules_loaded_by(_main_passes(["cwe", "--q", "3", "--m", "3", "--mode", "both"]))
+    assert not {"leecodes.sss", "leecodes.ring", "leecodes.charsums", "dataclasses",
+                "fractions"} & loaded
 
 
 def test_minimality_loads_neither_ring_nor_charsums():
     loaded = _modules_loaded_by(_main_passes(["minimality", "--q", "3", "--m", "3"]))
     assert {"leecodes.codes", "leecodes.gf", "leecodes.sss"} <= loaded
-    assert not {"leecodes.ring", "leecodes.charsums"} & loaded
+    assert not {"leecodes.ring", "leecodes.charsums", "dataclasses"} & loaded
+
+
+def test_counts_and_minimality_build_no_log_tables():
+    # the Gram matrix of the trace form gives every trace these commands read
+    runs = "".join(_main_passes(argv) for argv in (
+        ["spectrum", "--q", "3", "--m", "4", "--mode", "both"],
+        ["cwe", "--q", "5", "--m", "3", "--mode", "both"],
+        ["minimality", "--q", "7", "--m", "3"]))
+    built = _fresh_stdout(runs + "from leecodes import gf\n"
+                                 "for q, m in ((3, 4), (5, 3), (7, 3)):\n"
+                                 "    f = gf.make_field(q, m)\n"
+                                 "    print(q, m, sorted({'generator', '_exp', '_log'} & vars(f).keys()))\n")
+    assert built.splitlines() == ["3 4 []", "5 3 []", "7 3 []"]
 
 
 def test_public_names_resolve_to_their_submodules():

@@ -7,10 +7,11 @@ from leecodes import charsums as cs
 from leecodes import codes
 from leecodes.errors import (
     BudgetExceededError,
+    NonIntegralExponentError,
     NonIntegralValueError,
     UnsupportedParametersError,
 )
-from leecodes.gf import make_field
+from leecodes.gf import GaussValue, make_field
 from leecodes.ring import RingElement, gray_map, lee_weight
 
 from conftest import BRUTE_LEE, DEFINING_SET_SIZES
@@ -18,7 +19,8 @@ from conftest import BRUTE_LEE, DEFINING_SET_SIZES
 CLOSED_EQ_BRUTE_PAIRS = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
                          (7, 2), (7, 3), (11, 2), (5, 4), (3, 6),
                          (3, 7), (5, 5), (7, 4), (13, 3), (3, 9),
-                         (5, 6), (7, 5), (11, 4), (13, 4)]
+                         (5, 6), (7, 5), (11, 4), (13, 4), (5, 8),
+                         (7, 6), (11, 5)]
 
 
 # -- defining set ----------------------------------------------------------
@@ -231,6 +233,50 @@ def test_trace_histogram_rows_above_dense_table_limit(q, m, defining_sets):
         assert np.array_equal(H[x], np.bincount(f.trace_array[f.mul_row(x)[D.zeros]], minlength=q))
 
 
+@pytest.mark.parametrize("q,m", CLOSED_EQ_BRUTE_PAIRS)
+def test_gram_matrix_routes_match_product_routes(q, m, defining_sets):
+    # W = Tm d(Z)^T and the Q grid against Tr of the products x^i z and x x,
+    # read through the log/antilog tables
+    D = defining_sets(q, m)
+    f = D.field
+    W = np.stack([f.trace_array[f.mul_row(q**i)[D.zeros]] for i in range(m)])
+    assert np.array_equal(codes._trace_rows(D), W)
+    assert np.array_equal(f.trace_sq_array, f.trace_array[f.power_row(2)])
+    assert codes.gray_rank(D) == 2 * codes._rank_mod_q(W, q)
+
+
+@pytest.mark.parametrize("q,m", [(3, 4), (7, 3)])
+def test_count_refuses_a_row_of_h_off_its_class(q, m):
+    # H[x] depends only on Q(x) and on whether x = 0; a row changed inside its
+    # class, keeping its sum, must stop the count
+    D = codes.build_defining_set(make_field(q, m))  # fresh instance, empty cache
+    H = codes._enumeration_tables(D).copy()
+    x = D.field.order - 1  # not the first of its class, which starts at 1 or later
+    H[x, 0] += 1
+    H[x, 1] -= 1
+    D._cache["H"] = H
+    with pytest.raises(AssertionError, match="class"):
+        codes.cwe_bruteforce(D)
+
+
+def test_closed_values_must_divide_exactly():
+    with pytest.raises(NonIntegralValueError):
+        codes._exact(7, 2)
+    with pytest.raises(NonIntegralExponentError):
+        codes._exact(7, 2, exponent=True)
+    assert codes._exact(-8, 4) == -2
+
+
+def test_closed_forms_raise_on_a_non_integral_gauss_term(monkeypatch):
+    # with g = 1 in place of +-q^(m/2), g/q is not an integer: a multiplicity
+    # of the Lee table and an exponent of the CWE come out fractional
+    monkeypatch.setattr(codes, "quadratic_gauss_sum", lambda q, m: GaussValue(q, 1, 0, 0))
+    with pytest.raises(NonIntegralValueError):
+        codes.lee_spectrum_closed(3, 4)
+    with pytest.raises(NonIntegralExponentError):
+        codes.cwe_closed(3, 4)
+
+
 def test_closed_form_parameter_errors():
     with pytest.raises(UnsupportedParametersError):
         codes.lee_spectrum_closed(3, 1)
@@ -397,3 +443,20 @@ def test_spectrum_container_validation():
         codes.LeeSpectrum({0: 1, 4: 2}, total=5)
     with pytest.raises(NonIntegralValueError):
         codes.CweSpectrum({(2, 1): 1}, total=1, gray_length=4)
+
+
+def test_records_are_immutable_values():
+    spec = codes.LeeSpectrum({0: 1, 4: 2}, 3)
+    assert spec == codes.LeeSpectrum(entries={0: 1, 4: 2}, total=3)
+    assert spec != codes.LeeSpectrum({0: 3}, 3)
+    with pytest.raises(AttributeError):
+        spec.total = 4
+    with pytest.raises(TypeError):
+        codes.LeeSpectrum({0: 1}, 1, 1)
+    with pytest.raises(TypeError):
+        codes.LeeSpectrum({0: 1}, totl=1)
+    with pytest.raises(TypeError):
+        hash(spec)  # its entries are a dict
+    report = codes.GrayReport(6, 72, 160, 3)
+    assert hash(report) == hash(codes.GrayReport(6, 72, 160, module_generators=3))
+    assert repr(report) == "GrayReport(rank=6, min_lee_weight=72, gray_length=160, module_generators=3)"

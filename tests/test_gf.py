@@ -215,6 +215,32 @@ def test_mul_row_matches_dense_table(q, m):
     assert all(np.array_equal(f.mul_row(c), f.mul_array[c]) for c in f.elements())
 
 
+@pytest.mark.parametrize("q,m", SMALL_FIELDS + [(3, 9), (5, 6), (7, 5), (11, 4), (13, 4)])
+def test_gram_matrix_matches_frobenius_trace(q, m):
+    # Tm[i, j] = Tr(x^(i+j)) against the sum of the Frobenius conjugates
+    f = Field(q, m)  # fresh: no table built yet
+    Tm = f.Tm.tolist()
+    x = q if m > 1 else 1  # the element x; at m = 1 only x^0 = 1 is read
+    assert Tm == [[f.trace(f.pow(x, i + j)) for j in range(m)] for i in range(m)]
+
+
+@pytest.mark.parametrize("q,m", [(3, 4), (5, 3), (7, 2), (3, 7)])
+def test_trace_mul_row_matches_product_route(q, m):
+    f = make_field(q, m)
+    for c in random.Random(q * m).sample(range(f.order), 20) + [0, 1]:
+        assert np.array_equal(f.trace_mul_row(c), f.trace_array[f.mul_row(c)])
+
+
+def test_trace_tables_build_no_log_tables():
+    # the Gram matrix gives Tr(x), Tr(c x) and Tr(x^2); the generator and the
+    # log/antilog tables wait for the first multiplication
+    f = Field(5, 4)
+    f.trace_array, f.trace_sq_array, f.trace_mul_row(7)  # noqa: B018
+    assert not {"generator", "_exp", "_log"} & vars(f).keys()
+    assert f.mul(7, 7) == f._mul_raw(7, 7)
+    assert {"generator", "_exp", "_log"} <= vars(f).keys()
+
+
 # -- quadratic character -------------------------------------------------
 
 def test_quad_char_values():
