@@ -80,9 +80,10 @@ def gauss_sum_oracle(field: Field, level: str = "extension", budget: int = DEFAU
     """Direct summation of eta(r) * zeta_q^{Tr(r)} over the nonzero elements."""
     f = field.prime_subfield() if level == "base" else field
     check_budget(f.order, budget, "Gauss sum oracle")
-    # hist[k] = sum of eta(r) over Tr(r) = k, exact in float64 below 2^53
-    hist = np.bincount(f.trace_array, weights=f.quad_char_array, minlength=f.q)
-    return embed_histogram(f.q, hist.astype(np.int64))
+    # hist[k] = sum of eta(r) over Tr(r) = k; eta(r) = #{x : x^2 = r} - 1, so the
+    # sum is #{x : Tr(x^2) = k} - #{r : Tr(r) = k}
+    hist = np.bincount(f.trace_sq_array, minlength=f.q) - np.bincount(f.trace_array, minlength=f.q)
+    return embed_histogram(f.q, hist)
 
 
 def gauss_sum(field: Field, level: str = "extension", mode: str = "closed",
@@ -111,9 +112,10 @@ def quadratic_sum(field: Field, b2: int, b1: int, b0: int, mode: str = "closed",
         )
     if mode == "oracle":
         check_budget(f.order, budget, "quadratic sum oracle")
-        # Tr is additive: Tr(b2 x^2 + b1 x + b0) = Tr(b2 x^2) + Tr(b1 x) + Tr(b0)
-        traces = (f.trace_mul_row(b2)[f.power_row(2)].astype(np.int64)
-                  + f.trace_mul_row(b1) + f.trace(b0))
+        # Tr is additive: Tr(b2 x^2 + b1 x + b0) = Tr(b2 x^2) + Tr(b1 x) + Tr(b0),
+        # and Tr(b2 x x) = d(x) . B . d(x) with B[i, j] = Tr(b2 x^i x^j)
+        B = f.mul_matrix(b2) @ f.Tm % f.q
+        traces = f.quadratic_form_array(B).astype(np.int64) + f.trace_mul_row(b1) + f.trace(b0)
         hist = np.bincount(traces % f.q, minlength=f.q)
         return embed_histogram(f.q, hist)
     raise ValueError("mode must be 'closed' or 'oracle'")

@@ -159,8 +159,24 @@ def _check_scan_budget(q: int, m: int, budget: int) -> None:
 def build_defining_set(field: Field, budget: int = DEFAULT_OPS_BUDGET) -> DefiningSet:
     """Scan F_{q^m} in canonical order and keep Z; D's pairs follow in pair order."""
     _check_scan_budget(field.q, field.m, budget)
-    elements = field.canonical_elements()
-    return DefiningSet(field, elements[field.trace_sq_array[elements] == 0])
+    return DefiningSet(field, _in_canonical_order(field, field.trace_sq_array == 0))
+
+
+def _in_canonical_order(field: Field, mask: np.ndarray) -> np.ndarray:
+    """The elements x with mask[x], sorted by coefficient tuple, low degree
+    compared first, i.e. by their digit-reversed values.
+
+    Read as a (q,)*m array, the mask has digit i on axis m-1-i; transposing
+    reverses the axes, so its flat nonzero indices are the digit-reversed values,
+    in increasing order.  Each is reversed back in two halves, the high
+    ceil(m/2) digits and the low floor(m/2), by one table of reversals each.
+    """
+    q, m = field.q, field.m
+    ranks = np.flatnonzero(mask.reshape((q,) * m).T)
+    low = m // 2
+    rev_low, rev_high = (np.arange(q**n).reshape((q,) * n).T.ravel() for n in (low, m - low))
+    head, tail = np.divmod(ranks, q ** (m - low))  # head: digits 0..low-1, reversed
+    return rev_low[head] + q**low * rev_high[tail]
 
 
 def codeword(x: RingElement, D: DefiningSet) -> RingVector:

@@ -11,9 +11,10 @@ Gram matrix Tm[i, j] = Tr(x^(i+j)) of the trace form (Field.Tm): Tr is
 F_q-linear, so Tr(y z) = d(y) . Tm . d(z) over the coordinate vectors d
 (Lidl-Niederreiter, Finite Fields, S6.2).  Tr(x), Tr(c x) and Q(x) = Tr(x^2)
 are tables built from Tm one digit axis at a time, with no loop over the
-elements.  Multiplication, inversion, powers and the quadratic character read
-discrete log/antilog tables and a generator, which are built on first use, so
-a spectrum, CWE or minimality run builds none of them.  The one size limit,
+elements.  The field has this one model: scalar products, inverses (x^(q^m-2))
+and powers are polynomial products modulo the modulus, the quadratic character
+is Euler's criterion, and the table of c x over every x is the coordinate rows
+times the m x m matrix of multiplication by c.  The one size limit,
 _DENSE_TABLE_LIMIT, applies only to the dense q^m x q^m tables, which are
 built lazily.  No CLI command and no library route reads them (RingVector
 adds base-q digits): they serve only as an independent route in the test
@@ -44,7 +45,6 @@ from .errors import (
 )
 
 _DENSE_TABLE_LIMIT = 2048
-_PRODUCT_ROWS = 1 << 16  # coordinate rows per widened product in the log/exp build
 
 
 def _is_prime(n: int) -> bool:
@@ -167,15 +167,7 @@ class Field:
         self._prime_subfield: Field | None = None
         self._place = q ** np.arange(m, dtype=np.int64)  # element = coords @ _place
 
-        # sorting coefficient tuples low degree first sorts the elements by their
-        # digit-reversed value; digit reversal is an involution, so the reversed
-        # values of 0, 1, ... are the elements in canonical order.  Read as a
-        # (q,)*m array, 0, 1, ... has digit i on axis m-1-i; transposing reverses
-        # the axes, hence the digits
-        self._canonical = np.arange(self.order, dtype=np.int64).reshape((q,) * m).T.ravel()
-        self._canonical.flags.writeable = False  # canonical_elements() hands it out
-
-    # -- construction helpers ------------------------------------------
+    # -- the polynomial product -----------------------------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
         return self.element(_poly_mulmod(self.coeffs(a), self.coeffs(b), self.modulus, self.q))
@@ -188,50 +180,6 @@ class Field:
             b = self._mul_raw(b, b)
             e >>= 1
         return r
-
-    @cached_property
-    def generator(self) -> int:
-        """The canonically smallest generator of the multiplicative group."""
-        n = self.order - 1
-        checks = [n // p for p in _prime_factors(n)] if n > 1 else []
-        for cand in map(int, self._canonical[1:]):
-            if all(self._pow_raw(cand, e) != 1 for e in checks):
-                return cand
-        raise AssertionError("no generator found")  # unreachable
-
-    @cached_property
-    def _exp(self) -> np.ndarray:
-        """exp[k] = g^k by doubling, exp[k + 2^j] = g^(2^j) exp[k]: each block is
-        one product of coordinate rows with the matrix of multiplication by g^(2^j)."""
-        q, m, n = self.q, self.m, self.order - 1
-        # row i holds the coordinates of x^i * g, so (coords of v) @ M % q are those of v * g
-        M = np.array(
-            [self._coeffs_unchecked(self._mul_raw(q**i, self.generator)) for i in range(m)],
-            dtype=np.int64,
-        )
-        # coordinates are below q, so they are stored narrow; only the product is
-        # widened (a narrow matmul could overflow), a chunk of rows at a time
-        coords = np.zeros((n, m), dtype=np.min_scalar_type(q - 1))
-        coords[0, 0] = 1
-        k = 1
-        while k < n:
-            step = min(k, n - k)
-            for lo in range(0, step, _PRODUCT_ROWS):
-                hi = min(lo + _PRODUCT_ROWS, step)
-                coords[k + lo:k + hi] = coords[lo:hi] @ M % q
-            M = M @ M % q
-            k += step
-        exp = np.zeros(n, dtype=np.int64)
-        for i in reversed(range(m)):
-            exp = exp * q + coords[:, i]
-        return exp
-
-    @cached_property
-    def _log(self) -> np.ndarray:
-        log = np.full(self.order, -1, dtype=np.int64)
-        log[self._exp] = np.arange(self.order - 1)
-        assert (log[1:] >= 0).all(), "generator order is wrong"
-        return log
 
     @cached_property
     def Tm(self) -> np.ndarray:
@@ -274,10 +222,6 @@ class Field:
     def elements(self) -> range:
         return range(self.order)
 
-    def canonical_elements(self) -> np.ndarray:
-        """All elements sorted by coefficient tuple, low degree compared first."""
-        return self._canonical
-
     def _coeffs_unchecked(self, x: int) -> tuple[int, ...]:
         out = []
         for _ in range(self.m):
@@ -313,32 +257,26 @@ class Field:
         return self.element((-a) % self.q for a in self._coeffs_unchecked(x))
 
     def mul(self, x: int, y: int) -> int:
-        self.check_element(x)
-        self.check_element(y)
-        if x == 0 or y == 0:
-            return 0
-        return int(self._exp[(self._log[x] + self._log[y]) % (self.order - 1)])
+        return self._mul_raw(x, y)
+
+    def mul_matrix(self, c: int) -> np.ndarray:
+        """(m, m) matrix of multiplication by c: row i holds the coordinates of
+        c x^i, so d(c y) = d(y) @ mul_matrix(c) mod q."""
+        return np.array(
+            [self._coeffs_unchecked(self._mul_raw(c, self.q**i)) for i in range(self.m)],
+            dtype=np.int64,
+        )
 
     def mul_row(self, c: int) -> np.ndarray:
-        """(q^m,) array of c * x for every x: one log/antilog gather, at any size."""
-        self.check_element(c)
-        row = np.zeros(self.order, dtype=np.int64)
-        if c:
-            row[1:] = self._exp[(self._log[c] + self._log[1:]) % (self.order - 1)]
-        return row
-
-    def power_row(self, e: int) -> np.ndarray:
-        """(q^m,) array of x^e for every x (e >= 1): one gather exp[e log x mod (q^m - 1)],
-        built on each call (callers keep what they need)."""
-        row = np.zeros(self.order, dtype=np.int64)
-        row[1:] = self._exp[e * self._log[1:] % (self.order - 1)]
-        return row
+        """(q^m,) array of c * x for every x: the coordinate rows times
+        mul_matrix(c), built on each call."""
+        return self.digit_matrix @ self.mul_matrix(c) % self.q @ self._place
 
     def inv(self, x: int) -> int:
         self.check_element(x)
         if x == 0:
             raise ZeroInverseError("0 has no multiplicative inverse")
-        return int(self._exp[-self._log[x] % (self.order - 1)])
+        return self._pow_raw(x, self.order - 2)
 
     def pow(self, x: int, e: int) -> int:
         self.check_element(x)
@@ -346,7 +284,7 @@ class Field:
             return self.pow(self.inv(x), -e)
         if x == 0:
             return 0 if e else 1
-        return int(self._exp[int(self._log[x]) * e % (self.order - 1)])
+        return self._pow_raw(x, e % (self.order - 1))
 
     def frobenius(self, x: int) -> int:
         return self.pow(x, self.q)
@@ -354,23 +292,17 @@ class Field:
     # -- trace and characters -------------------------------------------
 
     def trace(self, x: int) -> int:
-        """Absolute trace to F_q: sum of the m Frobenius conjugates, as a residue."""
-        self.check_element(x)
-        t = x
-        acc = x
-        for _ in range(self.m - 1):
-            t = self.frobenius(t)
-            acc = self.add(acc, t)
-        c = self._coeffs_unchecked(acc)
-        assert all(v == 0 for v in c[1:]), "trace landed outside the prime subfield"
-        return c[0]
+        """Absolute trace to F_q, as a residue: sum_i x_i Tr(x^i) over the
+        coordinates x_i of x, with Tr(x^i) = Tm[0, i]."""
+        return sum(a * t for a, t in zip(self.coeffs(x), self.Tm[0].tolist())) % self.q
 
     def quad_char(self, x: int) -> int:
-        """Quadratic character: 0 at 0, +1 on nonzero squares, -1 otherwise."""
+        """Quadratic character: 0 at 0, +1 on nonzero squares, -1 otherwise.
+        Euler's criterion: x^((q^m - 1)/2) = 1 exactly on the nonzero squares."""
         self.check_element(x)
         if x == 0:
             return 0
-        return -1 if self._log[x] % 2 else 1
+        return 1 if self._pow_raw(x, (self.order - 1) // 2) == 1 else -1
 
     def add_char_index(self, a: int, x: int) -> int:
         """Index k in [0, q) with chi_a(x) = zeta_q^k, i.e. k = Tr(a*x)."""
@@ -408,10 +340,10 @@ class Field:
     def mul_array(self) -> np.ndarray:
         if "mul" not in self._dense:
             self._dense_guard()
-            logv = self._log[1:]
-            table = np.zeros((self.order, self.order), dtype=np.int32)
-            table[1:, 1:] = self._exp[(logv[:, None] + logv[None, :]) % (self.order - 1)]
-            self._dense["mul"] = table
+            d = self.digit_matrix.astype(np.int64)
+            # d(c x) = sum_i c_i d(x^i x): rows[i] holds d(x^i x) for every x
+            rows = np.stack([d @ self.mul_matrix(self.q**i) % self.q for i in range(self.m)])
+            self._dense["mul"] = (np.tensordot(d, rows, axes=1) % self.q @ self._place).astype(np.int32)
         return self._dense["mul"]
 
     @property
@@ -448,32 +380,30 @@ class Field:
     @property
     def trace_sq_array(self) -> np.ndarray:
         """(q^m,) table of Q(x) = Tr(x^2) = d(x) . Tm . d(x), in the dtype of
-        trace_array.
+        trace_array."""
+        if "trace_sq" not in self._dense:
+            self._dense["trace_sq"] = self.quadratic_form_array(self.Tm)
+        return self._dense["trace_sq"]
+
+    def quadratic_form_array(self, T) -> np.ndarray:
+        """(q^m,) table of d(x) . T . d(x) mod q over every x, for a symmetric
+        m x m matrix T with entries in [0, q), in the dtype of trace_array;
+        built on each call.
 
         Built one digit axis at a time, as linear_form_array builds a linear
         form: appending digit k below the digits i > k already placed gives
-        Q + x_k (2 L_k + Tm[k, k] x_k), where L_j = sum_i Tm[i, j] x_i over the
+        Q + x_k (2 L_k + T[k, k] x_k), where L_j = sum_i T[i, j] x_i over the
         placed digits, and each L_j is carried only until digit j is placed.
-        About m q^m steps, and no log/antilog table.
+        About m q^m steps.
         """
-        if "trace_sq" not in self._dense:
-            q, Tm = self.q, self.Tm.tolist()
-            x = np.arange(q, dtype=np.int32)
-            Q = np.zeros(1, dtype=np.int32)
-            L = [Q] * self.m
-            for k in reversed(range(self.m)):
-                Q = (Q[:, None] + x * (2 * L[k][:, None] + Tm[k][k] * x)).ravel() % q
-                L = [(L[j][:, None] + Tm[k][j] * x).ravel() % q for j in range(k)]
-            self._dense["trace_sq"] = Q.astype(np.min_scalar_type(1 - q))
-        return self._dense["trace_sq"]
-
-    @property
-    def quad_char_array(self) -> np.ndarray:
-        if "quad_char" not in self._dense:
-            qc = np.zeros(self.order, dtype=np.int8)
-            qc[1:] = 1 - 2 * (self._log[1:] % 2)
-            self._dense["quad_char"] = qc
-        return self._dense["quad_char"]
+        q, T = self.q, np.asarray(T).tolist()
+        x = np.arange(q, dtype=np.int32)
+        Q = np.zeros(1, dtype=np.int32)
+        L = [Q] * self.m
+        for k in reversed(range(self.m)):
+            Q = (Q[:, None] + x * (2 * L[k][:, None] + T[k][k] * x)).ravel() % q
+            L = [(L[j][:, None] + T[k][j] * x).ravel() % q for j in range(k)]
+        return Q.astype(np.min_scalar_type(1 - q))
 
     # -- identity ---------------------------------------------------------
 

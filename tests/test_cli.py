@@ -433,19 +433,6 @@ def test_minimality_loads_neither_ring_nor_charsums():
     assert not {"leecodes.ring", "leecodes.charsums", "dataclasses"} & loaded
 
 
-def test_counts_and_minimality_build_no_log_tables():
-    # the Gram matrix of the trace form gives every trace these commands read
-    runs = "".join(_main_passes(argv) for argv in (
-        ["spectrum", "--q", "3", "--m", "4", "--mode", "both"],
-        ["cwe", "--q", "5", "--m", "3", "--mode", "both"],
-        ["minimality", "--q", "7", "--m", "3"]))
-    built = _fresh_stdout(runs + "from leecodes import gf\n"
-                                 "for q, m in ((3, 4), (5, 3), (7, 3)):\n"
-                                 "    f = gf.make_field(q, m)\n"
-                                 "    print(q, m, sorted({'generator', '_exp', '_log'} & vars(f).keys()))\n")
-    assert built.splitlines() == ["3 4 []", "5 3 []", "7 3 []"]
-
-
 def test_public_names_resolve_to_their_submodules():
     for name in leecodes.__all__:
         module = importlib.import_module(f"leecodes.{leecodes._EXPORTS[name]}")

@@ -235,13 +235,14 @@ def test_trace_histogram_rows_above_dense_table_limit(q, m, defining_sets):
 
 @pytest.mark.parametrize("q,m", CLOSED_EQ_BRUTE_PAIRS)
 def test_gram_matrix_routes_match_product_routes(q, m, defining_sets):
-    # W = Tm d(Z)^T and the Q grid against Tr of the products x^i z and x x,
-    # read through the log/antilog tables
+    # W = Tm d(Z)^T and the Q grid against Tr of the products x^i z and
+    # Q(x) = sum_i x_i Tr(x^i x), read through the polynomial product
     D = defining_sets(q, m)
     f = D.field
-    W = np.stack([f.trace_array[f.mul_row(q**i)[D.zeros]] for i in range(m)])
+    T = np.stack([f.trace_array[f.mul_row(q**i)] for i in range(m)])  # T[i, x] = Tr(x^i x)
+    W = T[:, D.zeros]
     assert np.array_equal(codes._trace_rows(D), W)
-    assert np.array_equal(f.trace_sq_array, f.trace_array[f.power_row(2)])
+    assert np.array_equal(f.trace_sq_array, (f.digit_matrix.T * T.astype(np.int64)).sum(0) % q)
     assert codes.gray_rank(D) == 2 * codes._rank_mod_q(W, q)
 
 

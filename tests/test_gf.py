@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from leecodes import gf
+from leecodes import charsums, codes, gf
 from leecodes.errors import (
     ContextMismatchError,
     DegreeError,
@@ -22,7 +22,6 @@ SMALL_FIELDS = [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 1), (5, 2), 
 def test_prime_field_f3():
     f = make_field(3, 1)
     assert f.order == 3
-    assert f.generator == 2
     # order of 2 in F_3* by direct powering
     assert f.mul(2, 2) == 1
 
@@ -96,45 +95,23 @@ def test_make_field_deterministic():
     a = Field(3, 3)
     b = Field(3, 3)
     assert a.modulus == b.modulus
-    assert a.generator == b.generator
     assert make_field(3, 3) is make_field(3, 3)
-
-
-@pytest.mark.parametrize("q,m", SMALL_FIELDS)
-def test_generator_has_full_order(q, m):
-    f = make_field(q, m)
-    seen = set()
-    v = 1
-    for _ in range(f.order - 1):
-        v = f.mul(v, f.generator)
-        seen.add(v)
-    assert v == 1
-    assert len(seen) == f.order - 1
 
 
 def test_field_above_former_table_limit():
     # 103^3 = 1 092 727 elements, above the 2^20 at which log/exp tables used to stop;
-    # sampled entries are checked against schoolbook polynomial arithmetic
+    # sampled elements are checked against Fermat, inverses and the Frobenius trace
     f = Field(103, 3)
     n = f.order - 1
-    assert f._pow_raw(f.generator, n) == 1
-    assert all(f._pow_raw(f.generator, n // p) != 1 for p in (2, 3, 17, 3571))  # n = 2 3^2 17 3571
     rng = random.Random(103)
     for _ in range(50):
-        x, y = rng.randrange(1, f.order), rng.randrange(1, f.order)
-        assert f.mul(x, y) == f._mul_raw(x, y)
+        x = rng.randrange(1, f.order)
+        assert f._pow_raw(x, n) == 1
         assert f._mul_raw(x, f.inv(x)) == 1
         acc = 0
         for i in range(f.m):  # Tr(x) = x + x^q + x^(q^2)
             acc = f.add(acc, f._pow_raw(x, f.q**i))
         assert f.coeffs(acc) == (int(f.trace_array[x]), 0, 0)
-
-
-def test_generator_order_by_repeated_squaring():
-    f = make_field(3, 3)
-    assert f.pow(f.generator, 26) == 1
-    assert f.pow(f.generator, 13) != 1
-    assert f.pow(f.generator, 2) != 1
 
 
 # -- arithmetic ---------------------------------------------------------
@@ -197,16 +174,33 @@ def test_element_tables_match_scalar_definitions(q, m):
     f = make_field(q, m)
     xs = range(f.order)
     assert f.trace_array.tolist() == [f.trace(x) for x in xs]
-    assert f.power_row(2).tolist() == [f._mul_raw(x, x) for x in xs]
     assert f.trace_sq_array.tolist() == [f.trace(f._mul_raw(x, x)) for x in xs]
-    euler = (f.order - 1) // 2  # x^((q^m - 1)/2) = 1 exactly on the nonzero squares
-    assert f.quad_char_array.tolist() == [0] + [1 if f._pow_raw(x, euler) == 1 else -1 for x in xs[1:]]
+    squares = {f._mul_raw(x, x) for x in xs}
+    assert [f.quad_char(x) for x in xs] == [0] + [1 if x in squares else -1 for x in xs[1:]]
 
 
 @pytest.mark.parametrize("q,m", [(3, 3), (5, 2), (7, 2)])
-def test_power_row_q_is_frobenius(q, m):
+def test_frobenius_substitutes_x_to_the_q(q, m):
+    # over F_q, (sum_i a_i x^i)^q = sum_i a_i (x^q)^i
     f = make_field(q, m)
-    assert f.power_row(q).tolist() == [f.frobenius(x) for x in f.elements()]
+    xq = f._pow_raw(q, q)  # the element x is the integer q
+    powers = [1]
+    for _ in range(m - 1):
+        powers.append(f._mul_raw(powers[-1], xq))
+    for y in f.elements():
+        image = 0
+        for a, p in zip(f.coeffs(y), powers):
+            image = f.add(image, f._mul_raw(a, p))
+        assert f.frobenius(y) == image
+
+
+@pytest.mark.parametrize("q,m", [(q, m) for q, m in SMALL_FIELDS + [(7, 3)] if q**m <= 343])
+def test_products_match_polynomial_product(q, m):
+    f = make_field(q, m)
+    for c in f.elements():
+        row = [f._mul_raw(c, x) for x in f.elements()]
+        assert f.mul_row(c).tolist() == row
+        assert f.mul_array[c].tolist() == row
 
 
 @pytest.mark.parametrize("q,m", SMALL_FIELDS)
@@ -218,10 +212,18 @@ def test_mul_row_matches_dense_table(q, m):
 @pytest.mark.parametrize("q,m", SMALL_FIELDS + [(3, 9), (5, 6), (7, 5), (11, 4), (13, 4)])
 def test_gram_matrix_matches_frobenius_trace(q, m):
     # Tm[i, j] = Tr(x^(i+j)) against the sum of the Frobenius conjugates
-    f = Field(q, m)  # fresh: no table built yet
-    Tm = f.Tm.tolist()
+    f = Field(q, m)
+
+    def conjugate_sum(y):
+        acc = 0
+        for _ in range(m):
+            acc = f.add(acc, y)
+            y = f.frobenius(y)
+        assert acc < q, "the trace lies in F_q"
+        return acc
+
     x = q if m > 1 else 1  # the element x; at m = 1 only x^0 = 1 is read
-    assert Tm == [[f.trace(f.pow(x, i + j)) for j in range(m)] for i in range(m)]
+    assert f.Tm.tolist() == [[conjugate_sum(f.pow(x, i + j)) for j in range(m)] for i in range(m)]
 
 
 @pytest.mark.parametrize("q,m", [(3, 4), (5, 3), (7, 2), (3, 7)])
@@ -231,14 +233,13 @@ def test_trace_mul_row_matches_product_route(q, m):
         assert np.array_equal(f.trace_mul_row(c), f.trace_array[f.mul_row(c)])
 
 
-def test_trace_tables_build_no_log_tables():
-    # the Gram matrix gives Tr(x), Tr(c x) and Tr(x^2); the generator and the
-    # log/antilog tables wait for the first multiplication
-    f = Field(5, 4)
-    f.trace_array, f.trace_sq_array, f.trace_mul_row(7)  # noqa: B018
-    assert not {"generator", "_exp", "_log"} & vars(f).keys()
-    assert f.mul(7, 7) == f._mul_raw(7, 7)
-    assert {"generator", "_exp", "_log"} <= vars(f).keys()
+@pytest.mark.parametrize("q,m", SMALL_FIELDS)
+def test_quadratic_form_of_product_matrix_is_trace(q, m):
+    # d(x) . B . d(x) with B = mul_matrix(c) Tm, B[i, j] = Tr(c x^i x^j), is Tr(c x x)
+    f = make_field(q, m)
+    for c in random.Random(q * m).sample(range(f.order), min(5, f.order)) + [0, 1]:
+        Q = f.quadratic_form_array(f.mul_matrix(c) @ f.Tm % q)
+        assert Q.tolist() == [f.trace(f.mul(c, f.mul(x, x))) for x in f.elements()]
 
 
 # -- quadratic character -------------------------------------------------
@@ -249,7 +250,8 @@ def test_quad_char_values():
     assert f3.quad_char(1) == 1
     assert f3.quad_char(2) == -1
     f27 = make_field(3, 3)
-    g = f27.generator
+    squares = {f27.mul(y, y) for y in f27.elements()}
+    g = next(x for x in f27.elements() if x not in squares)
     assert f27.quad_char(f27.mul(g, g)) == 1
     assert f27.quad_char(g) == -1
 
@@ -259,7 +261,7 @@ def test_quad_char_multiplicative_exhaustive(q, m):
     f = make_field(q, m)
     if f.order > 729:
         pytest.skip("beyond the exhaustive budget")
-    qc = f.quad_char_array.astype(np.int64)
+    qc = np.array([f.quad_char(x) for x in f.elements()])
     table = qc[f.mul_array]
     outer = np.outer(qc, qc)
     nz = np.nonzero(qc)[0]
@@ -276,6 +278,19 @@ def test_quad_char_restriction_to_base(q, m):
             assert f.quad_char(y) == 1
         else:
             assert f.quad_char(y) == base.quad_char(y)
+
+
+@pytest.mark.parametrize("q,m", SMALL_FIELDS)
+def test_gauss_oracle_histogram_is_euler_sum(q, m, monkeypatch):
+    # hist[k] = sum of eta(r) over Tr(r) = k, eta read by Euler's criterion
+    f = make_field(q, m)
+    expected = [0] * q
+    for r in f.elements():
+        expected[f.trace(r)] += f.quad_char(r)
+    seen = []
+    monkeypatch.setattr(charsums, "embed_histogram", lambda q, hist: seen.append(hist.tolist()))
+    charsums.gauss_sum_oracle(f)
+    assert seen == [expected]
 
 
 # -- additive characters -------------------------------------------------
@@ -312,9 +327,12 @@ def test_character_is_additive():
 
 
 def test_canonical_order_is_coefficient_lex():
-    f = make_field(3, 2)
-    order = f.canonical_elements()
-    keys = [f.coeffs(v) for v in order]
-    assert keys == sorted(keys)
-    assert order[0] == 0
-    assert len(order) == f.order
+    # every element, and the quadric Z of the defining set
+    for q, m in itertools.product((3, 5, 7), (1, 2, 3, 4)):
+        f = make_field(q, m)
+        full = np.ones(f.order, dtype=bool)
+        assert codes._in_canonical_order(f, full).tolist() == sorted(f.elements(), key=f.coeffs)
+        quadric = f.trace_sq_array == 0
+        Z = sorted(np.flatnonzero(quadric).tolist(), key=f.coeffs)
+        assert codes._in_canonical_order(f, quadric).tolist() == Z
+        assert codes.build_defining_set(f).zeros.tolist() == Z
