@@ -7,15 +7,21 @@ histogram h represents sum_k h[k] * zeta_q^k, which is a rational integer
 iff h[1] = ... = h[q-1], in which case the value is h[0] - h[1].  Only the
 genuinely irrational Gauss sums are compared through a complex embedding.
 
+The closed forms are Python-int expressions in q-powers, eta values and one
+rational integer, the Gauss integer g = _gauss_int(field): G_m at even m and
+G_m * G_1 at odd m (Lidl-Niederreiter, Finite Fields, Thm 5.15), so each count
+ends in one exact division _exact(num, den).  Odd-degree cases that differ
+only by a term carrying eta(0) = 0 share one expression: the s = 0 counts and
+sums, the four pair-count cases, the Tr = 0 cases of the nested sums and of
+the zero-trace pair count.
+
 Sign conventions: every branch below is the one its exhaustive oracle
-confirms on all in-budget parameter sets.  GaussValue, quadratic_gauss_sum
-and _cyclic_convolve are defined in gf and imported here, so the count reads
-them without loading this module.
+confirms on all in-budget parameter sets.  GaussValue, quadratic_gauss_sum,
+_exact and _cyclic_convolve are defined in gf and imported here, so the count
+and the code's closed forms read them without loading this module.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,7 +32,7 @@ from .errors import (
     ZeroLeadingCoefficientError,
     ZeroParameterError,
 )
-from .gf import Field, GaussValue, _cyclic_convolve, quadratic_gauss_sum, root_of_unity
+from .gf import Field, GaussValue, _cyclic_convolve, _exact, quadratic_gauss_sum, root_of_unity
 
 
 class CountResult(Record):
@@ -52,12 +58,6 @@ def exact_int_from_histogram(q: int, hist) -> int:
     return hist[0] - tail[0]
 
 
-def _as_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise NonIntegralValueError(f"closed form is not integral: {x}")
-    return int(x)
-
-
 def _etabar(field: Field, s: int) -> int:
     """Quadratic character of the prime subfield at the residue s."""
     return field.prime_subfield().quad_char(s % field.q)
@@ -74,6 +74,14 @@ def gauss_sum_closed(field: Field, level: str = "extension") -> GaussValue:
     if level == "extension":
         return quadratic_gauss_sum(field.q, field.m)
     raise ValueError("level must be 'extension' or 'base'")
+
+
+def _gauss_int(field: Field) -> int:
+    """The rational integer G_m at even m, G_m * G_1 at odd m."""
+    G = gauss_sum_closed(field, "extension")
+    if field.m % 2:
+        G = G * gauss_sum_closed(field, "base")
+    return G.as_int()
 
 
 def gauss_sum_oracle(field: Field, level: str = "extension", budget: int = DEFAULT_OPS_BUDGET) -> complex:
@@ -136,23 +144,17 @@ def square_trace_count(field: Field, s: int, mode: str = "closed",
         return CountResult(int(np.count_nonzero(f.trace_sq_array == s)), "enumeration")
     if mode != "closed":
         raise ValueError("mode must be 'closed' or 'oracle'")
-    G = gauss_sum_closed(f, "extension")
-    even = m % 2 == 0
-    base = Fraction(q ** (m - 1))
-    if s == 0 and even:
-        val = base + Fraction((q - 1) * G.as_int(), q)
-        branch = "s=0, m even"
+    g = _gauss_int(f)
+    if m % 2:
+        num = q**m + _etabar(f, -s) * g
+        branch = "s=0, m odd" if s == 0 else "s!=0, m odd"
     elif s == 0:
-        val = base
-        branch = "s=0, m odd"
-    elif even:
-        val = base - Fraction(G.as_int(), q)
-        branch = "s!=0, m even"
+        num = q**m + (q - 1) * g
+        branch = "s=0, m even"
     else:
-        GGb = (G * gauss_sum_closed(f, "base")).as_int()
-        val = base + Fraction(_etabar(f, -s) * GGb, q)
-        branch = "s!=0, m odd"
-    return CountResult(_as_int(val), branch)
+        num = q**m - g
+        branch = "s!=0, m even"
+    return CountResult(_exact(num, q), branch)
 
 
 def square_trace_char_sum(field: Field, s: int, mode: str = "closed",
@@ -171,16 +173,12 @@ def square_trace_char_sum(field: Field, s: int, mode: str = "closed",
         return exact_int_from_histogram(q, hist)
     if mode != "closed":
         raise ValueError("mode must be 'closed' or 'oracle'")
-    G = gauss_sum_closed(f, "extension")
-    even = m % 2 == 0
-    if s == 0 and even:
-        return (q - 1) * G.as_int()
+    g = _gauss_int(f)
+    if m % 2:
+        return _etabar(f, -s) * g
     if s == 0:
-        return 0
-    if even:
-        return -G.as_int()
-    GGb = (G * gauss_sum_closed(f, "base")).as_int()
-    return _etabar(f, -s) * GGb
+        return (q - 1) * g
+    return -g
 
 
 def square_trace_pair_count(field: Field, s: int, t: int, mode: str = "closed",
@@ -198,39 +196,28 @@ def square_trace_pair_count(field: Field, s: int, t: int, mode: str = "closed",
         return CountResult(cs * ct, "enumeration")
     if mode != "closed":
         raise ValueError("mode must be 'closed' or 'oracle'")
-    G = gauss_sum_closed(f, "extension")
-    even = m % 2 == 0
-    if even:
-        g = G.as_int()
-        if s == 0 and t == 0:
-            val = Fraction(q ** (m - 1) + Fraction((q - 1) * g, q)) ** 2
-            branch = "s=0, t=0, m even"
-        elif s != 0 and t != 0:
-            val = Fraction(q ** (m - 1) - Fraction(g, q)) ** 2
-            branch = "s!=0, t!=0, m even"
-        else:
-            val = (
-                Fraction(q) ** (2 * m - 2)
-                + Fraction(q) ** (m - 2) * (q - 2) * g
-                - Fraction((q - 1) * g * g, q * q)
-            )
-            branch = "one of s,t zero, m even"
-    else:
-        GGb = (G * gauss_sum_closed(f, "base")).as_int()
-        val = Fraction(q) ** (2 * m - 2)
+    g = _gauss_int(f)
+    if m % 2:
+        num = (q ** (2 * m) + q**m * (_etabar(f, -s) + _etabar(f, -t)) * g
+               + _etabar(f, s * t) * g * g)
         if s == 0 and t == 0:
             branch = "s=0, t=0, m odd"
         elif t == 0:
-            val += Fraction(q) ** (m - 2) * _etabar(f, -s) * GGb
             branch = "s!=0, t=0, m odd"
         elif s == 0:
-            val += Fraction(q) ** (m - 2) * _etabar(f, -t) * GGb
             branch = "s=0, t!=0, m odd"
         else:
-            val += Fraction(q) ** (m - 2) * (_etabar(f, -s) + _etabar(f, -t)) * GGb
-            val += Fraction(_etabar(f, (s * t) % q) * GGb * GGb, q * q)
             branch = "s!=0, t!=0, m odd"
-    return CountResult(_as_int(val), branch)
+    elif s == 0 and t == 0:
+        num = (q**m + (q - 1) * g) ** 2
+        branch = "s=0, t=0, m even"
+    elif s != 0 and t != 0:
+        num = (q**m - g) ** 2
+        branch = "s!=0, t!=0, m even"
+    else:
+        num = q ** (2 * m) + q**m * (q - 2) * g - (q - 1) * g * g
+        branch = "one of s,t zero, m even"
+    return CountResult(_exact(num, q * q), branch)
 
 
 # ----------------------------------------------------------------------
@@ -262,35 +249,25 @@ def nested_char_sum(field: Field, kind: str, beta: int, lam: int, alpha: int | N
     if mode != "closed":
         raise ValueError("mode must be 'closed' or 'oracle'")
 
-    even = m % 2 == 0
-    G = gauss_sum_closed(f, "extension")
+    g = _gauss_int(f)
     tb = f.trace(f.mul(beta, beta))
     if kind == "single":
-        if even:
-            return -G.as_int() * (q - 1) if tb == 0 else G.as_int()
-        if tb == 0:
-            return 0
-        GGb = (G * gauss_sum_closed(f, "base")).as_int()
-        return -_etabar(f, -tb) * GGb
+        if m % 2:
+            return -_etabar(f, -tb) * g
+        return -g * (q - 1) if tb == 0 else g
     if kind == "split":
-        if not even:
+        if m % 2:
             return 0
-        g2 = (G * G).as_int()
-        return -g2 * (q - 1) ** 2 if tb == 0 else g2 * (q - 1)
+        return -g * g * (q - 1) ** 2 if tb == 0 else g * g * (q - 1)
     # coupled
     ta = f.trace(f.mul(alpha, alpha))
-    if even:
-        g2 = (G * G).as_int()
-        if ta == 0 and tb == 0:
-            return -g2 * (q - 1) ** 2
-        if ta == 0 or tb == 0:
-            return g2 * (q - 1)
-        return -g2
+    if m % 2:
+        return -_etabar(f, ta * tb) * g * g
+    if ta == 0 and tb == 0:
+        return -g * g * (q - 1) ** 2
     if ta == 0 or tb == 0:
-        return 0
-    Gb = gauss_sum_closed(f, "base")
-    g2gb2 = (G * G * Gb * Gb).as_int()
-    return -_etabar(f, (ta * tb) % q) * g2gb2
+        return g * g * (q - 1)
+    return -g * g
 
 
 def _nested_char_sum_oracle(f: Field, kind: str, beta: int, lam: int, alpha: int | None,
@@ -354,50 +331,39 @@ def zero_trace_pair_count(field: Field, alpha: int, beta: int, lam: int, mode: s
         inner = zero_trace_pair_count(f, 0, alpha, lam, mode="closed")
         return CountResult(inner.value, "beta=0 (symmetric): " + inner.branch)
 
-    even = m % 2 == 0
-    G = gauss_sum_closed(f, "extension")
-    base = Fraction(q) ** (2 * m - 3)
-    qm3 = Fraction(q**m, q**3)
+    # every value is num / q^3, the q^(2m-3) term being q^(2m) / q^3
+    g = _gauss_int(f)
     tb = f.trace(f.mul(beta, beta))
-
     if alpha == 0:
-        if even:
-            g = G.as_int()
-            if tb == 0:
-                val = base + g * (q - 1) * qm3
-                branch = "alpha=0, m even, Tr(beta^2)=0"
-            else:
-                val = base + g * (2 * q - 1) * qm3 + Fraction(g * g * (q - 1), q * q)
-                branch = "alpha=0, m even, Tr(beta^2)!=0"
-        elif tb == 0:
-            val = base
-            branch = "alpha=0, m odd, Tr(beta^2)=0"
-        else:
+        if m % 2:
             # equals q^{2m-3} + q^{m-3} * (the single nested sum); enumeration fixes the sign
-            GGb = (G * gauss_sum_closed(f, "base")).as_int()
-            val = base - _etabar(f, -tb) * GGb * qm3
-            branch = "alpha=0, m odd, Tr(beta^2)!=0"
-        return CountResult(_as_int(val), branch)
+            num = q ** (2 * m) - q**m * _etabar(f, -tb) * g
+            if tb == 0:
+                branch = "alpha=0, m odd, Tr(beta^2)=0"
+            else:
+                branch = "alpha=0, m odd, Tr(beta^2)!=0"
+        elif tb == 0:
+            num = q ** (2 * m) + q**m * (q - 1) * g
+            branch = "alpha=0, m even, Tr(beta^2)=0"
+        else:
+            num = q ** (2 * m) + q**m * (2 * q - 1) * g + q * (q - 1) * g * g
+            branch = "alpha=0, m even, Tr(beta^2)!=0"
+        return CountResult(_exact(num, q**3), branch)
 
     ta = f.trace(f.mul(alpha, alpha))
-    if even:
-        g = G.as_int()
-        val = base + 2 * g * (q - 1) * qm3
-        if ta == 0 and tb == 0:
-            branch = "m even, Tr(alpha^2)=0, Tr(beta^2)=0"
-        elif ta != 0 and tb != 0:
-            val += Fraction(g * g * (q - 2), q * q)
-            branch = "m even, Tr(alpha^2)!=0, Tr(beta^2)!=0"
-        else:
-            val += Fraction(g * g * (q - 1), q * q)
-            branch = "m even, one of the traces zero"
-    else:
+    if m % 2:
+        num = q ** (2 * m) - _etabar(f, ta * tb) * g * g
         if ta == 0 or tb == 0:
-            val = base
             branch = "m odd, a trace vanishes"
         else:
-            Gb = gauss_sum_closed(f, "base")
-            g2gb2 = (G * G * Gb * Gb).as_int()
-            val = base - Fraction(_etabar(f, (ta * tb) % q) * g2gb2, q**3)
             branch = "m odd, Tr(alpha^2)!=0, Tr(beta^2)!=0"
-    return CountResult(_as_int(val), branch)
+    elif ta == 0 and tb == 0:
+        num = q ** (2 * m) + 2 * q**m * (q - 1) * g
+        branch = "m even, Tr(alpha^2)=0, Tr(beta^2)=0"
+    elif ta != 0 and tb != 0:
+        num = q ** (2 * m) + 2 * q**m * (q - 1) * g + q * (q - 2) * g * g
+        branch = "m even, Tr(alpha^2)!=0, Tr(beta^2)!=0"
+    else:
+        num = q ** (2 * m) + 2 * q**m * (q - 1) * g + q * (q - 1) * g * g
+        branch = "m even, one of the traces zero"
+    return CountResult(_exact(num, q**3), branch)

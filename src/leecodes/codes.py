@@ -42,7 +42,7 @@ from .errors import (
     NonIntegralValueError,
     UnsupportedParametersError,
 )
-from .gf import Field, _cyclic_convolve, make_field, quadratic_gauss_sum
+from .gf import Field, _cyclic_convolve, _exact, make_field, quadratic_gauss_sum
 
 if TYPE_CHECKING:
     # ring is imported where it is used, so no spectrum, CWE or minimality run loads it
@@ -306,17 +306,6 @@ def cwe_bruteforce(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET,
 # ----------------------------------------------------------------------
 # closed forms
 # ----------------------------------------------------------------------
-
-def _exact(num: int, den: int, exponent: bool = False) -> int:
-    """num / den for a closed value that must be an integer: a remainder raises
-    NonIntegralExponentError for an enumerator exponent, NonIntegralValueError
-    for a weight or a multiplicity."""
-    quot, rem = divmod(num, den)
-    if rem:
-        error = NonIntegralExponentError if exponent else NonIntegralValueError
-        raise error(f"closed value {num}/{den} is not integral")
-    return quot
-
 
 def _validate_closed_params(q: int, m: int) -> None:
     make_field(q, 1)  # raises for even/composite q

@@ -20,10 +20,11 @@ built lazily.  No CLI command and no library route reads them (RingVector
 adds base-q digits): they serve only as an independent route in the test
 oracles and the benchmark's set-up.
 
-The quadratic Gauss sum of F_{q^m} (GaussValue, exact) and the cyclic
-convolution of length-q histograms live here too: codes reads both for the
-closed forms and the count, and charsums imports them, so the Gauss-sum
-formula has one source and a count never loads charsums.
+The quadratic Gauss sum of F_{q^m} (GaussValue, exact), the exact division
+_exact that ends every closed form, and the cyclic convolution of length-q
+histograms live here too: codes reads them for the closed forms and the
+count, and charsums imports them, so the Gauss-sum formula has one source
+and a count never loads charsums.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .errors import (
     ContextMismatchError,
     DegreeError,
     EvenCharacteristicError,
+    NonIntegralExponentError,
     NonIntegralValueError,
     NonPrimeError,
     ZeroInverseError,
@@ -164,7 +166,6 @@ class Field:
         self.modulus = _smallest_irreducible(q, m)
 
         self._dense: dict[str, np.ndarray] = {}
-        self._prime_subfield: Field | None = None
         self._place = q ** np.arange(m, dtype=np.int64)  # element = coords @ _place
 
     # -- the polynomial product -----------------------------------------
@@ -230,11 +231,7 @@ class Field:
         return tuple(out)
 
     def prime_subfield(self) -> "Field":
-        if self.m == 1:
-            return self
-        if self._prime_subfield is None:
-            self._prime_subfield = make_field(self.q, 1)
-        return self._prime_subfield
+        return self if self.m == 1 else make_field(self.q, 1)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -434,7 +431,7 @@ def root_of_unity(q: int, k: int) -> complex:
 
 
 # ----------------------------------------------------------------------
-# the quadratic Gauss sum, and cyclic convolution of F_q-histograms
+# the quadratic Gauss sum, exact division, and cyclic convolution of F_q-histograms
 # ----------------------------------------------------------------------
 
 _I_POWERS = (1, 1j, -1, -1j)
@@ -481,6 +478,17 @@ class GaussValue(Record):
             raise NonIntegralValueError(f"{self} is not a rational integer")
         v = self.sign * self.q ** (self.half_exp // 2)
         return -v if self.i_power == 2 else v
+
+
+def _exact(num: int, den: int, exponent: bool = False) -> int:
+    """num / den for a closed value that must be an integer: a remainder raises
+    NonIntegralExponentError for an enumerator exponent, NonIntegralValueError
+    for a weight, a multiplicity or a count."""
+    quot, rem = divmod(num, den)
+    if rem:
+        error = NonIntegralExponentError if exponent else NonIntegralValueError
+        raise error(f"closed value {num}/{den} is not integral")
+    return quot
 
 
 def quadratic_gauss_sum(q: int, m: int) -> GaussValue:

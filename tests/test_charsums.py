@@ -1,6 +1,7 @@
 import cmath
 import random
 
+import numpy as np
 import pytest
 
 from leecodes import charsums as cs
@@ -13,6 +14,8 @@ from leecodes.errors import (
 from leecodes.gf import make_field, root_of_unity
 
 GAUSS_PAIRS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)]
+GAUSS_INT_PAIRS = [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 1), (5, 2), (5, 3), (7, 2), (7, 3),
+                   (11, 3), (13, 2), (13, 3)]
 IDENTITY_PAIRS = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3)]
 EXHAUSTIVE_PAIRS = [(3, 2), (3, 3)]
 SAMPLED_PAIRS = [(3, 4), (5, 2), (5, 3)]
@@ -70,6 +73,55 @@ def test_gauss_oracle_budget():
         cs.gauss_sum_oracle(make_field(3, 3), budget=10)
     with pytest.raises(BudgetExceededError):
         cs.gauss_sum(make_field(3, 3), mode="oracle", budget=10)
+
+
+def _gauss_histogram(f):
+    """h[k] = sum of eta(r) over Tr(r) = k, so that G = sum_k h[k] zeta_q^k."""
+    return (np.bincount(f.trace_sq_array, minlength=f.q)
+            - np.bincount(f.trace_array, minlength=f.q)).astype(np.int64)
+
+
+@pytest.mark.parametrize("q,m", GAUSS_INT_PAIRS)
+def test_gauss_int_matches_oracle_histogram(q, m):
+    # exact in Z[zeta_q]: a product of two sums is the cyclic convolution of their histograms
+    f = make_field(q, m)
+    hist = _gauss_histogram(f)
+    if m % 2:
+        hist = cs._cyclic_convolve(hist, _gauss_histogram(f.prime_subfield()))
+    assert cs._gauss_int(f) == cs.exact_int_from_histogram(q, hist)
+
+
+# each closed form at (3, 2) with its parameters after the field
+CLOSED_FORMS = [
+    (cs.square_trace_count, (0,)),
+    (cs.square_trace_char_sum, (0,)),
+    (cs.square_trace_pair_count, (0, 1)),
+    (cs.nested_char_sum, ("single", 1, 1)),
+    (cs.nested_char_sum, ("split", 1, 1)),
+    (cs.nested_char_sum, ("coupled", 1, 1, 1)),
+    (cs.zero_trace_pair_count, (0, 1, 1)),
+    (cs.zero_trace_pair_count, (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("fn,params", CLOSED_FORMS)
+def test_closed_forms_refuse_an_irrational_gauss_sum(monkeypatch, fn, params):
+    # sqrt(3) stands in for G_2 = 3
+    monkeypatch.setattr(cs, "gauss_sum_closed",
+                        lambda f, level="extension": cs.GaussValue(f.q, 1, 0, 1))
+    with pytest.raises(NonIntegralValueError):
+        fn(make_field(3, 2), *params)
+
+
+@pytest.mark.parametrize("fn,params", [(cs.square_trace_count, (0,)),
+                                       (cs.square_trace_pair_count, (0, 1)),
+                                       (cs.zero_trace_pair_count, (0, 1, 1)),
+                                       (cs.zero_trace_pair_count, (1, 1, 1))])
+def test_counts_refuse_a_numerator_that_does_not_divide(monkeypatch, fn, params):
+    # g = 1 in place of G_2 = 3 leaves q^m + (q - 1) g and its kin prime to q
+    monkeypatch.setattr(cs, "_gauss_int", lambda f: 1)
+    with pytest.raises(NonIntegralValueError):
+        fn(make_field(3, 2), *params)
 
 
 # -- quadratic polynomial sums --------------------------------------------

@@ -433,6 +433,13 @@ def test_minimality_loads_neither_ring_nor_charsums():
     assert not {"leecodes.ring", "leecodes.charsums", "dataclasses"} & loaded
 
 
+def test_verify_identities_loads_neither_fractions_nor_the_code_modules():
+    # the closed forms are Python-int expressions over one Gauss integer
+    loaded = _modules_loaded_by(_main_passes(["verify-identities", "--q", "3", "--m", "3"]))
+    assert {"leecodes.charsums", "leecodes.gf"} <= loaded
+    assert not {"fractions", "leecodes.codes", "leecodes.sss", "leecodes.ring"} & loaded
+
+
 def test_public_names_resolve_to_their_submodules():
     for name in leecodes.__all__:
         module = importlib.import_module(f"leecodes.{leecodes._EXPORTS[name]}")
