@@ -51,16 +51,6 @@ MIN_BUDGET = 10**6
 FORMATS = ("json", "csv", "human")
 
 
-def _env_default(name: str, fallback, cast):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        return fallback
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leecodes",
@@ -73,21 +63,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, required=True, help="extension degree")
         p.add_argument(
             "--budget", type=int,
-            default=_env_default("BUDGET", DEFAULT_OPS_BUDGET, int),
+            default=os.environ.get(ENV_PREFIX + "BUDGET", DEFAULT_OPS_BUDGET),
             help="cap on elementary enumeration steps (>= 10^6)",
         )
         p.add_argument(
             "--threads", type=int,
-            default=_env_default("THREADS", os.cpu_count() or 1, int),
+            default=os.environ.get(ENV_PREFIX + "THREADS", os.cpu_count() or 1),
             help="accepted for compatibility and echoed in params; ignored, since "
                  "enumeration runs in one thread",
         )
         p.add_argument(
             "--format", dest="output_format",
             choices=FORMATS,
-            default=_env_default("FORMAT", "json", str),
+            default=os.environ.get(ENV_PREFIX + "FORMAT", "json"),
         )
-        p.add_argument("--seed", type=int, default=_env_default("SEED", 0, int),
+        p.add_argument("--seed", type=int, default=os.environ.get(ENV_PREFIX + "SEED", 0),
                        help="seed for sampled parameter tuples")
         p.add_argument("--out", type=str, default=None, help="write output to this path (atomic)")
         p.add_argument("--timing", action="store_true", help="include wall times in the report")
@@ -112,7 +102,7 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         parser.error(f"--q must be an odd prime, got {args.q}")
     if args.m < 1:
         parser.error(f"--m must be >= 1, got {args.m}")
-    # minimality and check-all always read the closed Lee table, spectrum and cwe
+    # minimality and check-all always read the closed table, spectrum and cwe
     # unless --mode brute
     uses_closed = args.command in ("minimality", "check-all") or (
         args.command in ("spectrum", "cwe") and args.mode != "brute")

@@ -5,10 +5,11 @@ Tr(b^2) = 0; a message x = alpha + u*beta maps to the vector of ring traces
 (tr(x d))_{d in D}, whose Gray image has coordinates Tr(alpha a + beta b),
 Tr(alpha b + beta a) per defining-set member.
 
-Two independent routes to the Lee spectrum and the complete weight
-enumerator are provided: an exact count over all q^{2m} messages, and
-closed-form tables instantiated in exact integer arithmetic.  Any closed
-value that fails integrality or nonnegativity raises instead of rounding.
+Two independent routes to the complete weight enumerator are provided: an
+exact count over all q^{2m} messages, and one closed-form table instantiated
+in exact integer arithmetic.  On both routes the Lee spectrum is the CWE
+collapsed to the weight 2n - n_0 (CweSpectrum.to_lee).  Any closed value that
+fails integrality or nonnegativity raises instead of rounding.
 
 The count uses D = Z x Z less (0, 0), Z = {a : Tr(a^2) = 0}: each Gray half
 of alpha + u*beta has the symbol counts H[alpha] (*) H[beta] less the zero
@@ -313,66 +314,6 @@ def _validate_closed_params(q: int, m: int) -> None:
         raise UnsupportedParametersError("closed-form tables need m >= 2")
 
 
-def _closed_rows(q: int, m: int) -> list[tuple[int, int]]:
-    """(weight, multiplicity) rows for the nonzero-message classes."""
-    if m % 2:
-        A = q ** (2 * m - 3)
-        Y = q ** ((3 * m - 5) // 2)
-        Z = q ** (m - 2)
-        B = q ** (m - 1)
-        S = q ** ((m - 1) // 2)
-        sq = q ** (2 * m - 2)
-        # the +-Y weights carry the complementary multiplicities: the smaller
-        # weight is the larger class. Enumeration agrees, and so does the first
-        # power moment sum(wt) = 2n(q-1)q^(2m-1) (every Gray coordinate is a
-        # nonzero linear form of the message), which the opposite pairing breaks
-        return [
-            (2 * (q - 1) * A, (2 * q - 1) * sq - 2 * (q - 1) * B - 1),
-            (2 * (q - 1) * (A - Y), (q - 1) * (B + S)),
-            (2 * (q - 1) * (A + Y), (q - 1) * (B - S)),
-            (2 * (q - 1) * (A - Z), _exact((q - 1) ** 2 * (sq + B), 2)),
-            (2 * (q - 1) * (A + Z), _exact((q - 1) ** 2 * (sq - B), 2)),
-        ]
-    g = quadratic_gauss_sum(q, m).as_int()
-    # q times the table's A = q^(2m-3), g q^(m-3), q^(m-2), P3 - 1 and Q2f, which
-    # are integers over q at m = 2 (g = +-q^(m/2)): a weight is over q, a
-    # multiplicity, a product of two, over q^2
-    A, gm3, Zm2 = q ** (2 * m - 2), g * q ** (m - 2), q ** (m - 1)
-    P3 = q**m + (q - 1) * g - q
-    Q2f = q**m - g
-    w1 = 2 * (q - 1) * A + 2 * (q - 1) ** 2 * gm3
-    w2 = 2 * (q - 1) * A + 2 * (q - 1) * (2 * q - 1) * gm3 + 2 * (q - 1) ** 2 * Zm2
-    w3 = 2 * (q - 1) * A + 4 * (q - 1) ** 2 * gm3
-    rows = [
-        (w1, 2 * q * P3),
-        (w2, 2 * q * (q - 1) * Q2f),
-        (w3, P3**2),
-        (w3 + 2 * (q - 1) ** 2 * Zm2, 2 * (q - 1) * Q2f * P3),
-        (w3 + 2 * (q - 1) * (q - 2) * Zm2, ((q - 1) * Q2f) ** 2),
-    ]
-    return [(_exact(w, q), _exact(mult, q * q)) for w, mult in rows]
-
-
-def lee_spectrum_closed(q: int, m: int) -> LeeSpectrum:
-    """Closed-form Lee spectrum, exact and mass-checked.
-
-    Rows with zero multiplicity are dropped before validation; colliding
-    weights (possible at m=2) are merged.
-    """
-    _validate_closed_params(q, m)
-    acc: Counter = Counter()
-    acc[0] = 1
-    for weight, mult in _closed_rows(q, m):
-        if mult == 0:
-            continue
-        if mult < 0:
-            raise NonIntegralValueError(f"negative multiplicity {mult}")
-        if weight < 0:
-            raise NonIntegralValueError(f"negative weight {weight}")
-        acc[weight] += mult
-    return LeeSpectrum(dict(acc), q ** (2 * m))
-
-
 def _closed_cwe_terms(q: int, m: int) -> list[tuple[int, int, int]]:
     """(multiplicity, zero-symbol exponent, common nonzero-symbol exponent)."""
     if m % 2:
@@ -383,7 +324,7 @@ def _closed_cwe_terms(q: int, m: int) -> list[tuple[int, int, int]]:
         S = q ** ((m - 1) // 2)
         sq = q ** (2 * m - 2)
         P0 = (2 * q - 1) * sq - 2 * (q - 1) * B - 1
-        # large class on the weight-minimal term, mirroring _closed_rows: the
+        # of each +-Y and +-Z pair, the larger class has the smaller weight: the
         # pairing enumeration gives, and the one that keeps the per-symbol first
         # power moment sum(n_s) = 2n q^(2m-1) for every nonzero s
         return [
@@ -419,7 +360,7 @@ def _closed_cwe_terms(q: int, m: int) -> list[tuple[int, int, int]]:
 
 
 def gray_image_length(q: int, m: int) -> int:
-    """2n for the closed-form tables: the zero codeword's zero-symbol count."""
+    """2n for the closed-form table: the zero codeword's zero-symbol count."""
     _validate_closed_params(q, m)
     return _closed_cwe_terms(q, m)[0][1]
 
@@ -443,6 +384,12 @@ def cwe_closed(q: int, m: int) -> CweSpectrum:
             )
         acc[(n0,) + (ni,) * (q - 1)] += mult
     return CweSpectrum(dict(acc), q ** (2 * m), two_n)
+
+
+def lee_spectrum_closed(q: int, m: int) -> LeeSpectrum:
+    """Closed-form Lee spectrum: the closed CWE collapsed by CweSpectrum.to_lee,
+    as the count's Lee spectrum is the collapse of its CWE."""
+    return cwe_closed(q, m).to_lee()
 
 
 # ----------------------------------------------------------------------

@@ -170,8 +170,8 @@ def test_budget_exceeded_exit_code(capsys):
      "identity oracle scan needs ~1162261467 elementary steps, budget is 1000000000"),
 ], ids=["spectrum", "cwe", "minimality", "verify-identities", "check-all"])
 def test_refusal_past_the_reach_builds_no_field(argv, reason, monkeypatch, capsys):
-    # the prices read only q, m (and |D| from the closed tables), so the
-    # extension field, whose log/exp tables take seconds here, is never built
+    # the prices read only q, m (and |D| from the closed table), so a refusal
+    # comes before the q^m Q grid, and the extension field is never built
     from leecodes import gf
 
     field_init = gf.Field.__init__
@@ -375,6 +375,21 @@ def test_env_override_budget(monkeypatch, capsys):
     monkeypatch.setenv("LEECODES_BUDGET", "1000000")
     code, out = run(["spectrum", "--q", "31", "--m", "2", "--mode", "brute"], capsys)
     assert code == cli.EXIT_BUDGET
+
+
+@pytest.mark.parametrize("name,flag,value", [("BUDGET", "--budget", "1000000"),
+                                             ("SEED", "--seed", "1"),
+                                             ("THREADS", "--threads", "1")])
+def test_env_malformed_integer_is_usage_error(name, flag, value, monkeypatch, capsys):
+    monkeypatch.setenv("LEECODES_" + name, "abc")
+    argv = ["spectrum", "--q", "3", "--m", "2", "--mode", "closed"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    assert f"argument {flag}: invalid int value: 'abc'" in capsys.readouterr().err
+    # the flag, when given, stands in for the variable
+    code, _ = run(argv + [flag, value], capsys)
+    assert code == cli.EXIT_PASS
 
 
 # -- start-up: a one-shot process loads only what its command runs -----------

@@ -269,10 +269,10 @@ def test_closed_values_must_divide_exactly():
 
 
 def test_closed_forms_raise_on_a_non_integral_gauss_term(monkeypatch):
-    # with g = 1 in place of +-q^(m/2), g/q is not an integer: a multiplicity
-    # of the Lee table and an exponent of the CWE come out fractional
+    # with g = 1 in place of +-q^(m/2), g/q is not an integer: the CWE's first
+    # exponent comes out fractional, and the Lee spectrum, its collapse, with it
     monkeypatch.setattr(codes, "quadratic_gauss_sum", lambda q, m: GaussValue(q, 1, 0, 0))
-    with pytest.raises(NonIntegralValueError):
+    with pytest.raises(NonIntegralExponentError):
         codes.lee_spectrum_closed(3, 4)
     with pytest.raises(NonIntegralExponentError):
         codes.cwe_closed(3, 4)
@@ -302,8 +302,11 @@ def _second_power_moment(q, m, N, P):
             + (N * (N - 1) - P) * (q - 1) ** 2 * q ** (2 * m - 2))
 
 
-@pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 3), (5, 4),
-                                 (3, 8), (5, 7), (13, 6), (3, 21)])
+SECOND_MOMENT_POINTS = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 3), (5, 4),
+                        (3, 8), (5, 7), (13, 6), (3, 21)]
+
+
+@pytest.mark.parametrize("q,m", SECOND_MOMENT_POINTS)
 def test_closed_spectrum_second_power_moment(q, m):
     # Z is closed under F_q* scaling, so the form of a coordinate (a, b) has
     # q - 2 other multiples in its Gray half and q - 1, the multiples of (b, a),
@@ -329,6 +332,42 @@ def test_proportional_gray_coordinates_counted_over_d(q, m, defining_sets):
     assert P == N * (2 * q - 3)
     lee = codes.lee_spectrum_bruteforce(D)
     assert sum(w * w * c for w, c in lee.entries.items()) == _second_power_moment(q, m, N, P)
+
+
+def _symbol_pair_moment(q, m, N, s, t):
+    """sum(n_s n_t) over all q^(2m) messages of a Gray image with N coordinates,
+    each a nonzero linear form, where for each lambda in F_q* a coordinate has
+    one other coordinate lambda times it at lambda = 1 and two at lambda != 1
+    (P = N(2q - 3) ordered proportional pairs).  A coordinate is s on q^(2m-1)
+    messages; a pair lambda apart is (s, t) on q^(2m-1) if t = lambda s, else
+    on none; an independent pair on q^(2m-2) (MacWilliams-Sloane, Ch. 5)."""
+    P = N * (2 * q - 3)
+    independent = (N * (N - 1) - P) * q ** (2 * m - 2)
+    if s == t == 0:  # the coordinate itself and all P/N multiples of it
+        return (N + P) * q ** (2 * m - 1) + independent
+    if s == 0 or t == 0:  # no multiple of a coordinate that is 0 is nonzero
+        return independent
+    # lambda = t/s: the coordinate itself and its one partner at s = t, the
+    # two partners at s != t
+    return 2 * N * q ** (2 * m - 1) + independent
+
+
+def _check_symbol_pair_moments(cwe, q, m):
+    for s in range(q):
+        for t in range(q):
+            moment = sum(c * comp[s] * comp[t] for comp, c in cwe.entries.items())
+            assert moment == _symbol_pair_moment(q, m, cwe.gray_length, s, t), (s, t)
+
+
+@pytest.mark.parametrize("q,m", SECOND_MOMENT_POINTS + [(31, 12), (3, 41), (13, 20)])
+def test_closed_cwe_symbol_pair_moments(q, m):
+    # no enumeration, so it reaches any (q, m)
+    _check_symbol_pair_moments(codes.cwe_closed(q, m), q, m)
+
+
+@pytest.mark.parametrize("q,m", [(3, 3), (5, 3), (7, 2), (3, 4)])
+def test_counted_cwe_symbol_pair_moments(q, m, defining_sets):
+    _check_symbol_pair_moments(codes.cwe_bruteforce(defining_sets(q, m)), q, m)
 
 
 def test_five_weight_property_odd_degree():

@@ -99,7 +99,8 @@ def test_make_field_deterministic():
 
 
 def test_field_above_former_table_limit():
-    # 103^3 = 1 092 727 elements, above the 2^20 at which log/exp tables used to stop;
+    # 103^3 = 1 092 727 elements: the field builds nothing of size q^m until a
+    # table such as the Q grid is read, so a refusal must come before that;
     # sampled elements are checked against Fermat, inverses and the Frobenius trace
     f = Field(103, 3)
     n = f.order - 1
