@@ -16,8 +16,8 @@ _EXPORTS = {
         "charsums"),
     **dict.fromkeys(
         ("CweSpectrum", "DefiningSet", "GrayReport", "LeeSpectrum", "build_defining_set",
-         "codeword", "cwe_bruteforce", "cwe_closed", "defining_set_census", "gray_dimension",
-         "gray_image_length", "lee_spectrum_bruteforce", "lee_spectrum_closed"),
+         "codeword", "cwe_bruteforce", "cwe_closed", "gray_dimension", "gray_image_length",
+         "lee_spectrum_bruteforce", "lee_spectrum_closed"),
         "codes"),
     **dict.fromkeys(("Field", "GaussValue", "make_field", "root_of_unity"), "gf"),
     **dict.fromkeys(

@@ -19,8 +19,8 @@ codes.cwe_bruteforce for cwe, and the two share one cached count in codes.
 One table, RUNNERS, maps each command to its runner, and check-all runs them
 all in order.  Each runner takes args and a function that returns the one
 defining set of the main() call, built on first use, and returns (verdicts,
-results); a run refused by the budget reports a single SKIPPED verdict
-instead, and exits 3.
+results).  A route the budget refuses is one SKIPPED verdict carrying its
+price (_skipped), beside every result that ran, and the run exits 3.
 """
 
 from __future__ import annotations
@@ -134,9 +134,10 @@ def _identity_results(args: argparse.Namespace, defining_set) -> tuple[list[dict
     """
     from . import charsums, gf
 
-    # every oracle reads all q^m elements, so none runs past this; refuse
-    # before the field is built
-    check_budget(args.q**args.m, args.budget, "identity oracle scan")
+    try:  # every oracle reads all q^m elements: refuse before the field is built
+        check_budget(args.q**args.m, args.budget, "identity oracle scan")
+    except BudgetExceededError as exc:
+        return [_skipped("verify-identities", exc)], {}
     f = gf.make_field(args.q, args.m)
     rng = random.Random(args.seed)
     q, n = f.q, f.order
@@ -193,14 +194,15 @@ def _identity_results(args: argparse.Namespace, defining_set) -> tuple[list[dict
                                "closed": repr(c), "oracle": repr(o)}
                     break
         except BudgetExceededError as exc:
-            verdict = {"check": name, "status": "SKIPPED", "reason": str(exc)}
+            verdict = _skipped(name, exc)
         verdicts.append(verdict)
     return verdicts, {}
 
 
-def _count_results(args: argparse.Namespace, defining_set, route: str, closed_fn: str,
-                   count_fn: str) -> tuple[list[dict], dict]:
-    """Closed form vs count for one route; closed_fn and count_fn name codes functions."""
+def _count_results(args: argparse.Namespace, defining_set, command: str, route: str,
+                   closed_fn: str, count_fn: str) -> tuple[list[dict], dict]:
+    """Closed form vs count for one route; closed_fn and count_fn name codes functions,
+    and a refused count is the SKIPPED verdict of command."""
     from . import codes
 
     results: dict = {}
@@ -209,11 +211,12 @@ def _count_results(args: argparse.Namespace, defining_set, route: str, closed_fn
         closed = getattr(codes, closed_fn)(args.q, args.m)
         results["closed"] = closed.records()
     if args.mode != "closed":
-        # refuse past the reach from q and m alone, before the field is built
-        codes._check_scan_budget(args.q, args.m, args.budget)
-        codes._check_count_budget(args.q, args.m, args.budget, route)
-        D = defining_set()
-        brute = getattr(codes, count_fn)(D, budget=args.budget, threads=args.threads)
+        try:  # the count's one price reads q and m alone: refuse before the field is built
+            codes._check_count_budget(args.q, args.m, args.budget, route)
+            D = defining_set()
+            brute = getattr(codes, count_fn)(D, budget=args.budget, threads=args.threads)
+        except BudgetExceededError as exc:
+            return [_skipped(command, exc)], results
         results["brute"] = brute.records()
         if route == "lee":
             results["defining_set_size"] = len(D)
@@ -260,8 +263,13 @@ def _minimality_results(args: argparse.Namespace, defining_set) -> tuple[list[di
         results["gray_rank"] = codes.gray_rank(D)
     except BudgetExceededError as exc:
         results["exhaustive_scan"] = f"SKIPPED: {exc}"
-        verdicts.append({"check": "ab-soundness", "status": "SKIPPED", "reason": str(exc)})
+        verdicts.append(_skipped("ab-soundness", exc))
     return verdicts, results
+
+
+def _skipped(check: str, exc: BudgetExceededError) -> dict:
+    """The verdict of a check the budget refused: its reason is the refused price."""
+    return {"check": check, "status": "SKIPPED", "reason": str(exc)}
 
 
 def _defining_set_once(args: argparse.Namespace):
@@ -278,9 +286,9 @@ def _defining_set_once(args: argparse.Namespace):
 
 RUNNERS = {
     "verify-identities": _identity_results,
-    "spectrum": lambda args, D: _count_results(args, D, "lee", "lee_spectrum_closed",
-                                               "lee_spectrum_bruteforce"),
-    "cwe": lambda args, D: _count_results(args, D, "cwe", "cwe_closed", "cwe_bruteforce"),
+    "spectrum": lambda args, D: _count_results(args, D, "spectrum", "lee",
+                                               "lee_spectrum_closed", "lee_spectrum_bruteforce"),
+    "cwe": lambda args, D: _count_results(args, D, "cwe", "cwe", "cwe_closed", "cwe_bruteforce"),
     "minimality": _minimality_results,
 }
 
@@ -390,13 +398,9 @@ def main(argv: list[str] | None = None) -> int:
     runner = _check_all if args.command == "check-all" else RUNNERS[args.command]
     try:
         verdicts, results = runner(args, _defining_set_once(args))
-        timing = {"elapsed_ms": int((time.monotonic() - started) * 1000)} if args.timing else None
-    except BudgetExceededError as exc:
-        results = {}
-        verdicts = [{"check": args.command, "status": "SKIPPED", "reason": str(exc)}]
-        timing = None
     except LeecodesError as exc:
         parser.exit(EXIT_USAGE, f"error: {exc}\n")
+    timing = {"elapsed_ms": int((time.monotonic() - started) * 1000)} if args.timing else None
 
     payload = {
         "command": args.command,

@@ -231,12 +231,18 @@ _COUNT_TASKS = {"lee": "Lee spectrum enumeration", "cwe": "CWE enumeration"}
 _CHUNK = 1 << 16  # rows of H, or elements of Z, per chunk
 
 
-def _check_count_budget(q: int, m: int, budget: int, route: str) -> int:
-    """The count's price from q and m alone: the transform, m q^(m+2) steps,
-    and the check of H against its class rows, q^(m+1).  Returns it."""
-    cost = m * q ** (m + 2) + q ** (m + 1)
+def _check_count_budget(q: int, m: int, budget: int, route: str) -> None:
+    """The count's one price, from q and m alone, so a refusal comes before the
+    field is built.  Its terms: the transform, m q^(m+2) steps; the check of H
+    against its class rows, q^(m+1); the table of Q = Tr(x^2), m q^m; the table W,
+    m^2 |Z|; and one length-q convolution per pair of the q + 1 class rows,
+    ((q + 1) q)^2.  |Z| = (q^m + sum over c in F_q* of eta(c) g) / q, g the
+    quadratic Gauss sum of F_{q^m} and eta its quadratic character, which is 1
+    on F_q* at even m and sums to 0 there at odd m."""
+    g = quadratic_gauss_sum(q, m).as_int() if m % 2 == 0 else 0
+    zeros = (q**m + (q - 1) * g) // q
+    cost = m * q ** (m + 2) + q ** (m + 1) + m * q**m + m * m * zeros + ((q + 1) * q) ** 2
     check_budget(cost, budget, _COUNT_TASKS[route])
-    return cost
 
 
 def _class_rows(D: DefiningSet) -> tuple[np.ndarray, np.ndarray]:
@@ -261,11 +267,8 @@ def _class_rows(D: DefiningSet) -> tuple[np.ndarray, np.ndarray]:
 
 def _compositions(D: DefiningSet, budget: int, route: str) -> Counter:
     """Multiset over all messages of 2 (H[alpha] (*) H[beta]) - 2 e_0 (module docstring)."""
-    q, m = D.field.q, D.field.m
-    cost = _check_count_budget(q, m, budget, route)
-    # and Q, m q^m; W, m^2 |Z|; one length-q convolution per pair of the q + 1 class rows
-    check_budget(cost + m * q**m + m * m * D.zeros.size + ((q + 1) * q) ** 2, budget,
-                 _COUNT_TASKS[route])
+    q = D.field.q
+    _check_count_budget(q, D.field.m, budget, route)
     rows, mult = _class_rows(D)
     rows = rows.astype(np.int64)  # a product of two counts can pass 2^31
     comps = 2 * _cyclic_convolve(rows[:, None], rows[None, :]).reshape(-1, q)
@@ -479,18 +482,3 @@ def gray_dimension(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET) -> GrayRepo
     """Measured rank of the Gray image plus its minimum nonzero Lee weight."""
     spec = lee_spectrum_bruteforce(D, budget=budget)
     return GrayReport(gray_rank(D), spec.min_nonzero(), 2 * len(D), D.field.m)
-
-
-def defining_set_census(field: Field) -> dict[str, int]:
-    """Sizes of the two readings of the ambient set: all nonzero pairs with
-    vanishing squared traces vs only the units among them."""
-    tsq = field.trace_sq_array
-    zeros = [int(x) for x in np.nonzero(tsq == 0)[0]]
-    zset = set(zeros)
-    z = len(zeros)
-    units = 0
-    for a in zeros:
-        na = field.neg(a)
-        excluded = len({na, a} & zset)
-        units += z - excluded
-    return {"nonzero_count": z * z - 1, "unit_count": units}

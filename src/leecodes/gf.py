@@ -301,10 +301,6 @@ class Field:
             return 0
         return 1 if self._pow_raw(x, (self.order - 1) // 2) == 1 else -1
 
-    def add_char_index(self, a: int, x: int) -> int:
-        """Index k in [0, q) with chi_a(x) = zeta_q^k, i.e. k = Tr(a*x)."""
-        return self.trace(self.mul(a, x))
-
     # -- per-element tables, and the dense q^m x q^m tables ---------------
 
     def _dense_guard(self) -> None:

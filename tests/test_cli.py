@@ -104,6 +104,11 @@ def test_identity_fail_reports_the_first_counterexample(fname, failing, q, m, co
     assert last["counterexample"] == counterexample
 
 
+IDENTITY_CHECKS = ["gauss-sum", "quadratic-sum", "square-trace-count", "single-character-sum",
+                   "pair-trace-count", "nested-sum-single", "nested-sum-split",
+                   "nested-sum-coupled", "zero-trace-pair-count"]
+
+
 def test_identity_budget_skips_only_the_nested_pair_sums():
     # at (3,5) the two-sided nested oracles cost 2 (q^m + (q-1)^2 q^2) + (q-1) q^2
     # = 576 steps, the dearest other oracle 2 q^m + q^2 = 495; the runner is
@@ -156,11 +161,18 @@ def test_budget_exceeded_exit_code(capsys):
     assert payload["verdicts"][0]["status"] == "SKIPPED"
 
 
+# the count's one price: m q^(m+2) + q^(m+1) + m q^m + m^2 |Z| + ((q + 1) q)^2
 @pytest.mark.parametrize("argv,reason", [
+    # |Z| = (5^10 - 4 * 5^5) / 5 = 1950625:
+    # 2441406250 + 48828125 + 97656250 + 195062500 + 900
     (["spectrum", "--q", "5", "--m", "10", "--mode", "both"],
-     "Lee spectrum enumeration needs ~2490234375 elementary steps, budget is 1000000000"),
+     "Lee spectrum enumeration needs ~2782954025 elementary steps, budget is 1000000000"),
+    # |Z| = 3^14: 1937102445 + 43046721 + 215233605 + 1076168025 + 144
     (["cwe", "--q", "3", "--m", "15", "--mode", "both"],
-     "CWE enumeration needs ~1980149166 elementary steps, budget is 1000000000"),
+     "CWE enumeration needs ~3271550940 elementary steps, budget is 1000000000"),
+    # |Z| = 3^8: 1594323 + 59049 + 177147 + 531441 + 144
+    (["spectrum", "--q", "3", "--m", "9", "--budget", "2000000"],
+     "Lee spectrum enumeration needs ~2362104 elementary steps, budget is 2000000"),
     (["minimality", "--q", "5", "--m", "11"],
      "minimality rank test (class bound) needs ~3255665050 elementary steps, "
      "budget is 1000000000"),
@@ -168,7 +180,8 @@ def test_budget_exceeded_exit_code(capsys):
      "identity oracle scan needs ~1162261467 elementary steps, budget is 1000000000"),
     (["check-all", "--q", "3", "--m", "19"],
      "identity oracle scan needs ~1162261467 elementary steps, budget is 1000000000"),
-], ids=["spectrum", "cwe", "minimality", "verify-identities", "check-all"])
+], ids=["spectrum", "cwe", "spectrum-small-budget", "minimality", "verify-identities",
+        "check-all"])
 def test_refusal_past_the_reach_builds_no_field(argv, reason, monkeypatch, capsys):
     # the prices read only q, m (and |D| from the closed table), so a refusal
     # comes before the q^m Q grid, and the extension field is never built
@@ -185,6 +198,18 @@ def test_refusal_past_the_reach_builds_no_field(argv, reason, monkeypatch, capsy
     code, out = run(argv, capsys)
     assert code == cli.EXIT_BUDGET
     assert json.loads(out)["verdicts"][0]["reason"] == reason
+
+
+@pytest.mark.parametrize("command", ["spectrum", "cwe"])
+def test_refused_count_keeps_the_closed_table(command, capsys):
+    argv = [command, "--q", "3", "--m", "15"]
+    code, out = run(argv + ["--mode", "both"], capsys)
+    assert code == cli.EXIT_BUDGET
+    payload = json.loads(out)
+    assert [v["status"] for v in payload["verdicts"]] == ["SKIPPED"]
+    code, closed = run(argv + ["--mode", "closed"], capsys)
+    assert code == cli.EXIT_PASS
+    assert payload["results"] == {"closed": json.loads(closed)["results"]["closed"]}
 
 
 @pytest.mark.parametrize("argv", [
@@ -303,6 +328,30 @@ def test_check_all(capsys):
     statuses = {v["status"] for v in payload["verdicts"]}
     assert statuses == {"PASS"}
     assert "spectrum" in payload["results"]
+
+
+def test_check_all_refusal_keeps_every_runner(capsys):
+    # at (3,9) the count is priced at 2362104 steps and the rank test at 3437964, above
+    # the budget; the identity oracles fit in it
+    code, out = run(["check-all", "--q", "3", "--m", "9", "--budget", "1000000"], capsys)
+    assert code == cli.EXIT_BUDGET
+    payload = json.loads(out)
+    statuses = [(v["check"], v["status"]) for v in payload["verdicts"]]
+    assert statuses[:9] == [(name, "PASS") for name in IDENTITY_CHECKS]
+    assert statuses[9:] == [("spectrum", "SKIPPED"), ("cwe", "SKIPPED"),
+                            ("ab-soundness", "SKIPPED")]
+    results = payload["results"]
+    assert {key: set(results[key]) for key in results} == {
+        "spectrum": {"closed"}, "cwe": {"closed"},
+        "minimality": {"w_min", "w_max", "ab_ratio", "ab_threshold", "ab_holds",
+                       "module_generators", "exhaustive_scan"}}
+    assert results["minimality"]["ab_holds"] is True
+
+
+def test_timing_is_reported_on_a_refused_run(capsys):
+    code, out = run(["spectrum", "--q", "3", "--m", "15", "--timing"], capsys)
+    assert code == cli.EXIT_BUDGET
+    assert json.loads(out)["timing"]["elapsed_ms"] >= 0
 
 
 def test_check_all_builds_one_defining_set_and_counts_once(monkeypatch, capsys):

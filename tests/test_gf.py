@@ -294,11 +294,11 @@ def test_gauss_oracle_histogram_is_euler_sum(q, m, monkeypatch):
     assert seen == [expected]
 
 
-# -- additive characters -------------------------------------------------
+# -- additive characters chi_a(x) = zeta_q^Tr(a x) -----------------------
 
 def test_trivial_character():
     f = make_field(3, 3)
-    assert all(f.add_char_index(0, x) == 0 for x in range(f.order))
+    assert all(f.trace(f.mul(0, x)) == 0 for x in range(f.order))
 
 
 @pytest.mark.parametrize("q,m", SMALL_FIELDS)
@@ -322,8 +322,8 @@ def test_character_is_additive():
     for _ in range(300):
         a, x, y = (rng.randrange(f.order) for _ in range(3))
         assert (
-            f.add_char_index(a, f.add(x, y))
-            == (f.add_char_index(a, x) + f.add_char_index(a, y)) % f.q
+            f.trace(f.mul(a, f.add(x, y)))
+            == (f.trace(f.mul(a, x)) + f.trace(f.mul(a, y))) % f.q
         )
 
 
