@@ -131,6 +131,7 @@ def _identity_results(args: argparse.Namespace, defining_set) -> tuple[list[dict
     One row per check: (name, charsums function, parameter tuples).  A row's
     function is called as fn(f, *params) and fn(f, *params, mode="oracle",
     budget=...); the tuples are every one at q^m <= 27 and seeded samples above.
+    A row's oracle calls share --budget: each gets budget // len(tuples).
     """
     from . import charsums, gf
 
@@ -184,7 +185,7 @@ def _identity_results(args: argparse.Namespace, defining_set) -> tuple[list[dict
         try:
             for params in cases:
                 c = plain(fn(f, *params))
-                o = plain(fn(f, *params, mode="oracle", budget=args.budget))
+                o = plain(fn(f, *params, mode="oracle", budget=args.budget // len(cases)))
                 if isinstance(c, complex) or isinstance(o, complex):
                     ok = abs(c - o) <= 1e-6 * max(1.0, abs(o))
                 else:
@@ -194,7 +195,8 @@ def _identity_results(args: argparse.Namespace, defining_set) -> tuple[list[dict
                                "closed": repr(c), "oracle": repr(o)}
                     break
         except BudgetExceededError as exc:
-            verdict = _skipped(name, exc)
+            verdict = _skipped(name, f"{exc}; the row's {len(cases)} calls share "
+                                     f"--budget {args.budget}")
         verdicts.append(verdict)
     return verdicts, {}
 
@@ -267,7 +269,7 @@ def _minimality_results(args: argparse.Namespace, defining_set) -> tuple[list[di
     return verdicts, results
 
 
-def _skipped(check: str, exc: BudgetExceededError) -> dict:
+def _skipped(check: str, exc: BudgetExceededError | str) -> dict:
     """The verdict of a check the budget refused: its reason is the refused price."""
     return {"check": check, "status": "SKIPPED", "reason": str(exc)}
 
@@ -310,59 +312,55 @@ def _render_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _cell(value) -> str:
+    """A leaf as text: a string as is, a list's items space-separated, else as in JSON."""
+    if isinstance(value, list):
+        return " ".join(map(_cell, value))
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _tables(payload: dict) -> list[list[list[str]]]:
+    """Every leaf of the payload in tables of rows, each table headed by its columns.
+
+    A list of records (a result table, the verdicts) adds its rows to the table of
+    its columns; every other leaf is a row of the last table, (kind, value).  A
+    row's kind is its path, results' paths without the "results." prefix."""
+    tables: dict[tuple, list] = {}
+    scalars = [["kind", "value"]]
+
+    def walk(node, path: str) -> None:
+        if isinstance(node, dict) and node:
+            for key, value in node.items():
+                walk(value, f"{path}.{key}".lstrip(".").removeprefix("results."))
+        elif isinstance(node, list) and node and isinstance(node[0], dict):
+            columns = list(dict.fromkeys(key for record in node for key in record))
+            tables.setdefault(tuple(columns), [["kind", *columns]]).extend(
+                [path, *(_cell(record.get(c, "")) for c in columns)] for record in node)
+        else:
+            scalars.append([path, _cell(node)])
+    walk(payload, "")
+    return [*tables.values(), scalars]
+
+
 def _render_csv(payload: dict) -> str:
     import csv  # only a csv report loads it
 
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    results = payload["results"]
-    wrote = False
-    for key in ("closed", "brute"):
-        table = results.get(key)
-        if not isinstance(table, list):
-            continue
-        for rec in table:
-            if "weight" in rec:
-                if not wrote:
-                    writer.writerow(["kind", "weight", "multiplicity"])
-                    wrote = True
-                writer.writerow([key, rec["weight"], rec["multiplicity"]])
-            else:
-                if not wrote:
-                    writer.writerow(["kind", "composition", "multiplicity"])
-                    wrote = True
-                writer.writerow([key, " ".join(map(str, rec["composition"])), rec["multiplicity"]])
-    if not wrote:
-        writer.writerow(["check", "status"])
-        for v in payload["verdicts"]:
-            writer.writerow([v.get("check"), v.get("status")])
+    csv.writer(buf).writerows(row for table in _tables(payload) for row in table)
     return buf.getvalue()
 
 
 def _render_human(payload: dict) -> str:
-    lines = [f"command: {payload['command']}  params: {payload['params']}"]
-    results = payload["results"]
-    for key in ("closed", "brute"):
-        table = results.get(key)
-        if not isinstance(table, list):
-            continue
-        lines.append(f"-- {key} --")
-        if table and "weight" in table[0]:
-            lines.append(f"{'weight':>10}  {'multiplicity':>14}")
-            for rec in table:
-                lines.append(f"{rec['weight']:>10}  {rec['multiplicity']:>14}")
-        else:
-            for rec in table:
-                comp = ",".join(map(str, rec["composition"]))
-                lines.append(f"  ({comp}) x {rec['multiplicity']}")
-    for key, val in results.items():
-        if key in ("closed", "brute"):
-            continue
-        lines.append(f"{key}: {val}")
-    for v in payload["verdicts"]:
-        extra = "" if v.get("status") == "PASS" else f"  {v}"
-        lines.append(f"[{v.get('status')}] {v.get('check')}{extra}")
-    return "\n".join(lines) + "\n"
+    lines = []
+    for table in _tables(payload):
+        if "status" in table[0]:  # a verdict's status reads [PASS]
+            i = table[0].index("status")
+            for row in table[1:]:
+                row[i] = f"[{row[i]}]"
+        widths = [max(map(len, column)) for column in zip(*table)]
+        lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in table]
+        lines.append("")
+    return "\n".join(lines)
 
 
 def _write_output(text: str, out: str | None) -> None:

@@ -1,11 +1,13 @@
 import argparse
 import gc
 import importlib
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -109,20 +111,40 @@ IDENTITY_CHECKS = ["gauss-sum", "quadratic-sum", "square-trace-count", "single-c
                    "nested-sum-coupled", "zero-trace-pair-count"]
 
 
-def test_identity_budget_skips_only_the_nested_pair_sums():
-    # at (3,5) the two-sided nested oracles cost 2 (q^m + (q-1)^2 q^2) + (q-1) q^2
-    # = 576 steps, the dearest other oracle 2 q^m + q^2 = 495; the runner is
-    # called directly, since the CLI takes no budget below 10^6
-    args = argparse.Namespace(q=3, m=5, budget=500, seed=0)
-    verdicts, results = cli._identity_results(args, None)
-    assert results == {}
-    skipped = {"nested-sum-split", "nested-sum-coupled"}
-    assert len(verdicts) == 9
-    for v in verdicts:
-        assert v["status"] == ("SKIPPED" if v["check"] in skipped else "PASS")
-        if v["status"] == "SKIPPED":
-            kind = v["check"].removeprefix("nested-sum-")
-            assert v["reason"] == f"{kind}-sum oracle needs ~576 elementary steps, budget is 500"
+def test_identity_budget_prices_each_row_as_a_whole():
+    # a row's oracle calls share the budget, budget // calls each.  At (3,5) a row
+    # samples 100 nested tuples and 120 pair-count tuples; a two-sided nested oracle
+    # costs 2 (q^m + (q-1)^2 q^2) + (q-1) q^2 = 576 steps, so its row 57600, and the
+    # zero-trace pair-count oracle 2 q^m + q^2 = 495, so its row 59400; every other
+    # row costs at most 27900 (100 one-sided nested calls of 279).  The runner is
+    # called directly, since the CLI takes no budget below 10^6.
+    for budget, skipped in [(57599, {"nested-sum-split": 576, "nested-sum-coupled": 576,
+                                     "zero-trace-pair-count": 495}),
+                            (57600, {"zero-trace-pair-count": 495}),
+                            (59400, {})]:
+        args = argparse.Namespace(q=3, m=5, budget=budget, seed=0)
+        verdicts, results = cli._identity_results(args, None)
+        assert results == {}
+        assert [v["check"] for v in verdicts] == IDENTITY_CHECKS
+        for v in verdicts:
+            assert v["status"] == ("SKIPPED" if v["check"] in skipped else "PASS")
+            if v["status"] == "SKIPPED":
+                calls = 120 if v["check"] == "zero-trace-pair-count" else 100
+                what = ("zero-trace pair-count" if calls == 120
+                        else v["check"].removeprefix("nested-sum-") + "-sum")
+                assert v["reason"] == (
+                    f"{what} oracle needs ~{skipped[v['check']]} elementary steps, budget is "
+                    f"{budget // calls}; the row's {calls} calls share --budget {budget}")
+
+
+def test_identity_rows_share_the_cli_budget(capsys):
+    # at (3,8) a nested pair-sum call costs 13212 steps and a zero-trace pair-count
+    # call 13131: 100 and 120 of them exceed 10^6, though each call alone fits
+    code, out = run(["verify-identities", "--q", "3", "--m", "8", "--budget", "1000000"], capsys)
+    assert code == cli.EXIT_BUDGET
+    skipped = {"nested-sum-split", "nested-sum-coupled", "zero-trace-pair-count"}
+    assert [(v["check"], v["status"]) for v in json.loads(out)["verdicts"]] == [
+        (name, "SKIPPED" if name in skipped else "PASS") for name in IDENTITY_CHECKS]
 
 
 def test_spectrum_both_match(capsys):
@@ -332,12 +354,17 @@ def test_check_all(capsys):
 
 def test_check_all_refusal_keeps_every_runner(capsys):
     # at (3,9) the count is priced at 2362104 steps and the rank test at 3437964, above
-    # the budget; the identity oracles fit in it
+    # the budget; so are the rows of 100 nested sums (19719 steps a one-sided call,
+    # 39456 a two-sided) and of 120 zero-trace pair counts (39375 a call), and the other
+    # identity rows fit in it
     code, out = run(["check-all", "--q", "3", "--m", "9", "--budget", "1000000"], capsys)
     assert code == cli.EXIT_BUDGET
     payload = json.loads(out)
     statuses = [(v["check"], v["status"]) for v in payload["verdicts"]]
-    assert statuses[:9] == [(name, "PASS") for name in IDENTITY_CHECKS]
+    refused = {"nested-sum-single", "nested-sum-split", "nested-sum-coupled",
+               "zero-trace-pair-count"}
+    assert statuses[:9] == [(name, "SKIPPED" if name in refused else "PASS")
+                            for name in IDENTITY_CHECKS]
     assert statuses[9:] == [("spectrum", "SKIPPED"), ("cwe", "SKIPPED"),
                             ("ab-soundness", "SKIPPED")]
     results = payload["results"]
@@ -381,6 +408,53 @@ def test_human_format(capsys):
     code, out = run(["spectrum", "--q", "3", "--m", "2", "--format", "human"], capsys)
     assert code == cli.EXIT_PASS
     assert "weight" in out and "[PASS]" in out
+
+
+def _leaves(node, name=None, in_list=False):
+    """(name, text) of each leaf of a JSON value: name is the innermost key outside any
+    list, text the leaf as a report writes it (a string as is, else as in JSON)."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, name if in_list else key, in_list)
+    elif isinstance(node, list):
+        for item in node:
+            yield from _leaves(item, name, True)
+    else:
+        yield name, node if isinstance(node, str) else json.dumps(node)
+
+
+REPORTS = {
+    **{command: [command, "--q", "3", "--m", "3"]
+       for command in ["verify-identities", "spectrum", "cwe", "minimality", "check-all"]},
+    "refused": ["spectrum", "--q", "3", "--m", "15", "--mode", "both"],
+    "fail": ["verify-identities", "--q", "3", "--m", "2"],
+    "timing": ["check-all", "--q", "3", "--m", "3", "--timing"],
+}
+
+
+@pytest.mark.parametrize("output_format", ["csv", "human"])
+@pytest.mark.parametrize("report", list(REPORTS))
+def test_report_shows_every_leaf_of_the_payload(report, output_format, monkeypatch, capsys):
+    # every result, verdict field and timing of the JSON payload is on some line of the
+    # csv or human report, beside its key or the path of its table
+    from leecodes import charsums
+
+    if report == "fail":
+        monkeypatch.setattr(charsums, "square_trace_count",
+                            _closed_off_by_one(charsums.square_trace_count))
+    ticks = itertools.cycle([0.0, 5.0])  # each run takes 5000 ms
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    argv = REPORTS[report]
+    code, out = run(argv, capsys)
+    leaves = set(_leaves(json.loads(out)))
+    if report in ("fail", "timing"):  # the payload has the leaf the report must show
+        assert {"fail": ("verdicts", "FAIL"), "timing": ("elapsed_ms", "5000")}[report] in leaves
+    fmt_code, text = run(argv + ["--format", output_format], capsys)
+    assert fmt_code == code
+    lines = text.splitlines()
+    missing = [leaf for leaf in leaves
+               if not any(leaf[0] in line and leaf[1] in line for line in lines)]
+    assert missing == []
 
 
 def test_out_file_atomic(tmp_path, capsys):
