@@ -7,18 +7,20 @@ histogram h represents sum_k h[k] * zeta_q^k, which is a rational integer
 iff h[1] = ... = h[q-1], in which case the value is h[0] - h[1].  Only the
 genuinely irrational Gauss sums are compared through a complex embedding.
 
-The closed forms are Python-int expressions in q-powers, eta values and one
-rational integer, the Gauss integer g = _gauss_int(field): G_m at even m and
-G_m * G_1 at odd m (Lidl-Niederreiter, Finite Fields, Thm 5.15), so each count
-ends in one exact division _exact(num, den).  Odd-degree cases that differ
-only by a term carrying eta(0) = 0 share one expression: the s = 0 counts and
-sums, the four pair-count cases, the Tr = 0 cases of the nested sums and of
-the zero-trace pair count.
+Every closed count and nested sum is read off one character sum,
+S(s) = sum over x in F_q*, a in F_{q^m} of zeta_q^{x(Tr(a^2) - s)}, whose only
+closed expression is _S (Lidl-Niederreiter, Finite Fields, Sec. 5.2): eta(-s) g
+at odd m, (q - 1) g at even m and s = 0, -g otherwise, where g = _gauss_int(field)
+is the rational integer G_m at even m and G_m * G_1 at odd m (Thm 5.15).  By the
+orthogonality of additive characters q #{a : Tr(a^2) = s} = q^m + S(s); completing
+the square gives sum over x in F_q*, a of zeta_q^{x Tr(a^2) + z Tr(c a)} = S(Tr(c^2))
+for c, z != 0, from which the nested sums and the zero-trace pair count follow (see
+their docstrings).  Each count ends in one exact division _exact(num, den).
 
-Sign conventions: every branch below is the one its exhaustive oracle
-confirms on all in-budget parameter sets.  GaussValue, quadratic_gauss_sum,
-_exact and _cyclic_convolve are defined in gf and imported here, so the count
-and the code's closed forms read them without loading this module.
+Sign conventions: S's three cases are the ones the exhaustive oracles confirm
+on all in-budget parameter sets.  GaussValue, quadratic_gauss_sum, _exact and
+_cyclic_convolve are defined in gf and imported here, so the count and the
+code's closed forms read them without loading this module.
 """
 
 from __future__ import annotations
@@ -58,9 +60,10 @@ def exact_int_from_histogram(q: int, hist) -> int:
     return hist[0] - tail[0]
 
 
-def _etabar(field: Field, s: int) -> int:
-    """Quadratic character of the prime subfield at the residue s."""
-    return field.prime_subfield().quad_char(s % field.q)
+def _etabar(q: int, s: int) -> int:
+    """Quadratic character of F_q at the residue s, by Euler's criterion."""
+    e = pow(s % q, (q - 1) // 2, q)
+    return -1 if e == q - 1 else e
 
 
 # ----------------------------------------------------------------------
@@ -130,8 +133,21 @@ def quadratic_sum(field: Field, b2: int, b1: int, b0: int, mode: str = "closed",
 
 
 # ----------------------------------------------------------------------
-# single-variable counts
+# the closed character sum S, and the counts read off it
 # ----------------------------------------------------------------------
+
+def _S(f: Field, s: int, g: int) -> int:
+    """S(s) from the Gauss integer g = _gauss_int(f): the one closed character sum."""
+    if f.m % 2:
+        return _etabar(f.q, -s) * g
+    return (f.q - 1) * g if s % f.q == 0 else -g
+
+
+def _branch(m: int, *named: tuple[str, int]) -> str:
+    """A closed value's case: which of the named residues are 0, and the parity of m."""
+    return ", ".join([f"{name}{'=' if v == 0 else '!='}0" for name, v in named]
+                     + ["m odd" if m % 2 else "m even"])
+
 
 def square_trace_count(field: Field, s: int, mode: str = "closed",
                        budget: int = DEFAULT_OPS_BUDGET) -> CountResult:
@@ -144,24 +160,14 @@ def square_trace_count(field: Field, s: int, mode: str = "closed",
         return CountResult(int(np.count_nonzero(f.trace_sq_array == s)), "enumeration")
     if mode != "closed":
         raise ValueError("mode must be 'closed' or 'oracle'")
-    g = _gauss_int(f)
-    if m % 2:
-        num = q**m + _etabar(f, -s) * g
-        branch = "s=0, m odd" if s == 0 else "s!=0, m odd"
-    elif s == 0:
-        num = q**m + (q - 1) * g
-        branch = "s=0, m even"
-    else:
-        num = q**m - g
-        branch = "s!=0, m even"
-    return CountResult(_exact(num, q), branch)
+    return CountResult(_exact(q**m + _S(f, s, _gauss_int(f)), q), _branch(m, ("s", s)))
 
 
 def square_trace_char_sum(field: Field, s: int, mode: str = "closed",
                           budget: int = DEFAULT_OPS_BUDGET) -> int:
-    """sum over x in F_q*, a in F_{q^m} of zeta_q^{x(Tr(a^2) - s)} (an integer)."""
+    """S(s) = sum over x in F_q*, a in F_{q^m} of zeta_q^{x(Tr(a^2) - s)} (an integer)."""
     f = field
-    q, m = f.q, f.m
+    q = f.q
     s %= q
     if mode == "oracle":
         check_budget(f.order * (q - 1), budget, "single-sum oracle")
@@ -173,12 +179,7 @@ def square_trace_char_sum(field: Field, s: int, mode: str = "closed",
         return exact_int_from_histogram(q, hist)
     if mode != "closed":
         raise ValueError("mode must be 'closed' or 'oracle'")
-    g = _gauss_int(f)
-    if m % 2:
-        return _etabar(f, -s) * g
-    if s == 0:
-        return (q - 1) * g
-    return -g
+    return _S(f, s, _gauss_int(f))
 
 
 def square_trace_pair_count(field: Field, s: int, t: int, mode: str = "closed",
@@ -197,27 +198,8 @@ def square_trace_pair_count(field: Field, s: int, t: int, mode: str = "closed",
     if mode != "closed":
         raise ValueError("mode must be 'closed' or 'oracle'")
     g = _gauss_int(f)
-    if m % 2:
-        num = (q ** (2 * m) + q**m * (_etabar(f, -s) + _etabar(f, -t)) * g
-               + _etabar(f, s * t) * g * g)
-        if s == 0 and t == 0:
-            branch = "s=0, t=0, m odd"
-        elif t == 0:
-            branch = "s!=0, t=0, m odd"
-        elif s == 0:
-            branch = "s=0, t!=0, m odd"
-        else:
-            branch = "s!=0, t!=0, m odd"
-    elif s == 0 and t == 0:
-        num = (q**m + (q - 1) * g) ** 2
-        branch = "s=0, t=0, m even"
-    elif s != 0 and t != 0:
-        num = (q**m - g) ** 2
-        branch = "s!=0, t!=0, m even"
-    else:
-        num = q ** (2 * m) + q**m * (q - 2) * g - (q - 1) * g * g
-        branch = "one of s,t zero, m even"
-    return CountResult(_exact(num, q * q), branch)
+    num = (q**m + _S(f, s, g)) * (q**m + _S(f, t, g))
+    return CountResult(_exact(num, q * q), _branch(m, ("s", s), ("t", t)))
 
 
 # ----------------------------------------------------------------------
@@ -231,9 +213,14 @@ def nested_char_sum(field: Field, kind: str, beta: int, lam: int, alpha: int | N
     kind "single": sum_a sum_{x,z != 0} zeta^{x Tr(a^2) + z Tr(beta a) - z lam}
     kind "split": as "single" with an extra independent sum over b and y of zeta^{y Tr(b^2)}
     kind "coupled": as "split" but the z term couples both: zeta^{z Tr(alpha b + beta a) - z lam}
+
+    Completing the square, the sum over x != 0 and a of zeta^{x Tr(a^2) + z Tr(beta a)}
+    is S(Tr(beta^2)) for every z != 0, and the z-sum of zeta^{-z lam} is -1, so
+    single = -S(Tr(beta^2)), split = single * S(0) (the b, y factor) and
+    coupled = -S(Tr(alpha^2)) * S(Tr(beta^2)).
     """
     f = field
-    q, m = f.q, f.m
+    q = f.q
     lam %= q
     if lam == 0:
         raise ZeroParameterError("lam must be a nonzero residue")
@@ -250,24 +237,12 @@ def nested_char_sum(field: Field, kind: str, beta: int, lam: int, alpha: int | N
         raise ValueError("mode must be 'closed' or 'oracle'")
 
     g = _gauss_int(f)
-    tb = f.trace(f.mul(beta, beta))
+    single = -_S(f, f.trace(f.mul(beta, beta)), g)
     if kind == "single":
-        if m % 2:
-            return -_etabar(f, -tb) * g
-        return -g * (q - 1) if tb == 0 else g
+        return single
     if kind == "split":
-        if m % 2:
-            return 0
-        return -g * g * (q - 1) ** 2 if tb == 0 else g * g * (q - 1)
-    # coupled
-    ta = f.trace(f.mul(alpha, alpha))
-    if m % 2:
-        return -_etabar(f, ta * tb) * g * g
-    if ta == 0 and tb == 0:
-        return -g * g * (q - 1) ** 2
-    if ta == 0 or tb == 0:
-        return g * g * (q - 1)
-    return -g * g
+        return single * _S(f, 0, g)
+    return single * _S(f, f.trace(f.mul(alpha, alpha)), g)
 
 
 def _nested_char_sum_oracle(f: Field, kind: str, beta: int, lam: int, alpha: int | None,
@@ -307,7 +282,14 @@ def _nested_char_sum_oracle(f: Field, kind: str, beta: int, lam: int, alpha: int
 
 def zero_trace_pair_count(field: Field, alpha: int, beta: int, lam: int, mode: str = "closed",
                           budget: int = DEFAULT_OPS_BUDGET) -> CountResult:
-    """#{(a, b) : Tr(a^2) = 0, Tr(b^2) = 0, Tr(alpha b + beta a) = lam}, lam != 0."""
+    """#{(a, b) : Tr(a^2) = 0, Tr(b^2) = 0, Tr(alpha b + beta a) = lam}, lam != 0.
+
+    Over x, y, z in F_q the count is q^-3 sum_z zeta^{-z lam} R_z(alpha) R_z(beta),
+    with R_z(c) = sum over x in F_q, a of zeta^{x Tr(a^2) + z Tr(c a)}.  R_0(c) and
+    R_z(0) are R(0) = q^m + S(0); for c, z != 0 completing the square gives
+    R(c) = S(Tr(c^2)), the same for every z.  So the count is
+    (R(0)^2 - R(alpha) R(beta)) / q^3, alpha = 0 and beta = 0 included.
+    """
     f = field
     q, m = f.q, f.m
     lam %= q
@@ -324,46 +306,10 @@ def zero_trace_pair_count(field: Field, alpha: int, beta: int, lam: int, mode: s
     if mode != "closed":
         raise ValueError("mode must be 'closed' or 'oracle'")
 
-    if alpha == 0 and beta == 0:
-        return CountResult(0, "alpha=0, beta=0")
-    if alpha != 0 and beta == 0:
-        # symmetric in the two slots: swapping (a, b) swaps the roles of alpha, beta
-        inner = zero_trace_pair_count(f, 0, alpha, lam, mode="closed")
-        return CountResult(inner.value, "beta=0 (symmetric): " + inner.branch)
-
-    # every value is num / q^3, the q^(2m-3) term being q^(2m) / q^3
     g = _gauss_int(f)
-    tb = f.trace(f.mul(beta, beta))
-    if alpha == 0:
-        if m % 2:
-            # equals q^{2m-3} + q^{m-3} * (the single nested sum); enumeration fixes the sign
-            num = q ** (2 * m) - q**m * _etabar(f, -tb) * g
-            if tb == 0:
-                branch = "alpha=0, m odd, Tr(beta^2)=0"
-            else:
-                branch = "alpha=0, m odd, Tr(beta^2)!=0"
-        elif tb == 0:
-            num = q ** (2 * m) + q**m * (q - 1) * g
-            branch = "alpha=0, m even, Tr(beta^2)=0"
-        else:
-            num = q ** (2 * m) + q**m * (2 * q - 1) * g + q * (q - 1) * g * g
-            branch = "alpha=0, m even, Tr(beta^2)!=0"
-        return CountResult(_exact(num, q**3), branch)
-
-    ta = f.trace(f.mul(alpha, alpha))
-    if m % 2:
-        num = q ** (2 * m) - _etabar(f, ta * tb) * g * g
-        if ta == 0 or tb == 0:
-            branch = "m odd, a trace vanishes"
-        else:
-            branch = "m odd, Tr(alpha^2)!=0, Tr(beta^2)!=0"
-    elif ta == 0 and tb == 0:
-        num = q ** (2 * m) + 2 * q**m * (q - 1) * g
-        branch = "m even, Tr(alpha^2)=0, Tr(beta^2)=0"
-    elif ta != 0 and tb != 0:
-        num = q ** (2 * m) + 2 * q**m * (q - 1) * g + q * (q - 2) * g * g
-        branch = "m even, Tr(alpha^2)!=0, Tr(beta^2)!=0"
-    else:
-        num = q ** (2 * m) + 2 * q**m * (q - 1) * g + q * (q - 1) * g * g
-        branch = "m even, one of the traces zero"
+    r0 = q**m + _S(f, 0, g)  # R(0); R(c) = S(Tr(c^2)) for c != 0
+    ta, tb = f.trace(f.mul(alpha, alpha)), f.trace(f.mul(beta, beta))
+    num = r0 * r0 - (_S(f, ta, g) if alpha else r0) * (_S(f, tb, g) if beta else r0)
+    branch = _branch(m, ("Tr(alpha^2)", ta) if alpha else ("alpha", 0),
+                     ("Tr(beta^2)", tb) if beta else ("beta", 0))
     return CountResult(_exact(num, q**3), branch)

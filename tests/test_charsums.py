@@ -359,6 +359,43 @@ def test_pair_count_partition_completeness(q, m):
             assert lam_total + zero_class == n00
 
 
+# -- every count and nested sum from S, on the oracles alone -----------------
+
+CHAIN_PAIRS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3)]  # (5, 2): Z = {0}
+
+
+@pytest.mark.parametrize("q,m", CHAIN_PAIRS)
+def test_oracles_follow_from_one_character_sum(q, m):
+    # q #{Tr(a^2) = s} = q^m + S(s), and the completed square sum_{x != 0, a}
+    # zeta^{x Tr(a^2) + z Tr(c a)} = S(Tr(c^2)) = R(c) for c != 0, R(0) = q^m + S(0)
+    f = make_field(q, m)
+    n = f.order
+    S = [cs.square_trace_char_sum(f, s, mode="oracle") for s in range(q)]
+
+    def R(c):
+        return n + S[0] if c == 0 else S[f.trace(f.mul(c, c))]
+
+    for s in range(q):
+        assert q * cs.square_trace_count(f, s, mode="oracle").value == n + S[s]
+        for t in range(q):
+            pair = cs.square_trace_pair_count(f, s, t, mode="oracle").value
+            assert q * q * pair == (n + S[s]) * (n + S[t])
+    if n <= 27:
+        triples = [(a, b, lam) for a in range(n) for b in range(n) for lam in range(1, q)]
+    else:
+        rng = random.Random(3000 + 10 * q + m)
+        triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(1, q)) for _ in range(100)]
+    for a, b, lam in triples:
+        count = cs.zero_trace_pair_count(f, a, b, lam, mode="oracle").value
+        assert q**3 * count == R(0) ** 2 - R(a) * R(b), (a, b, lam)
+        if a and b:
+            assert cs.nested_char_sum(f, "coupled", b, lam, alpha=a, mode="oracle") == -R(a) * R(b)
+    for b, lam in sorted({(b, lam) for _, b, lam in triples if b}):
+        single = cs.nested_char_sum(f, "single", b, lam, mode="oracle")
+        assert single == -R(b), (b, lam)
+        assert cs.nested_char_sum(f, "split", b, lam, mode="oracle") == single * S[0]
+
+
 # -- naive nested-loop validation of the vectorized oracles -------------------
 
 def _zeta_pow(q, k):

@@ -111,6 +111,23 @@ IDENTITY_CHECKS = ["gauss-sum", "quadratic-sum", "square-trace-count", "single-c
                    "nested-sum-coupled", "zero-trace-pair-count"]
 
 
+def test_identity_closed_exactness_error_is_a_fail(monkeypatch, capsys):
+    # g = 1 in place of G_2 = 3 leaves q^m + (q - 1) g = 11 prime to q: the closed
+    # count refuses it, and that is the row's FAIL, not a usage error
+    from leecodes import charsums
+
+    monkeypatch.setattr(charsums, "_gauss_int", lambda f: 1)
+    code, out = run(["verify-identities", "--q", "3", "--m", "2"], capsys)
+    assert code == cli.EXIT_FAIL
+    verdicts = {v["check"]: v for v in json.loads(out)["verdicts"]}
+    passing = {"gauss-sum", "quadratic-sum"}
+    assert {c for c, v in verdicts.items() if v["status"] == "PASS"} == passing
+    assert {c for c, v in verdicts.items() if v["status"] == "FAIL"} == set(IDENTITY_CHECKS) - passing
+    assert verdicts["square-trace-count"] == {
+        "check": "square-trace-count", "status": "FAIL", "counterexample": [0],
+        "closed": "closed value 11/3 is not integral", "oracle": "5"}
+
+
 def test_identity_budget_prices_each_row_as_a_whole():
     # a row's oracle calls share the budget, budget // calls each.  At (3,5) a row
     # samples 100 nested tuples and 120 pair-count tuples; a two-sided nested oracle
