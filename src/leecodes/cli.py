@@ -248,8 +248,8 @@ def _minimality_results(args: argparse.Namespace, defining_set) -> tuple[list[di
         results = {
             "w_min": report.w_min,
             "w_max": report.w_max,
-            "ab_ratio": [report.ab_ratio.numerator, report.ab_ratio.denominator],
-            "ab_threshold": [report.ab_threshold.numerator, report.ab_threshold.denominator],
+            "ab_ratio": list(report.ab_ratio),
+            "ab_threshold": list(report.ab_threshold),
             "ab_holds": report.ab_holds,
         }
     results["module_generators"] = args.m

@@ -43,7 +43,14 @@ from .errors import (
     NonIntegralValueError,
     UnsupportedParametersError,
 )
-from .gf import Field, _cyclic_convolve, _exact, make_field, quadratic_gauss_sum
+from .gf import (
+    Field,
+    _cyclic_convolve,
+    _exact,
+    _signed_below,
+    make_field,
+    quadratic_gauss_sum,
+)
 
 if TYPE_CHECKING:
     # ring is imported where it is used, so no spectrum, CWE or minimality run loads it
@@ -170,14 +177,18 @@ def _in_canonical_order(field: Field, mask: np.ndarray) -> np.ndarray:
     Read as a (q,)*m array, the mask has digit i on axis m-1-i; transposing
     reverses the axes, so its flat nonzero indices are the digit-reversed values,
     in increasing order.  Each is reversed back in two halves, the high
-    ceil(m/2) digits and the low floor(m/2), by one table of reversals each.
+    ceil(m/2) digits and the low floor(m/2), by one table of reversals each,
+    in place, a _CHUNK of them at a time.
     """
     q, m = field.q, field.m
-    ranks = np.flatnonzero(mask.reshape((q,) * m).T)
+    out = np.flatnonzero(mask.reshape((q,) * m).T)
     low = m // 2
     rev_low, rev_high = (np.arange(q**n).reshape((q,) * n).T.ravel() for n in (low, m - low))
-    head, tail = np.divmod(ranks, q ** (m - low))  # head: digits 0..low-1, reversed
-    return rev_low[head] + q**low * rev_high[tail]
+    for lo in range(0, out.size, _CHUNK):
+        # head: digits 0..low-1, reversed
+        head, tail = np.divmod(out[lo:lo + _CHUNK], q ** (m - low))
+        out[lo:lo + _CHUNK] = rev_low[head] + q**low * rev_high[tail]
+    return out
 
 
 def codeword(x: RingElement, D: DefiningSet) -> RingVector:
@@ -430,14 +441,21 @@ def _rank_mod_q(mats: np.ndarray, q: int) -> int | np.ndarray:
 def _trace_rows(D: DefiningSet) -> np.ndarray:
     """W[i, j] = Tr(x^i z_j) = (Tm . d(z_j))_i mod q in the dtype of trace_array,
     cached per defining set: the one source of Tr(x z), since
-    Tr(x z_j) = sum_i x_i W[i, j] over the base-q digits x_i of x.  The digits
-    of Z are formed a chunk at a time."""
+    Tr(x z_j) = sum_i x_i W[i, j] over the base-q digits x_i of x.  A _CHUNK of
+    Z at a time, the m products Tm[:, k] d_k(z_j) are summed in the narrowest
+    signed dtype that holds m (q - 1)^2."""
     if "W" not in D._cache:
         f = D.field
-        place = f._place[:, None]
+        acc = _signed_below(f.m * (f.q - 1) ** 2 + 1)
+        Tm = f.Tm.astype(acc)[:, :, None]
         W = np.empty((f.m, D.zeros.size), dtype=np.min_scalar_type(1 - f.q))
         for lo in range(0, D.zeros.size, _CHUNK):
-            W[:, lo:lo + _CHUNK] = f.Tm @ (D.zeros[lo:lo + _CHUNK] // place % f.q) % f.q
+            rest = D.zeros[lo:lo + _CHUNK]
+            total = np.zeros((f.m, rest.size), dtype=acc)
+            for k in range(f.m):
+                rest, digit = np.divmod(rest, f.q)
+                total += Tm[:, k] * digit.astype(acc)
+            W[:, lo:lo + _CHUNK] = total % f.q
         D._cache["W"] = W
     return D._cache["W"]
 

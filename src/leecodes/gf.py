@@ -49,6 +49,11 @@ from .errors import (
 _DENSE_TABLE_LIMIT = 2048
 
 
+def _signed_below(bound: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds every value in (-bound, bound)."""
+    return np.min_scalar_type(-bound)
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -355,10 +360,13 @@ class Field:
 
     def linear_form_array(self, coeffs) -> np.ndarray:
         """(q^m,) table of sum_i coeffs[i] x_i mod q over the coordinates x_i of
-        every x, in the dtype of trace_array; built on each call.  Pass the
-        coefficients as Python ints, so the build stays in int32."""
-        out = np.zeros(1, dtype=np.int32)
-        digit = np.arange(self.q, dtype=np.int32)
+        every x, in the dtype of trace_array; built on each call.  The
+        coefficients are reduced to Python ints in [0, q), so every
+        intermediate is below q^2, and the build runs in the narrowest signed
+        dtype that holds it."""
+        coeffs = [int(c) % self.q for c in coeffs]
+        out = np.zeros(1, dtype=_signed_below(self.q**2))
+        digit = np.arange(self.q, dtype=out.dtype)
         for i in reversed(range(self.m)):  # appends digit i below the higher ones
             out = (out[:, None] + coeffs[i] * digit).ravel() % self.q
         return out.astype(np.min_scalar_type(1 - self.q))
@@ -380,18 +388,20 @@ class Field:
 
     def quadratic_form_array(self, T) -> np.ndarray:
         """(q^m,) table of d(x) . T . d(x) mod q over every x, for a symmetric
-        m x m matrix T with entries in [0, q), in the dtype of trace_array;
-        built on each call.
+        m x m integer matrix T, in the dtype of trace_array; built on each
+        call.  T is reduced mod q first.
 
         Built one digit axis at a time, as linear_form_array builds a linear
         form: appending digit k below the digits i > k already placed gives
         Q + x_k (2 L_k + T[k, k] x_k), where L_j = sum_i T[i, j] x_i over the
         placed digits, and each L_j is carried only until digit j is placed.
-        About m q^m steps.
+        About m q^m steps, in the narrowest signed dtype that holds every
+        intermediate: Q + x_k (2 L_k + T[k, k] x_k) is at most (q - 1) +
+        (q - 1)(q^2 - 1), below q^3.
         """
-        q, T = self.q, np.asarray(T).tolist()
-        x = np.arange(q, dtype=np.int32)
-        Q = np.zeros(1, dtype=np.int32)
+        q, T = self.q, (np.asarray(T) % self.q).tolist()
+        x = np.arange(q, dtype=_signed_below(q**3))
+        Q = np.zeros(1, dtype=x.dtype)
         L = [Q] * self.m
         for k in reversed(range(self.m)):
             Q = (Q[:, None] + x * (2 * L[k][:, None] + T[k][k] * x)).ravel() % q

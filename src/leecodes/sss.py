@@ -2,8 +2,9 @@
 
 A nonzero codeword is minimal when no other nonzero codeword has strictly
 smaller support; support-equal scalar multiples do not disqualify each other.
-The sufficient condition w_min / w_max > (q-1)/q is evaluated in exact
-rational arithmetic, never floating point.
+The sufficient condition w_min / w_max > (q-1)/q is decided by integer
+cross-multiplication, q w_min > (q-1) w_max, never floating point; ratios are
+reported as (numerator, denominator) pairs in lowest terms.
 
 Where the ratio says nothing, the exhaustive test decides each codeword by one
 rank (A. Ashikhmin, A. Barg, "Minimal vectors in linear codes", IEEE Trans.
@@ -56,13 +57,14 @@ priced; after the passes, each stage is priced for the classes it ranks.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
 from ._budget import DEFAULT_OPS_BUDGET, check_budget
 from ._record import Record
 from .codes import (
+    _CHUNK,
     DefiningSet,
     LeeSpectrum,
     _evenly_spaced,
@@ -91,28 +93,39 @@ def covers(x, y) -> bool:
     return not np.any((y != 0) & (x == 0))
 
 
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num / den (den > 0) as a (numerator, denominator) pair in lowest terms."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _exceeds_threshold(ratio: tuple[int, int], q: int) -> bool:
+    """num / den > (q-1)/q for ratio = (num, den), den > 0, by cross-multiplication."""
+    num, den = ratio
+    return q * num > (q - 1) * den
+
+
 class MinimalityReport(Record):
     """(w_min, w_max, ab_ratio, ab_threshold, ab_holds), the ratio and the
-    threshold as Fractions."""
+    threshold as (numerator, denominator) pairs in lowest terms."""
 
     __slots__ = ("w_min", "w_max", "ab_ratio", "ab_threshold", "ab_holds")
 
 
 def ab_check(spectrum: LeeSpectrum, q: int) -> MinimalityReport:
-    """Exact-rational sufficient test: all nonzero codewords are minimal when
-    w_min / w_max strictly exceeds (q-1)/q."""
+    """Exact sufficient test: all nonzero codewords are minimal when
+    w_min / w_max strictly exceeds (q-1)/q, i.e. q w_min > (q-1) w_max."""
     nz = spectrum.nonzero_weights()
     if not nz:
         raise DegenerateSpectrumError("spectrum has no nonzero weight")
     w_min, w_max = nz[0], nz[-1]
-    ratio = Fraction(w_min, w_max)
-    threshold = Fraction(q - 1, q)
-    return MinimalityReport(w_min, w_max, ratio, threshold, ratio > threshold)
+    ratio = _lowest(w_min, w_max)
+    return MinimalityReport(w_min, w_max, ratio, (q - 1, q), _exceeds_threshold(ratio, q))
 
 
 class MinimalityRatios(Record):
-    """Closed-form w_min/w_max candidates per parity, as exact rationals:
-    (ratios, threshold, holds)."""
+    """Closed-form w_min/w_max candidates per parity, each a (numerator,
+    denominator) pair in lowest terms: (ratios, threshold, holds)."""
 
     __slots__ = ("ratios", "threshold", "holds")
 
@@ -126,19 +139,18 @@ def minimality_ratios(q: int, m: int) -> MinimalityRatios:
     if m >= 3 and m % 2:
         a = q ** (2 * m - 3)
         y = q ** ((3 * m - 5) // 2)
-        ratios = (Fraction(a - y, a + y),)
+        ratios = (_lowest(a - y, a + y),)
     elif m >= 2 and m % 2 == 0:
         a = q ** (2 * m - 3)
         y = q ** ((3 * m - 6) // 2)
         z = q ** (m - 2)
         ratios = (
-            Fraction(a + (q - 1) * y, a + (2 * q - 1) * y + (q - 1) * z),
-            Fraction(a - (2 * q - 1) * y + (q - 1) * z, a - (q - 1) * y),
+            _lowest(a + (q - 1) * y, a + (2 * q - 1) * y + (q - 1) * z),
+            _lowest(a - (2 * q - 1) * y + (q - 1) * z, a - (q - 1) * y),
         )
     else:
         raise UnsupportedParametersError("need odd m >= 3 or even m >= 2")
-    threshold = Fraction(q - 1, q)
-    return MinimalityRatios(ratios, threshold, all(r > threshold for r in ratios))
+    return MinimalityRatios(ratios, (q - 1, q), all(_exceeds_threshold(r, q) for r in ratios))
 
 
 def _leading_digit(x: np.ndarray, q: int) -> np.ndarray:
@@ -159,29 +171,46 @@ def _witt_classes(f: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     two are independent, q^2 + c - 1 when beta = c alpha and q^2 + q - 1 when
     beta = 0, and keeps the first beta of each key.  The nonzero alpha with one
     value of Q form one orbit, so a class's size is its count in the pass times
-    their number.
+    their number.  Keys are held in the narrowest unsigned dtype, uint8 up to
+    q = 13.
     """
     q = f.q
-    tsq = f.trace_sq_array.astype(np.int32)
-    per_q = np.bincount(tsq[1:], minlength=q)  # the nonzero alpha per value of Q
     n_keys = q * q + q
+    tsq = f.trace_sq_array.astype(np.min_scalar_type(n_keys))
+    per_q, first_alpha = _count_and_first(tsq[1:], q)  # the nonzero alpha per value of Q
     alphas, betas, sizes = [], [], []
-    for alpha in [0] + [1 + int(np.argmax(tsq[1:] == s)) for s in range(q) if per_q[s]]:
-        key = tsq * q + f.trace_mul_row(alpha)  # B(alpha, beta) = d(alpha) . Tm . d(beta)
+    for alpha in [0] + (1 + first_alpha[per_q > 0]).tolist():
+        # B(alpha, beta) = d(alpha) . Tm . d(beta), below q
+        key = tsq * q + f.trace_mul_row(alpha).astype(tsq.dtype)
         if alpha:
             for c in range(1, q):  # the digits of c alpha are c times those of alpha
                 key[f.element([c * d for d in f.coeffs(alpha)])] = q * q + c - 1
             key[0] = q * q + q - 1
         else:
             key = key[1:]  # (0, 0) is the zero message
-        count = np.bincount(key, minlength=n_keys)
-        first = np.full(n_keys, key.size)
-        np.minimum.at(first, key, np.arange(key.size))
+        count, first = _count_and_first(key, n_keys)
         found = np.flatnonzero(count)
         alphas.append(np.full(found.size, alpha))
         betas.append(first[found] + (alpha == 0))
         sizes.append(count[found] * (per_q[tsq[alpha]] if alpha else 1))
     return np.concatenate(alphas), np.concatenate(betas), np.concatenate(sizes)
+
+
+def _count_and_first(key: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each value k < n_keys, its count in key and the index of its first
+    occurrence (key.size if none), a _CHUNK of key at a time, so no temporary
+    is longer than a chunk.  A chunk is searched for first occurrences only
+    when it holds a value no earlier chunk holds, so the search costs
+    O(key.size) whatever n_keys is."""
+    count = np.zeros(n_keys, dtype=np.int64)
+    first = np.full(n_keys, key.size, dtype=np.int64)
+    for lo in range(0, key.size, _CHUNK):
+        chunk = np.bincount(key[lo:lo + _CHUNK], minlength=n_keys)
+        if (chunk[count == 0] > 0).any():
+            values, index = np.unique(key[lo:lo + _CHUNK], return_index=True)
+            first[values] = np.minimum(first[values], lo + index)
+        count += chunk
+    return count, first
 
 
 def _columns(D: DefiningSet, Z1: np.ndarray, j: np.ndarray) -> np.ndarray:

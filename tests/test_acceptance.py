@@ -234,13 +234,13 @@ def test_criterion_6_gauss_sums():
 def test_criterion_7_minimality(defining_sets):
     failures = []
     r5 = ab_check(codes.lee_spectrum_bruteforce(defining_sets(3, 5)), 3)
-    if (r5.ab_ratio.numerator, r5.ab_ratio.denominator) != (4, 5) or not r5.ab_holds:
+    if r5.ab_ratio != (4, 5) or not r5.ab_holds:
         failures.append(f"(3,5) ratio {r5.ab_ratio} (expected 4/5 > 2/3)")
     r3 = ab_check(codes.lee_spectrum_bruteforce(defining_sets(3, 3)), 3)
-    if (r3.ab_ratio.numerator, r3.ab_ratio.denominator) != (1, 2) or r3.ab_holds:
+    if r3.ab_ratio != (1, 2) or r3.ab_holds:
         failures.append(f"(3,3) ratio {r3.ab_ratio} (expected 1/2, condition failing)")
     r4 = ab_check(codes.lee_spectrum_bruteforce(defining_sets(3, 4)), 3)
-    if (r4.ab_ratio.numerator, r4.ab_ratio.denominator) != (2, 3) or r4.ab_holds:
+    if r4.ab_ratio != (2, 3) or r4.ab_holds:
         failures.append(f"(3,4) ratio {r4.ab_ratio} (expected exactly 2/3, strict test failing)")
     for (q, m) in [(3, 2), (3, 3)]:
         count, all_minimal = minimal_codewords_exhaustive(defining_sets(q, m))

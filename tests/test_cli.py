@@ -585,7 +585,9 @@ def test_cwe_loads_neither_dataclasses_nor_fractions():
 def test_minimality_loads_neither_ring_nor_charsums():
     loaded = _modules_loaded_by(_main_passes(["minimality", "--q", "3", "--m", "3"]))
     assert {"leecodes.codes", "leecodes.gf", "leecodes.sss"} <= loaded
-    assert not {"leecodes.ring", "leecodes.charsums", "dataclasses"} & loaded
+    # nor fractions and decimal: the AB test cross-multiplies Python ints
+    assert not {"leecodes.ring", "leecodes.charsums", "dataclasses", "fractions",
+                "decimal"} & loaded
 
 
 def test_verify_identities_loads_neither_fractions_nor_the_code_modules():

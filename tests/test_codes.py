@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from leecodes import charsums as cs
-from leecodes import codes
+from leecodes import codes, gf
 from leecodes.errors import (
     BudgetExceededError,
     NonIntegralExponentError,
@@ -228,6 +228,19 @@ def test_gram_matrix_routes_match_product_routes(q, m, defining_sets):
     assert np.array_equal(codes._trace_rows(D), W)
     assert np.array_equal(f.trace_sq_array, (f.digit_matrix.T * T.astype(np.int64)).sum(0) % q)
     assert codes.gray_rank(D) == 2 * codes._rank_mod_q(W, q)
+
+
+def test_trace_rows_at_a_dtype_boundary():
+    # W sums m digit products in the narrowest dtype that holds m (q - 1)^2:
+    # 2 * 130^2 = 33800 needs int32.  The field's own Gram matrix at (131, 2) is
+    # diag(2, 129) and never comes near that bound, so the test puts q - 1 in
+    # every entry of Tm, on a fresh field, and takes every element as Z.
+    q, m = 131, 2
+    f = gf.Field(q, m)
+    f.Tm = np.full((m, m), q - 1)
+    D = codes.DefiningSet(f, np.arange(f.order))
+    assert codes._trace_rows(D).tolist() == [
+        [sum((q - 1) * d for d in f.coeffs(z)) % q for z in range(f.order)]] * m
 
 
 @pytest.mark.parametrize("q,m", [(3, 4), (7, 3)])

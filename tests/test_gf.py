@@ -243,6 +243,27 @@ def test_quadratic_form_of_product_matrix_is_trace(q, m):
         assert Q.tolist() == [f.trace(f.mul(c, f.mul(x, x))) for x in f.elements()]
 
 
+# The form tables are built in the narrowest signed dtype that holds their
+# intermediates: below q^2 for a linear form, below q^3 for a quadratic form.
+# Each pair of q sits on either side of a dtype's bound, with the largest
+# coefficients, so a dtype one size too small overflows.
+
+@pytest.mark.parametrize("q", [181, 191])  # 181^2 = 32761 fits int16, 191^2 = 36481 does not
+def test_linear_form_at_a_dtype_boundary(q):
+    f = Field(q, 1)
+    for c in (1, 2, q - 2, q - 1):
+        assert f.linear_form_array([c]).tolist() == [c * x % q for x in range(q)]
+
+
+@pytest.mark.parametrize("q", [31, 37])  # 31^3 = 29791 fits int16, 37^3 = 50653 does not
+def test_quadratic_form_at_a_dtype_boundary(q):
+    f = Field(q, 2)
+    for T in ([[q - 1, q - 1], [q - 1, q - 1]], [[q - 1, 1], [1, q - 2]]):
+        expected = [sum(T[i][j] * d[i] * d[j] for i in range(2) for j in range(2)) % q
+                    for d in map(f.coeffs, f.elements())]
+        assert f.quadratic_form_array(T).tolist() == expected
+
+
 # -- quadratic character -------------------------------------------------
 
 def test_quad_char_values():

@@ -1,5 +1,5 @@
 import random
-from fractions import Fraction
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -68,14 +68,23 @@ def test_covers_scalar_invariance():
 
 # -- ratio condition ----------------------------------------------------------
 
+def _exceeds(ratio, threshold):
+    # ratio > threshold for (numerator, denominator) pairs, denominators positive
+    return ratio[0] * threshold[1] > threshold[0] * ratio[1]
+
+
+def _equals(ratio, threshold):
+    return ratio[0] * threshold[1] == threshold[0] * ratio[1]
+
+
 def test_ab_check_examples():
     r5 = ab_check(codes.lee_spectrum_closed(3, 5), 3)
-    assert r5.ab_ratio == Fraction(4, 5) and r5.ab_threshold == Fraction(2, 3)
+    assert r5.ab_ratio == (4, 5) and r5.ab_threshold == (2, 3)  # lowest terms
     assert r5.ab_holds
     r3 = ab_check(codes.lee_spectrum_closed(3, 3), 3)
-    assert r3.ab_ratio == Fraction(1, 2) and not r3.ab_holds
+    assert r3.ab_ratio == (1, 2) and not r3.ab_holds
     r4 = ab_check(codes.lee_spectrum_closed(3, 4), 3)
-    assert r4.ab_ratio == Fraction(2, 3)
+    assert r4.ab_ratio == (2, 3)
     assert not r4.ab_holds  # the inequality is strict
 
 
@@ -89,10 +98,10 @@ def test_minimality_ratios():
     assert not minimality_ratios(3, 3).holds
     p4 = minimality_ratios(3, 4)
     assert not p4.holds
-    assert p4.ratios[0] > p4.threshold  # first even-degree ratio already holds at m=4
-    assert p4.ratios[1] == p4.threshold  # the second is exactly at the bound
+    assert _exceeds(p4.ratios[0], p4.threshold)  # first even-degree ratio already holds at m=4
+    assert _equals(p4.ratios[1], p4.threshold)  # the second is exactly at the bound
     p6 = minimality_ratios(3, 6)
-    assert p6.holds and all(r > p6.threshold for r in p6.ratios)
+    assert p6.holds and all(_exceeds(r, p6.threshold) for r in p6.ratios)
     p8 = minimality_ratios(3, 8)
     assert p8.holds
     with pytest.raises(UnsupportedParametersError):
@@ -108,7 +117,8 @@ def test_closed_ratios_match_spectrum_ratio():
             if not spec.nonzero_weights():  # D is empty: no ratio to compare
                 continue
             report = ab_check(spec, q)
-            assert report.ab_ratio in minimality_ratios(q, m).ratios, (q, m)
+            ratios = minimality_ratios(q, m).ratios
+            assert any(_equals(report.ab_ratio, r) for r in ratios), (q, m)
 
 
 # -- exhaustive minimality -------------------------------------------------------
@@ -318,6 +328,26 @@ def test_rank_is_constant_on_each_class(q, m, defining_sets):
     assert len(np.unique(rep_keys, axis=0)) == len(keys) == sizes.size
     for key, size in zip(rep_keys, sizes):
         assert size == (label == np.flatnonzero((keys == key).all(axis=1))[0]).sum()
+
+
+@pytest.mark.parametrize("q,m", [(3, 3), (17, 2)])  # (17, 2): 17^2 + 17 = 306 keys need uint16
+def test_witt_classes_match_a_naive_key_loop(q, m):
+    # one message per key over every nonzero message, and the size of its class
+    f = make_field(q, m)
+    Q = [f.trace(f.mul(x, x)) for x in f.elements()]
+    B = f.trace_array[f.mul_array].tolist()
+    multiples = {alpha: {f.mul(c, alpha): c for c in range(1, q)} for alpha in f.elements()}
+
+    def key(alpha, beta):
+        relation = -1 if alpha == 0 else 0 if beta == 0 else multiples[alpha].get(beta, q)
+        return relation, Q[alpha], Q[beta], B[alpha][beta]
+
+    sizes = Counter(key(alpha, beta) for alpha in f.elements() for beta in f.elements()
+                    if alpha or beta)
+    alphas, betas, counts = _witt_classes(f)
+    keys = [key(alpha, beta) for alpha, beta in zip(alphas.tolist(), betas.tolist())]
+    assert len(set(keys)) == len(keys)
+    assert dict(zip(keys, counts.tolist())) == sizes
 
 
 # -- symmetries of the messages permute the Gray supports --------------------------
