@@ -120,6 +120,8 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         directory = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(directory):
             parser.error(f"--out directory does not exist: {directory}")
+        if os.path.isdir(args.out):
+            parser.error(f"--out names a directory: {args.out}")
 
 
 # ----------------------------------------------------------------------

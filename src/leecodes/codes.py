@@ -17,7 +17,8 @@ pair, H[x, s] = #{a in Z : Tr(x a) = s}, so messages with equal rows of H
 share one cyclic convolution.  An isometry of Q(x) = Tr(x^2) maps Z onto Z,
 and by Witt's extension theorem (E. Witt, J. reine angew. Math. 176, 1937)
 the nonzero x with one value of Q form one orbit, so H[x] depends only on
-Q(x) and on whether x = 0: at most q + 1 rows, which the count checks.
+its class, x = 0 or Q(x): at most q + 1 rows, which the count checks against
+one census of the classes (_square_classes), which the rank test (sss) reads too.
 
 Every Tr(x z) here and in sss comes from W[i, j] = Tr(x^i z_j) (_trace_rows),
 read off the Gram matrix of the trace form, W = Tm . d(Z)^T mod q (gf): Tr is
@@ -242,6 +243,21 @@ _COUNT_TASKS = {"lee": "Lee spectrum enumeration", "cwe": "CWE enumeration"}
 _CHUNK = 1 << 16  # rows of H, or elements of Z, per chunk
 
 
+def _count_and_first(key: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each value k < n_keys, its count in key and its first index (key.size
+    if none), a _CHUNK of key at a time; only a chunk that holds a value new to
+    the count is searched for first indices, so the search is O(key.size)."""
+    count = np.zeros(n_keys, dtype=np.int64)
+    first = np.full(n_keys, key.size, dtype=np.int64)
+    for lo in range(0, key.size, _CHUNK):
+        chunk = np.bincount(key[lo:lo + _CHUNK], minlength=n_keys)
+        if (chunk[count == 0] > 0).any():
+            values, index = np.unique(key[lo:lo + _CHUNK], return_index=True)
+            first[values] = np.minimum(first[values], lo + index)
+        count += chunk
+    return count, first
+
+
 def _check_count_budget(q: int, m: int, budget: int, route: str) -> None:
     """The count's one price, from q and m alone, so a refusal comes before the
     field is built.  Its terms: the transform, m q^(m+2) steps; the check of H
@@ -256,24 +272,29 @@ def _check_count_budget(q: int, m: int, budget: int, route: str) -> None:
     check_budget(cost, budget, _COUNT_TASKS[route])
 
 
+def _square_classes(f: Field) -> tuple[np.ndarray, np.ndarray]:
+    """The classes of x (module docstring): x = 0, then the first nonzero x of
+    each value of Q in increasing order, and the number of x in each class."""
+    count, first = _count_and_first(f.trace_sq_array[1:], f.q)
+    return np.append(0, 1 + first[count > 0]), np.append(1, count[count > 0])
+
+
 def _class_rows(D: DefiningSet) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of H and the number of x with each: one row per class
-    x = 0, or Q(x) = s (module docstring).  Every row of H is compared with its
-    class's row, and any difference raises AssertionError."""
+    """The row of H of each class in the census, and its size.  Every row of H
+    is compared with its class's row; a difference raises AssertionError."""
     f = D.field
     H = _enumeration_tables(D)
     Q = f.trace_sq_array
-    mult = np.bincount(Q[1:], minlength=f.q)
-    found = np.flatnonzero(mult)
-    rows = H[[0] + [1 + int(np.flatnonzero(Q[1:] == s)[0]) for s in found.tolist()]]
+    reps, sizes = _square_classes(f)
+    rows = H[reps]
     index = np.zeros(f.q, dtype=np.intp)  # the row of each value of Q
-    index[found] = 1 + np.arange(found.size)
+    index[Q[reps[1:]]] = np.arange(1, reps.size)
     for lo in range(1, f.order, _CHUNK):
         off = np.flatnonzero(H[lo:lo + _CHUNK] - rows[index[Q[lo:lo + _CHUNK]]])
         if off.size:
             x = lo + int(off[0]) // f.q
             raise AssertionError(f"H[{x}] differs from the row of its class Q(x) = {Q[x]}")
-    return rows, np.concatenate([[1], mult[found]])
+    return rows, sizes
 
 
 def _compositions(D: DefiningSet, budget: int, route: str) -> Counter:

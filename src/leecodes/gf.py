@@ -243,8 +243,6 @@ class Field:
     def add(self, x: int, y: int) -> int:
         self.check_element(x)
         self.check_element(y)
-        if self.m == 1:
-            return (x + y) % self.q
         return self.element(
             (a + b) % self.q for a, b in zip(self._coeffs_unchecked(x), self._coeffs_unchecked(y))
         )
@@ -254,8 +252,6 @@ class Field:
 
     def neg(self, x: int) -> int:
         self.check_element(x)
-        if self.m == 1:
-            return (-x) % self.q
         return self.element((-a) % self.q for a in self._coeffs_unchecked(x))
 
     def mul(self, x: int, y: int) -> int:
@@ -504,7 +500,7 @@ def quadratic_gauss_sum(q: int, m: int) -> GaussValue:
 
 
 def _cyclic_convolve(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
-    """out[..., k] = sum_i ha[..., i] * hb[..., (k - i) % q] over the last axis."""
+    """out[..., k] = sum_i ha[..., i] * hb[..., (k - i) % q] over the last axis,
+    one shift i at a time in the inputs' dtype: no temporary outgrows the output."""
     q = ha.shape[-1]
-    shift = (np.arange(q) - np.arange(q)[:, None]) % q  # shift[i, k] = k - i
-    return (ha[..., :, None] * hb[..., shift]).sum(axis=-2)
+    return sum(ha[..., i, None] * hb[..., (np.arange(q) - i) % q] for i in range(q))

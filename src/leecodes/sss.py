@@ -49,10 +49,10 @@ every nonzero message's is when r = 2m.  The others are ranked again on 4c,
 verdict.  (A contiguous prefix is a poor subset: its first |Z| columns share
 one a.)  Only the columns a rank reads are built, by their index.
 
-The work is priced (2m)^2 steps per column a rank reads, plus m q^m per
-class pass.  From q, m and |Z| alone, before the field is built, the q + 1
-passes and a subset rank for each of at most q^3 + q^2 + q classes are
-priced; after the passes, each stage is priced for the classes it ranks.
+The work is priced (2m)^2 steps per column a rank reads, plus m q^m for the
+census of Q's classes and for each of at most q class passes.  Before the
+field is built, those and a subset rank for each of at most q^3 + q^2 + q
+classes are priced from q, m and |Z|; after, each stage for what it ranks.
 """
 
 from __future__ import annotations
@@ -64,11 +64,12 @@ import numpy as np
 from ._budget import DEFAULT_OPS_BUDGET, check_budget
 from ._record import Record
 from .codes import (
-    _CHUNK,
     DefiningSet,
     LeeSpectrum,
+    _count_and_first,
     _evenly_spaced,
     _rank_mod_q,
+    _square_classes,
     _trace_rows,
     gray_rank,
 )
@@ -154,10 +155,11 @@ def minimality_ratios(q: int, m: int) -> MinimalityRatios:
 
 
 def _leading_digit(x: np.ndarray, q: int) -> np.ndarray:
-    """The leading base-q digit of each x; a scalar c in F_q* multiplies every
-    digit of an element by c."""
-    while (x >= q).any():
-        x = np.where(x >= q, x // q, x)
+    """The leading base-q digit of each x, on one copy of x divided in place; a
+    scalar c in F_q* multiplies every digit of an element by c."""
+    x = x.copy()
+    while (big := x >= q).any():
+        np.floor_divide(x, q, out=x, where=big)
     return x
 
 
@@ -166,51 +168,30 @@ def _witt_classes(f: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (relation, Q(alpha), Q(beta), B(alpha, beta)), and the size of each class
     (module docstring): the alphas, the betas and the sizes.
 
-    One pass over every beta for alpha = 0 and for the first nonzero alpha of
-    each value of Q.  A pass keys beta by Q(beta) q + B(alpha, beta) when the
+    The census of Q's classes (codes._square_classes) gives the alpha = 0
+    classes, one per value of Q(beta), and the nonzero alphas, one pass over
+    every beta each.  A pass keys beta by Q(beta) q + B(alpha, beta) when the
     two are independent, q^2 + c - 1 when beta = c alpha and q^2 + q - 1 when
     beta = 0, and keeps the first beta of each key.  The nonzero alpha with one
-    value of Q form one orbit, so a class's size is its count in the pass times
-    their number.  Keys are held in the narrowest unsigned dtype, uint8 up to
-    q = 13.
+    value of Q form one orbit, so a class's size is its count times their number.
     """
     q = f.q
     n_keys = q * q + q
     tsq = f.trace_sq_array.astype(np.min_scalar_type(n_keys))
-    per_q, first_alpha = _count_and_first(tsq[1:], q)  # the nonzero alpha per value of Q
-    alphas, betas, sizes = [], [], []
-    for alpha in [0] + (1 + first_alpha[per_q > 0]).tolist():
+    reps, per_q = _square_classes(f)
+    alphas, betas, sizes = [np.zeros_like(reps[1:])], [reps[1:]], [per_q[1:]]
+    for alpha, size in zip(reps[1:].tolist(), per_q[1:].tolist()):
         # B(alpha, beta) = d(alpha) . Tm . d(beta), below q
         key = tsq * q + f.trace_mul_row(alpha).astype(tsq.dtype)
-        if alpha:
-            for c in range(1, q):  # the digits of c alpha are c times those of alpha
-                key[f.element([c * d for d in f.coeffs(alpha)])] = q * q + c - 1
-            key[0] = q * q + q - 1
-        else:
-            key = key[1:]  # (0, 0) is the zero message
+        for c in range(1, q):
+            key[f.mul(c, alpha)] = q * q + c - 1
+        key[0] = q * q + q - 1
         count, first = _count_and_first(key, n_keys)
         found = np.flatnonzero(count)
         alphas.append(np.full(found.size, alpha))
-        betas.append(first[found] + (alpha == 0))
-        sizes.append(count[found] * (per_q[tsq[alpha]] if alpha else 1))
+        betas.append(first[found])
+        sizes.append(count[found] * size)
     return np.concatenate(alphas), np.concatenate(betas), np.concatenate(sizes)
-
-
-def _count_and_first(key: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each value k < n_keys, its count in key and the index of its first
-    occurrence (key.size if none), a _CHUNK of key at a time, so no temporary
-    is longer than a chunk.  A chunk is searched for first occurrences only
-    when it holds a value no earlier chunk holds, so the search costs
-    O(key.size) whatever n_keys is."""
-    count = np.zeros(n_keys, dtype=np.int64)
-    first = np.full(n_keys, key.size, dtype=np.int64)
-    for lo in range(0, key.size, _CHUNK):
-        chunk = np.bincount(key[lo:lo + _CHUNK], minlength=n_keys)
-        if (chunk[count == 0] > 0).any():
-            values, index = np.unique(key[lo:lo + _CHUNK], return_index=True)
-            first[values] = np.minimum(first[values], lo + index)
-        count += chunk
-    return count, first
 
 
 def _columns(D: DefiningSet, Z1: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -249,9 +230,9 @@ def _zero_set_ranks(X: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
 
 def _check_rank_budget(q: int, m: int, size: int, budget: int) -> tuple[int, int]:
     """The rank test's price from q, m and |D| = size alone (module docstring):
-    the q + 1 class passes and a subset rank for each of at most q^3 + q^2 + q
-    classes.  Returns the first-half columns n, one per F_q*-orbit, and the
-    subset size c."""
+    the census and at most q class passes, and a subset rank for each of at
+    most q^3 + q^2 + q classes.  Returns the first-half columns n, one per
+    F_q*-orbit, and the subset size c."""
     n = size // (q - 1)
     c = min(n, 8 * m * q)
     check_budget((q + 1) * m * q**m + (q**3 + q**2 + q) * c * (2 * m) ** 2, budget,

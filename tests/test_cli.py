@@ -496,6 +496,14 @@ def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+def test_out_naming_a_directory_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--q", "3", "--m", "2", "--out", str(tmp_path)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "--out names a directory" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []  # no .leecodes-* temporary file left
+
+
 def test_env_override_format(monkeypatch, capsys):
     monkeypatch.setenv("LEECODES_FORMAT", "csv")
     code, out = run(["spectrum", "--q", "3", "--m", "2"], capsys)

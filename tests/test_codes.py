@@ -243,6 +243,18 @@ def test_trace_rows_at_a_dtype_boundary():
         [sum((q - 1) * d for d in f.coeffs(z)) % q for z in range(f.order)]] * m
 
 
+@pytest.mark.parametrize("q,m", [(3, 3), (3, 4), (5, 3), (7, 2), (5, 2), (13, 2)])
+def test_square_classes_match_a_naive_loop(q, m):
+    # x = 0, then the first nonzero x of each value of Q = Tr(x^2) in increasing
+    # order, and the size of each class; Z = {0} at (5,2) and (13,2)
+    f = make_field(q, m)
+    Q = [f.trace(f.mul(x, x)) for x in f.elements()]
+    values = sorted(set(Q[1:]))
+    reps, sizes = codes._square_classes(f)
+    assert reps.tolist() == [0] + [Q.index(s, 1) for s in values]
+    assert sizes.tolist() == [1] + [Q[1:].count(s) for s in values]
+
+
 @pytest.mark.parametrize("q,m", [(3, 4), (7, 3)])
 def test_count_refuses_a_row_of_h_off_its_class(q, m):
     # H[x] depends only on Q(x) and on whether x = 0; a row changed inside its

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,30 @@ def test_gauss_oracle_histogram_is_euler_sum(q, m, monkeypatch):
     monkeypatch.setattr(charsums, "embed_histogram", lambda q, hist: seen.append(hist.tolist()))
     charsums.gauss_sum_oracle(f)
     assert seen == [expected]
+
+
+def test_cyclic_convolve_matches_a_naive_loop():
+    rng = np.random.default_rng(5)
+    ha, hb = rng.integers(0, 50, (4, 1, 7)), rng.integers(0, 50, (1, 3, 7))
+    naive = np.zeros((4, 3, 7), dtype=np.int64)
+    for i, j in itertools.product(range(7), repeat=2):
+        naive[..., (i + j) % 7] += ha[..., i] * hb[..., j]
+    assert np.array_equal(gf._cyclic_convolve(ha, hb), naive)
+
+
+def test_cyclic_convolve_holds_no_temporary_beyond_the_output():
+    # (61, 1, 61) x (1, 61, 61): a (61, 61, 61, 61) product of every shift would
+    # be 110 MB, the output is 1.8 MB
+    ha = np.ones((61, 1, 61), dtype=np.int64)
+    hb = np.ones((1, 61, 61), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        out = gf._cyclic_convolve(ha, hb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out == 61).all()
+    assert peak < 4 * out.nbytes
 
 
 # -- additive characters chi_a(x) = zeta_q^Tr(a x) -----------------------

@@ -176,6 +176,20 @@ def test_minimality_counts(defining_sets):
     assert minimal_codewords_exhaustive(defining_sets(3, 8)) == (3**16 - 1, True)
 
 
+@pytest.mark.parametrize("q,hi", [(3, 3**15), (131, 131**2)])
+def test_leading_digit_matches_a_plain_loop(q, hi):
+    x = np.concatenate([[0], np.random.default_rng(q).integers(0, hi, 5000)])
+    kept = x.copy()
+
+    def leading(v):
+        while v >= q:
+            v //= q
+        return v
+
+    assert _leading_digit(x, q).tolist() == [leading(v) for v in x.tolist()]
+    assert np.array_equal(x, kept)  # the caller's array, e.g. Z, is not divided
+
+
 @pytest.mark.parametrize("q,m", [(3, 3), (5, 3), (7, 2)])
 def test_scan_coordinates_cover_each_orbit_of_pairs_once(q, m, defining_sets):
     # the scan reads (a, b) for a in Z1, b in Z, and (0, b) for b in Z1, where Z1
@@ -217,9 +231,9 @@ def test_minimality_budget(defining_sets):
 
 
 def test_minimality_budget_prices_lines(defining_sets):
-    # the price before the field: (q + 1) m q^m = 324 steps for the class passes,
-    # and (q^3 + q^2 + q) c (2m)^2 = 39 * 40 * 36 for the subset ranks, on
-    # c = min(n, 8mq) = n = 80 / (q - 1) = 40 columns, one per F_q*-orbit
+    # the price before the field: (q + 1) m q^m = 324 steps for the census and
+    # the class passes, and (q^3 + q^2 + q) c (2m)^2 = 39 * 40 * 36 for the subset
+    # ranks, on c = min(n, 8mq) = n = 80 / (q - 1) = 40 columns, one per F_q*-orbit
     D = defining_sets(3, 3)
     price = 4 * 3 * 27 + 39 * 40 * 36
     assert minimal_codewords_exhaustive(D, budget=price) == (700, False)
@@ -330,7 +344,7 @@ def test_rank_is_constant_on_each_class(q, m, defining_sets):
         assert size == (label == np.flatnonzero((keys == key).all(axis=1))[0]).sum()
 
 
-@pytest.mark.parametrize("q,m", [(3, 3), (17, 2)])  # (17, 2): 17^2 + 17 = 306 keys need uint16
+@pytest.mark.parametrize("q,m", [(3, 3), (5, 2), (7, 2), (17, 2)])  # (17, 2): 306 keys need uint16
 def test_witt_classes_match_a_naive_key_loop(q, m):
     # one message per key over every nonzero message, and the size of its class
     f = make_field(q, m)
