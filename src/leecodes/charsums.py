@@ -1,11 +1,17 @@
 """Quadratic Gauss sums and the counting identities behind the code spectra.
 
 Every closed form here is paired with an exhaustive oracle that enumerates
-the defining sum or count directly.  Oracles accumulate root-of-unity terms
-into a length-q integer histogram and collapse it exactly at the end: a
-histogram h represents sum_k h[k] * zeta_q^k, which is a rational integer
-iff h[1] = ... = h[q-1], in which case the value is h[0] - h[1].  Only the
-genuinely irrational Gauss sums are compared through a complex embedding.
+the defining sum or count directly.  The integer-valued oracles count the a in
+F_{q^m} by Tr(a^2), or by one joint count per fixed factor c, J[t, u] =
+#{a : Tr(a^2) = t, Tr(c a) = u} (_joint, one scan of every a), and collapse each
+sum over F_q* with the Ramanujan vector A[t] = sum over x in F_q* of zeta_q^{x t}, which is q - 1 at
+t = 0 and -1 elsewhere (_ramanujan); so they form no root of unity, and their
+values are compared with zero tolerance.  Only the two irrational sums, the
+Gauss sum and the quadratic polynomial sum, accumulate a length-q histogram and
+compare its complex embedding: g and -g are Galois conjugates in Z[zeta_q]
+(sigma_a(g) = eta(a) g), so no exact test fixes the sign of G, which is Gauss's
+analytic theorem, and a wrong sign moves G_m by 2 q^(m/2), far beyond the
+comparison's relative tolerance of 1e-6.
 
 Every closed count and nested sum is read off one character sum,
 S(s) = sum over x in F_q*, a in F_{q^m} of zeta_q^{x(Tr(a^2) - s)}, whose only
@@ -29,12 +35,9 @@ import numpy as np
 
 from ._budget import DEFAULT_OPS_BUDGET, check_budget
 from ._record import Record
-from .errors import (
-    NonIntegralValueError,
-    ZeroLeadingCoefficientError,
-    ZeroParameterError,
-)
-from .gf import Field, GaussValue, _cyclic_convolve, _exact, quadratic_gauss_sum, root_of_unity
+from .errors import ZeroLeadingCoefficientError, ZeroParameterError
+from .gf import (Field, GaussValue, _cyclic_convolve, _exact, _signed_below, quadratic_gauss_sum,
+                 root_of_unity)
 
 
 class CountResult(Record):
@@ -44,7 +47,7 @@ class CountResult(Record):
 
 
 # ----------------------------------------------------------------------
-# histogram helpers
+# what the oracles count
 # ----------------------------------------------------------------------
 
 def embed_histogram(q: int, hist: np.ndarray) -> complex:
@@ -52,12 +55,22 @@ def embed_histogram(q: int, hist: np.ndarray) -> complex:
     return complex(np.sum(hist * np.exp(2j * np.pi * ks / q)))
 
 
-def exact_int_from_histogram(q: int, hist) -> int:
-    hist = [int(v) for v in hist]
-    tail = hist[1:]
-    if any(v != tail[0] for v in tail):
-        raise NonIntegralValueError("root-of-unity sum is not a rational integer")
-    return hist[0] - tail[0]
+def _ramanujan(q: int) -> np.ndarray:
+    """A[t] = sum over x in F_q* of zeta_q^{x t}: q - 1 at t = 0 and -1 elsewhere."""
+    A = np.full(q, -1, dtype=np.int64)
+    A[0] = q - 1
+    return A
+
+
+def _joint(f: Field, c: int) -> np.ndarray:
+    """J[t, u] = #{a : Tr(a^2) = t, Tr(c a) = u}, from one scan of every a.
+
+    The key Tr(a^2) q + Tr(c a) is below q^2, so it is built in the narrowest
+    signed dtype that holds it (int16 up to q = 181)."""
+    q = f.q
+    key = np.multiply(f.trace_sq_array, q, dtype=_signed_below(q * q))
+    key += f.trace_mul_row(c)
+    return np.bincount(key, minlength=q * q).reshape(q, q)
 
 
 def _etabar(q: int, s: int) -> int:
@@ -170,13 +183,9 @@ def square_trace_char_sum(field: Field, s: int, mode: str = "closed",
     q = f.q
     s %= q
     if mode == "oracle":
-        check_budget(f.order * (q - 1), budget, "single-sum oracle")
-        counts = np.bincount(f.trace_sq_array, minlength=q)
-        hist = np.zeros(q, dtype=np.int64)
-        for x in range(1, q):
-            for t in range(q):
-                hist[(x * (t - s)) % q] += int(counts[t])
-        return exact_int_from_histogram(q, hist)
+        check_budget(f.order + q, budget, "single-sum oracle")
+        # the x-sum over the a with Tr(a^2) = t is A[t - s]
+        return int(np.bincount(f.trace_sq_array, minlength=q) @ np.roll(_ramanujan(q), s))
     if mode != "closed":
         raise ValueError("mode must be 'closed' or 'oracle'")
     return _S(f, s, _gauss_int(f))
@@ -247,33 +256,20 @@ def nested_char_sum(field: Field, kind: str, beta: int, lam: int, alpha: int | N
 
 def _nested_char_sum_oracle(f: Field, kind: str, beta: int, lam: int, alpha: int | None,
                             budget: int) -> int:
-    # the convolution is bilinear, so summing each factor over x (resp. y) before
-    # convolving gives the sum over all (x, y, z); "split" is "coupled" with the
-    # Tr(alpha b) term zero, and "single" is the a-part alone
+    # grouping a by (t, u) = (Tr(a^2), Tr(beta a)), the x-sum is A[t] and the z-sum
+    # A[u - lam]; the coupled sum groups b by (Tr(b^2), Tr(alpha b)) too, and its z
+    # term sees u_a + u_b, so the two sides convolve; the split sum's b, y factor
+    # reads only #{b : Tr(b^2) = t}, the row sums of J
     q = f.q
-    ta2 = f.trace_sq_array
-    tr_beta = f.trace_mul_row(beta)  # Tr(beta * a) over a
-    sides = 1 if kind == "single" else 2
-    check_budget(sides * (f.order + (q - 1) ** 2 * q * q) + (sides - 1) * (q - 1) * q * q,
-                 budget, f"{kind}-sum oracle")
-    units = np.arange(1, q)
-    t, u = np.divmod(np.arange(q * q), q)
-    # k[x - 1, z - 1, t q + u] = x t + z u mod q
-    k = (units[:, None, None] * t + units[:, None] * u) % q
-
-    def summed(lin: np.ndarray) -> np.ndarray:
-        """out[z - 1, k] = #{(x, a) : x Tr(a^2) + z lin(a) = k}, x and z in F_q*,
-        from one joint count J[t, u] = #{a : Tr(a^2) = t, lin(a) = u}."""
-        J = np.bincount(np.multiply(ta2, q, dtype=np.intp) + lin % q, minlength=q * q)
-        out = np.zeros((q - 1, q), dtype=np.int64)
-        np.add.at(out, (units[:, None] - 1, k), J)
-        return out
-
-    ha = summed(tr_beta - lam)
-    if kind == "single":
-        return exact_int_from_histogram(q, ha.sum(axis=0))
-    tr_alpha = f.trace_mul_row(alpha) if kind == "coupled" else np.zeros_like(ta2)  # Tr(alpha * b)
-    return exact_int_from_histogram(q, _cyclic_convolve(ha, summed(tr_alpha)).sum(axis=0))
+    side = f.order + q * q
+    check_budget(2 * side + q * q if kind == "coupled" else side, budget, f"{kind}-sum oracle")
+    A = _ramanujan(q)
+    J = _joint(f, beta)
+    h = A @ J
+    if kind == "coupled":
+        h = _cyclic_convolve(h, A @ _joint(f, alpha))
+    value = int(h @ np.roll(A, lam))
+    return value * int(A @ J.sum(axis=1)) if kind == "split" else value
 
 
 # ----------------------------------------------------------------------
@@ -297,11 +293,9 @@ def zero_trace_pair_count(field: Field, alpha: int, beta: int, lam: int, mode: s
         raise ZeroParameterError("lam must be a nonzero residue")
 
     if mode == "oracle":
-        check_budget(2 * f.order + q * q, budget, "zero-trace pair-count oracle")
-        zeros = np.nonzero(f.trace_sq_array == 0)[0]
-        ha = np.bincount(f.trace_mul_row(beta)[zeros], minlength=q).astype(np.int64)
-        hb = np.bincount(f.trace_mul_row(alpha)[zeros], minlength=q).astype(np.int64)
-        conv = _cyclic_convolve(ha, hb)
+        check_budget(2 * (f.order + q * q) + q * q, budget, "zero-trace pair-count oracle")
+        # row 0 of J counts the a in Z by Tr(c a)
+        conv = _cyclic_convolve(_joint(f, beta)[0], _joint(f, alpha)[0])
         return CountResult(int(conv[lam]), "enumeration")
     if mode != "closed":
         raise ValueError("mode must be 'closed' or 'oracle'")

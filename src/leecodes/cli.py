@@ -68,8 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="cap on elementary enumeration steps (>= 10^6)",
         )
         p.add_argument(
-            "--threads", type=int,
-            default=os.environ.get(ENV_PREFIX + "THREADS", os.cpu_count() or 1),
+            "--threads", type=int, default=1,
             help="accepted for compatibility and echoed in params; ignored, since "
                  "enumeration runs in one thread",
         )

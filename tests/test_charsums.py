@@ -75,6 +75,15 @@ def test_gauss_oracle_budget():
         cs.gauss_sum(make_field(3, 3), mode="oracle", budget=10)
 
 
+def exact_int_from_histogram(q, hist):
+    """sum_k hist[k] zeta_q^k as a rational integer: h[0] - h[1] when h[1] = ... = h[q-1]."""
+    hist = [int(v) for v in hist]
+    tail = hist[1:]
+    if any(v != tail[0] for v in tail):
+        raise NonIntegralValueError("root-of-unity sum is not a rational integer")
+    return hist[0] - tail[0]
+
+
 def _gauss_histogram(f):
     """h[k] = sum of eta(r) over Tr(r) = k, so that G = sum_k h[k] zeta_q^k."""
     return (np.bincount(f.trace_sq_array, minlength=f.q)
@@ -88,7 +97,7 @@ def test_gauss_int_matches_oracle_histogram(q, m):
     hist = _gauss_histogram(f)
     if m % 2:
         hist = cs._cyclic_convolve(hist, _gauss_histogram(f.prime_subfield()))
-    assert cs._gauss_int(f) == cs.exact_int_from_histogram(q, hist)
+    assert cs._gauss_int(f) == exact_int_from_histogram(q, hist)
 
 
 # each closed form at (3, 2) with its parameters after the field
@@ -179,9 +188,9 @@ def test_quadratic_sum_rejects_zero_lead():
 # -- histogram collapse ----------------------------------------------------
 
 def test_exact_int_from_histogram():
-    assert cs.exact_int_from_histogram(3, [5, 2, 2]) == 3
+    assert exact_int_from_histogram(3, [5, 2, 2]) == 3
     with pytest.raises(NonIntegralValueError):
-        cs.exact_int_from_histogram(3, [5, 2, 1])
+        exact_int_from_histogram(3, [5, 2, 1])
     val = cs.embed_histogram(3, [5, 2, 2])
     assert abs(val - 3) < 1e-9
 
@@ -444,22 +453,36 @@ def _naive_pair_count(f, alpha, beta, lam):
 
 
 def test_vectorized_oracles_match_naive_loops():
-    f = make_field(3, 2)
-    for beta in (1, 2, 3, 4):
-        for lam in (1, 2):
-            naive = _naive_single_sum(f, beta, lam)
+    # (3, 2) has q = 3 mod 4 and (5, 2) q = 1 mod 4, where Z = {0}
+    for f in (make_field(3, 2), make_field(5, 2)):
+        for beta in (1, 2, 3, 4):
+            for lam in (1, 2):
+                naive = _naive_single_sum(f, beta, lam)
+                assert abs(naive.imag) < 1e-9
+                assert round(naive.real) == cs.nested_char_sum(f, "single", beta, lam, mode="oracle")
+        for (alpha, beta, lam) in [(1, 1, 1), (2, 5, 1), (3, 7, 2), (4, 4, 2)]:
+            naive = _naive_coupled_sum(f, alpha, beta, lam)
             assert abs(naive.imag) < 1e-9
-            assert round(naive.real) == cs.nested_char_sum(f, "single", beta, lam, mode="oracle")
-    for (alpha, beta, lam) in [(1, 1, 1), (2, 5, 1), (3, 7, 2), (4, 4, 2)]:
-        naive = _naive_coupled_sum(f, alpha, beta, lam)
-        assert abs(naive.imag) < 1e-9
-        assert round(naive.real) == cs.nested_char_sum(f, "coupled", beta, lam, alpha=alpha, mode="oracle")
-    for (beta, lam) in [(1, 1), (5, 2), (7, 1)]:
-        naive = _naive_coupled_sum(f, 0, beta, lam)  # alpha = 0 drops the coupling: the split sum
-        assert abs(naive.imag) < 1e-9
-        assert round(naive.real) == cs.nested_char_sum(f, "split", beta, lam, mode="oracle")
-    for (alpha, beta, lam) in [(0, 0, 1), (0, 3, 1), (5, 0, 2), (4, 7, 1), (1, 1, 2)]:
-        assert _naive_pair_count(f, alpha, beta, lam) == cs.zero_trace_pair_count(f, alpha, beta, lam, mode="oracle").value
+            assert round(naive.real) == cs.nested_char_sum(f, "coupled", beta, lam, alpha=alpha,
+                                                           mode="oracle")
+        for (beta, lam) in [(1, 1), (5, 2), (7, 1)]:
+            naive = _naive_coupled_sum(f, 0, beta, lam)  # alpha = 0 drops the coupling: the split sum
+            assert abs(naive.imag) < 1e-9
+            assert round(naive.real) == cs.nested_char_sum(f, "split", beta, lam, mode="oracle")
+        for (alpha, beta, lam) in [(0, 0, 1), (0, 3, 1), (5, 0, 2), (4, 7, 1), (1, 1, 2)]:
+            assert (_naive_pair_count(f, alpha, beta, lam)
+                    == cs.zero_trace_pair_count(f, alpha, beta, lam, mode="oracle").value)
+
+
+@pytest.mark.parametrize("q", [181, 191])
+def test_joint_at_a_dtype_boundary(q):
+    # the key Tr(a^2) q + Tr(c a) stays below 2^15 at q = 181 (int16) and passes it at q = 191
+    f = make_field(q, 1)
+    for c in (0, 1, q - 1, 57):
+        J = np.zeros((q, q), dtype=np.int64)
+        for a in f.elements():
+            J[f.trace(f.mul(a, a)), f.trace(f.mul(c, a))] += 1
+        assert (cs._joint(f, c) == J).all(), c
 
 
 def test_oracle_budgets():

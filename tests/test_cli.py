@@ -128,17 +128,58 @@ def test_identity_closed_exactness_error_is_a_fail(monkeypatch, capsys):
         "closed": "closed value 11/3 is not integral", "oracle": "5"}
 
 
+def _mutated_S(how):
+    """charsums._S with one deliberate error."""
+    from leecodes import charsums
+
+    S = charsums._S
+
+    def mutant(f, s, g):
+        if how == "negated-g":
+            return S(f, s, -g)
+        if f.m % 2:  # eta(-s) read as eta(s) at odd m
+            return S(f, -s, g) if how == "eta-sign" else S(f, s, g)
+        return -g if s % f.q == 0 else (f.q - 1) * g  # the even-m cases swapped
+    return mutant
+
+
+FIVE_ROWS = {"square-trace-count", "single-character-sum", "pair-trace-count",
+             "nested-sum-single", "zero-trace-pair-count"}
+
+
+@pytest.mark.parametrize("how,q,m", [
+    *[("negated-g", q, m) for q, m in [(3, 3), (3, 4), (5, 3), (5, 4)]],
+    ("eta-sign", 3, 3), ("eta-sign", 7, 3), ("eta-sign", 5, 3),
+    *[("even-cases-swapped", q, m) for q, m in [(3, 2), (3, 4), (5, 4)]],
+])
+def test_mutated_character_sum_fails_its_rows(how, q, m, monkeypatch):
+    # the split and coupled sums are products of two values of S, so negating g
+    # leaves them, and S(0) = 0 at odd m; eta(-1) = 1 at q = 1 mod 4, where reading
+    # eta(-s) as eta(s) is an equivalent mutant
+    from leecodes import charsums
+
+    failing = {"negated-g": FIVE_ROWS,
+               "eta-sign": FIVE_ROWS if q % 4 == 3 else set(),
+               "even-cases-swapped": set(IDENTITY_CHECKS[2:])}[how]
+    monkeypatch.setattr(charsums, "_S", _mutated_S(how))
+    args = argparse.Namespace(q=q, m=m, budget=cli.DEFAULT_OPS_BUDGET, seed=0)
+    verdicts, _ = cli._identity_results(args, None)
+    assert {v["check"] for v in verdicts if v["status"] == "FAIL"} == failing
+    assert {v["check"] for v in verdicts if v["status"] != "FAIL"} == set(IDENTITY_CHECKS) - failing
+    assert {v["status"] for v in verdicts} <= {"PASS", "FAIL"}
+
+
 def test_identity_budget_prices_each_row_as_a_whole():
     # a row's oracle calls share the budget, budget // calls each.  At (3,5) a row
-    # samples 100 nested tuples and 120 pair-count tuples; a two-sided nested oracle
-    # costs 2 (q^m + (q-1)^2 q^2) + (q-1) q^2 = 576 steps, so its row 57600, and the
-    # zero-trace pair-count oracle 2 q^m + q^2 = 495, so its row 59400; every other
-    # row costs at most 27900 (100 one-sided nested calls of 279).  The runner is
-    # called directly, since the CLI takes no budget below 10^6.
-    for budget, skipped in [(57599, {"nested-sum-split": 576, "nested-sum-coupled": 576,
-                                     "zero-trace-pair-count": 495}),
-                            (57600, {"zero-trace-pair-count": 495}),
-                            (59400, {})]:
+    # samples 100 nested tuples and 120 pair-count tuples; one side of a nested or
+    # pair-count oracle (a joint count) costs q^m + q^2 = 252 steps, and two sides
+    # and their convolution 2 * 252 + q^2 = 513: the coupled row 51300 and the
+    # zero-trace pair-count row 61560; every other row costs at most 25200 (100
+    # one-sided nested calls of 252).  The runner is called directly, since the CLI
+    # takes no budget below 10^6.
+    for budget, skipped in [(51299, {"nested-sum-coupled": 513, "zero-trace-pair-count": 513}),
+                            (51300, {"zero-trace-pair-count": 513}),
+                            (61560, {})]:
         args = argparse.Namespace(q=3, m=5, budget=budget, seed=0)
         verdicts, results = cli._identity_results(args, None)
         assert results == {}
@@ -155,13 +196,23 @@ def test_identity_budget_prices_each_row_as_a_whole():
 
 
 def test_identity_rows_share_the_cli_budget(capsys):
-    # at (3,8) a nested pair-sum call costs 13212 steps and a zero-trace pair-count
-    # call 13131: 100 and 120 of them exceed 10^6, though each call alone fits
+    # at (3,8) a coupled nested-sum call and a zero-trace pair-count call each cost
+    # 2 (q^m + q^2) + q^2 = 13149 steps: 100 and 120 of them exceed 10^6, though
+    # each call alone fits
     code, out = run(["verify-identities", "--q", "3", "--m", "8", "--budget", "1000000"], capsys)
     assert code == cli.EXIT_BUDGET
-    skipped = {"nested-sum-split", "nested-sum-coupled", "zero-trace-pair-count"}
+    skipped = {"nested-sum-coupled", "zero-trace-pair-count"}
     assert [(v["check"], v["status"]) for v in json.loads(out)["verdicts"]] == [
         (name, "SKIPPED" if name in skipped else "PASS") for name in IDENTITY_CHECKS]
+
+
+@pytest.mark.parametrize("q,m", [(131, 1), (61, 2)])
+def test_identity_oracles_reach_large_q(q, m, capsys):
+    # each nested or pair-count oracle call costs about q^m + q^2 steps per side
+    code, out = run(["verify-identities", "--q", str(q), "--m", str(m)], capsys)
+    assert code == cli.EXIT_PASS
+    assert [(v["check"], v["status"]) for v in json.loads(out)["verdicts"]] == [
+        (name, "PASS") for name in IDENTITY_CHECKS]
 
 
 def test_spectrum_both_match(capsys):
@@ -525,9 +576,20 @@ def test_env_override_budget(monkeypatch, capsys):
     assert code == cli.EXIT_BUDGET
 
 
+def test_params_do_not_depend_on_the_host(monkeypatch, capsys):
+    # --threads defaults to 1, the thread count the count uses, not to the host's
+    # cpu count, and no LEECODES_THREADS variable overrides it
+    argv = ["spectrum", "--q", "3", "--m", "2", "--mode", "closed"]
+    _, first = run(argv, capsys)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setenv("LEECODES_THREADS", "7")
+    _, second = run(argv, capsys)
+    assert first == second
+    assert json.loads(second)["params"]["threads"] == 1
+
+
 @pytest.mark.parametrize("name,flag,value", [("BUDGET", "--budget", "1000000"),
-                                             ("SEED", "--seed", "1"),
-                                             ("THREADS", "--threads", "1")])
+                                             ("SEED", "--seed", "1")])
 def test_env_malformed_integer_is_usage_error(name, flag, value, monkeypatch, capsys):
     monkeypatch.setenv("LEECODES_" + name, "abc")
     argv = ["spectrum", "--q", "3", "--m", "2", "--mode", "closed"]
