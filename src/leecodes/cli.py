@@ -39,7 +39,7 @@ import time
 
 from ._budget import DEFAULT_OPS_BUDGET, check_budget
 from .errors import (BudgetExceededError, DegenerateSpectrumError, LeecodesError,
-                      NonIntegralValueError)
+                      NonIntegralExponentError, NonIntegralValueError)
 
 ENV_PREFIX = "LEECODES_"
 
@@ -186,10 +186,7 @@ def _identity_results(args: argparse.Namespace, defining_set) -> tuple[list[dict
         verdict = {"check": name, "status": "PASS"}
         try:
             for params in cases:
-                try:
-                    c = plain(fn(f, *params))
-                except NonIntegralValueError as exc:  # the closed form failed its exactness check
-                    c = exc
+                c = plain(_closed(fn, f, *params))
                 o = plain(fn(f, *params, mode="oracle", budget=args.budget // len(cases)))
                 if isinstance(c, complex) or isinstance(o, complex):
                     ok = abs(c - o) <= 1e-6 * max(1.0, abs(o))
@@ -215,20 +212,26 @@ def _count_results(args: argparse.Namespace, defining_set, command: str, route: 
 
     results: dict = {}
     verdicts = []
+    closed = brute = None
     if args.mode != "brute":
-        closed = getattr(codes, closed_fn)(args.q, args.m)
-        results["closed"] = closed.records()
+        closed = _closed(getattr(codes, closed_fn), args.q, args.m)
+        if not isinstance(closed, Exception):
+            results["closed"] = closed.records()
     if args.mode != "closed":
         try:  # the count's one price reads q and m alone: refuse before the field is built
             codes._check_count_budget(args.q, args.m, args.budget, route)
             D = defining_set()
             brute = getattr(codes, count_fn)(D, budget=args.budget, threads=args.threads)
         except BudgetExceededError as exc:
-            return [_skipped(command, exc)], results
-        results["brute"] = brute.records()
-        if route == "lee":
-            results["defining_set_size"] = len(D)
-    if args.mode == "both":
+            verdicts.append(_skipped(command, exc))
+        else:
+            results["brute"] = brute.records()
+            if route == "lee":
+                results["defining_set_size"] = len(D)
+    if isinstance(closed, Exception):
+        check = f"{route}-closed" + ("" if brute is None else "-vs-brute")
+        verdicts.append({"check": check, "status": "FAIL", "closed": str(closed)})
+    elif closed is not None and brute is not None:
         ok = closed.entries == brute.entries
         verdicts.append({"check": f"{route}-closed-vs-brute", "status": "PASS" if ok else "FAIL"})
     return verdicts, results
@@ -237,42 +240,52 @@ def _count_results(args: argparse.Namespace, defining_set, command: str, route: 
 def _minimality_results(args: argparse.Namespace, defining_set) -> tuple[list[dict], dict]:
     from . import codes, sss
 
-    spectrum = codes.lee_spectrum_closed(args.q, args.m)
+    spectrum = _closed(codes.lee_spectrum_closed, args.q, args.m)
+    report, results = None, {}
     try:
-        report = sss.ab_check(spectrum, args.q)
+        if not isinstance(spectrum, Exception):
+            report = sss.ab_check(spectrum, args.q)
+            results = {
+                "w_min": report.w_min,
+                "w_max": report.w_max,
+                "ab_ratio": list(report.ab_ratio),
+                "ab_threshold": list(report.ab_threshold),
+                "ab_holds": report.ab_holds,
+            }
     except DegenerateSpectrumError:
         # an empty defining set (every m = 2, q = 1 mod 4) gives the zero code:
         # there is no weight ratio to test, but the scan still runs
-        report = None
         results = {"degenerate": True}
-    else:
-        results = {
-            "w_min": report.w_min,
-            "w_max": report.w_max,
-            "ab_ratio": list(report.ab_ratio),
-            "ab_threshold": list(report.ab_threshold),
-            "ab_holds": report.ab_holds,
-        }
     results["module_generators"] = args.m
     # ab_holds is a finding, not a check; the verifiable check is soundness:
     # whenever the ratio condition holds, the exhaustive scan must agree.
-    verdicts = []
     try:
-        # refuse past the reach from q, m and |D| alone, before the field is built
+        # refuse past the reach from q and m alone, before the field is built
         codes._check_scan_budget(args.q, args.m, args.budget)
-        sss._check_rank_budget(args.q, args.m, codes.gray_image_length(args.q, args.m) // 2,
-                               args.budget)
+        sss._check_rank_budget(args.q, args.m, args.budget)
         D = defining_set()
         count, all_min = sss.minimal_codewords_exhaustive(D, budget=args.budget)
         results["minimal_count"] = count
         results["all_minimal"] = all_min
         sound = report is None or not report.ab_holds or all_min
-        verdicts.append({"check": "ab-soundness", "status": "PASS" if sound else "FAIL"})
+        verdict = {"check": "ab-soundness", "status": "PASS" if sound else "FAIL"}
         results["gray_rank"] = codes.gray_rank(D)
     except BudgetExceededError as exc:
         results["exhaustive_scan"] = f"SKIPPED: {exc}"
-        verdicts.append(_skipped("ab-soundness", exc))
-    return verdicts, results
+        verdict = _skipped("ab-soundness", exc)
+    if isinstance(spectrum, Exception):  # whatever the scan found
+        verdict = {"check": "ab-soundness", "status": "FAIL", "closed": str(spectrum)}
+    return [verdict], results
+
+
+def _closed(fn, *args):
+    """fn(*args), or the exactness error it raised: a closed form that fails its
+    own check is a FAIL of the check that reads it, carrying the error as its
+    "closed" value, never a usage error."""
+    try:
+        return fn(*args)
+    except (NonIntegralValueError, NonIntegralExponentError) as exc:
+        return exc
 
 
 def _skipped(check: str, exc: BudgetExceededError | str) -> dict:

@@ -24,8 +24,10 @@ Every Tr(x z) here and in sss comes from W[i, j] = Tr(x^i z_j) (_trace_rows),
 read off the Gram matrix of the trace form, W = Tm . d(Z)^T mod q (gf): Tr is
 F_q-linear, so Tr(x z_j) = sum_i x_i W[i, j] over the base-q digits x_i of x
 (Lidl-Niederreiter, Finite Fields, Thm 2.23).  The Gray rank and the
-minimality test read W, codeword() two digit products with it, and the count
-H, built from W's columns by an exact q-ary transform (_enumeration_tables).
+minimality test read columns of W, codeword() two digit products with it, and
+the count H, built from W's columns by an exact q-ary transform
+(_enumeration_tables).  A defining set caches results, never these tables:
+each reader builds the columns of W and the H it reads, and drops them after.
 """
 
 from __future__ import annotations
@@ -126,7 +128,8 @@ class DefiningSet:
     """Nonzero pairs (a, b) of Z x Z in canonical order; Z (zero first) has Tr(z^2) = 0.
 
     The pair arrays a and b (|Z|^2 - 1 entries each) are built on first use:
-    the counts and the minimality scan read only Z.
+    the counts and the minimality scan read only Z.  _cache holds results
+    only, the count ("cwe") and the Gray rank ("rank"), never W or H.
     """
 
     def __init__(self, field: Field, zeros):
@@ -214,27 +217,26 @@ def codeword(x: RingElement, D: DefiningSet) -> RingVector:
 # ----------------------------------------------------------------------
 
 def _enumeration_tables(D: DefiningSet) -> np.ndarray:
-    """H[x, s] = #{z in Z : Tr(x z) = s}, cached per defining set.
+    """H[x, s] = #{z in Z : Tr(x z) = s}, built on each call.
 
     Tr(x z_j) = d(x) . W[:, j] mod q over the base-q digits d(x) of x, so H[x, s]
     counts the columns y of W with d(x) . y = s.  Start from the indicator of them,
     F[y_(m-1), ..., y_0, s] = [y is a column and s = 0], and fold one digit axis
     at a time, out[.., x_i, .., s] = sum_a F[.., a, .., s - x_i a]: after all m
     the axes hold x_(m-1), ..., x_0, so the flat index is x.  Each fold is q^(m+2)
-    steps, summed a term at a time so no temporary exceeds q^(m+1) entries.
+    steps, summed a term at a time so no temporary exceeds q^(m+1) entries; W is
+    dropped before the first.
     """
-    if "H" not in D._cache:
-        q, m = D.field.q, D.field.m
-        r = np.arange(q)
-        shift = (r - r[:, None, None] * r[:, None]) % q  # shift[x_i, a, s] = s - x_i a
-        F = np.zeros((q,) * m + (q,), dtype=np.int32)  # counts up to |Z|
-        F[tuple(_trace_rows(D)[::-1]) + (0,)] = 1  # the columns of W are distinct
-        for _ in range(m):
-            F = F.reshape(q, -1, q)
-            # the leading digit axis comes out as x_i, just before s
-            F = sum(F[a][:, shift[:, a]] for a in range(q))
-        D._cache["H"] = F.reshape(-1, q)
-    return D._cache["H"]
+    q, m = D.field.q, D.field.m
+    r = np.arange(q)
+    shift = (r - r[:, None, None] * r[:, None]) % q  # shift[x_i, a, s] = s - x_i a
+    F = np.zeros((q,) * m + (q,), dtype=np.int32)  # counts up to |Z|
+    F[tuple(_trace_rows(D)[::-1]) + (0,)] = 1  # the columns of W are distinct
+    for _ in range(m):
+        F = F.reshape(q, -1, q)
+        # the leading digit axis comes out as x_i, just before s
+        F = sum(F[a][:, shift[:, a]] for a in range(q))
+    return F.reshape(-1, q)
 
 
 _COUNT_TASKS = {"lee": "Lee spectrum enumeration", "cwe": "CWE enumeration"}
@@ -266,10 +268,16 @@ def _check_count_budget(q: int, m: int, budget: int, route: str) -> None:
     ((q + 1) q)^2.  |Z| = (q^m + sum over c in F_q* of eta(c) g) / q, g the
     quadratic Gauss sum of F_{q^m} and eta its quadratic character, which is 1
     on F_q* at even m and sums to 0 there at odd m."""
-    g = quadratic_gauss_sum(q, m).as_int() if m % 2 == 0 else 0
-    zeros = (q**m + (q - 1) * g) // q
+    zeros = _zero_count(q, m)
     cost = m * q ** (m + 2) + q ** (m + 1) + m * q**m + m * m * zeros + ((q + 1) * q) ** 2
     check_budget(cost, budget, _COUNT_TASKS[route])
+
+
+def _zero_count(q: int, m: int) -> int:
+    """|Z| (_check_count_budget) from q and m alone, for the count's and the
+    rank test's prices: it reads neither the field nor the closed table."""
+    g = quadratic_gauss_sum(q, m).as_int() if m % 2 == 0 else 0
+    return (q**m + (q - 1) * g) // q
 
 
 def _square_classes(f: Field) -> tuple[np.ndarray, np.ndarray]:
@@ -459,26 +467,26 @@ def _rank_mod_q(mats: np.ndarray, q: int) -> int | np.ndarray:
     return int(rank[0]) if single else rank
 
 
-def _trace_rows(D: DefiningSet) -> np.ndarray:
-    """W[i, j] = Tr(x^i z_j) = (Tm . d(z_j))_i mod q in the dtype of trace_array,
-    cached per defining set: the one source of Tr(x z), since
-    Tr(x z_j) = sum_i x_i W[i, j] over the base-q digits x_i of x.  A _CHUNK of
-    Z at a time, the m products Tm[:, k] d_k(z_j) are summed in the narrowest
-    signed dtype that holds m (q - 1)^2."""
-    if "W" not in D._cache:
-        f = D.field
-        acc = _signed_below(f.m * (f.q - 1) ** 2 + 1)
-        Tm = f.Tm.astype(acc)[:, :, None]
-        W = np.empty((f.m, D.zeros.size), dtype=np.min_scalar_type(1 - f.q))
-        for lo in range(0, D.zeros.size, _CHUNK):
-            rest = D.zeros[lo:lo + _CHUNK]
-            total = np.zeros((f.m, rest.size), dtype=acc)
-            for k in range(f.m):
-                rest, digit = np.divmod(rest, f.q)
-                total += Tm[:, k] * digit.astype(acc)
-            W[:, lo:lo + _CHUNK] = total % f.q
-        D._cache["W"] = W
-    return D._cache["W"]
+def _trace_rows(D: DefiningSet, j=slice(None)) -> np.ndarray:
+    """The columns j of W, W[i, j] = Tr(x^i z_j) = (Tm . d(z_j))_i mod q, in the
+    dtype of trace_array, built on each call: the one source of Tr(x z), since
+    Tr(x z_j) = sum_i x_i W[i, j] over the base-q digits x_i of x.  j indexes Z
+    (a slice, or an index array that may repeat).  A _CHUNK of columns at a
+    time, the m products Tm[:, k] d_k(z_j) are summed in the narrowest signed
+    dtype that holds m (q - 1)^2."""
+    f = D.field
+    zeros = D.zeros[j]
+    acc = _signed_below(f.m * (f.q - 1) ** 2 + 1)
+    Tm = f.Tm.astype(acc)[:, :, None]
+    W = np.empty((f.m, zeros.size), dtype=np.min_scalar_type(1 - f.q))
+    for lo in range(0, zeros.size, _CHUNK):
+        rest = zeros[lo:lo + _CHUNK]
+        total = np.zeros((f.m, rest.size), dtype=acc)
+        for k in range(f.m):
+            rest, digit = np.divmod(rest, f.q)
+            total += Tm[:, k] * digit.astype(acc)
+        W[:, lo:lo + _CHUNK] = total % f.q
+    return W
 
 
 def _evenly_spaced(n: int, c: int) -> np.ndarray:
@@ -497,15 +505,15 @@ def gray_rank(D: DefiningSet) -> int:
     As 0 is in Z, D holds (a, 0) and (0, b) for every nonzero a and b of Z, and
     every column is the sum of the columns there: the rank is that of the
     block-diagonal matrix of W and W, twice the rank of W.  W has m rows, so
-    8m evenly spaced columns of rank m settle it; only a subset of lower rank
-    sends the elimination to all |Z| columns.  Cached per defining set: the
-    minimality test and its report both read it.
+    8m evenly spaced columns of rank m settle it, and only those are built;
+    only a subset of lower rank sends the elimination to all |Z| columns.
+    Cached per defining set: the minimality test and its report both read it.
     """
     if "rank" not in D._cache:
-        W, q, m = _trace_rows(D), D.field.q, D.field.m
-        rank = _rank_mod_q(W[:, _evenly_spaced(W.shape[1], min(W.shape[1], 8 * m))], q)
+        q, m, size = D.field.q, D.field.m, D.zeros.size
+        rank = _rank_mod_q(_trace_rows(D, _evenly_spaced(size, min(size, 8 * m))), q)
         if rank < m:
-            rank = _rank_mod_q(W, q)
+            rank = _rank_mod_q(_trace_rows(D), q)
         D._cache["rank"] = 2 * rank
     return D._cache["rank"]
 

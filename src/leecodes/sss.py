@@ -47,12 +47,13 @@ of r - 1 there makes the message minimal when its codeword is nonzero, as
 every nonzero message's is when r = 2m.  The others are ranked again on 4c,
 16c, ... columns, and last on all n: the subsets set the speed, never the
 verdict.  (A contiguous prefix is a poor subset: its first |Z| columns share
-one a.)  Only the columns a rank reads are built, by their index.
+one a.)  Only the columns a rank reads are built, by their index, from the
+columns of W at their b and a (codes._trace_rows); no table of W is kept.
 
 The work is priced (2m)^2 steps per column a rank reads, plus m q^m for the
 census of Q's classes and for each of at most q class passes.  Before the
 field is built, those and a subset rank for each of at most q^3 + q^2 + q
-classes are priced from q, m and |Z|; after, each stage for what it ranks.
+classes are priced from q and m alone; after, each stage for what it ranks.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ from .codes import (
     _rank_mod_q,
     _square_classes,
     _trace_rows,
+    _zero_count,
     gray_rank,
 )
 from .errors import (
@@ -199,13 +201,12 @@ def _columns(D: DefiningSet, Z1: np.ndarray, j: np.ndarray) -> np.ndarray:
     (Z1[j // |Z|], Z[j % |Z|]) for the first |Z1| |Z|, then (0, Z1[j - |Z1| |Z|]);
     Z1 indexes Z.  A message's row holds the base-q digits of beta, then those
     of alpha, so the column at (a, b) is (W[:, b], W[:, a]):
-    x . g = Tr(beta b) + Tr(alpha a)."""
-    W = _trace_rows(D)  # W[:, 0] = 0: Z starts at 0
+    x . g = Tr(beta b) + Tr(alpha a), built for those b and a alone."""
     a, b = np.divmod(j, D.zeros.size)
     tail = a >= Z1.size
     b[tail] = Z1[j[tail] - Z1.size * D.zeros.size]
-    a = np.where(tail, 0, Z1[np.minimum(a, Z1.size - 1)])
-    return np.hstack([W[:, b].T, W[:, a].T])
+    a = np.where(tail, 0, Z1[np.minimum(a, Z1.size - 1)])  # index 0 of Z is 0
+    return np.hstack([_trace_rows(D, b).T, _trace_rows(D, a).T])
 
 
 def _zero_set_ranks(X: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
@@ -228,12 +229,12 @@ def _zero_set_ranks(X: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
     return ranks
 
 
-def _check_rank_budget(q: int, m: int, size: int, budget: int) -> tuple[int, int]:
-    """The rank test's price from q, m and |D| = size alone (module docstring):
-    the census and at most q class passes, and a subset rank for each of at
-    most q^3 + q^2 + q classes.  Returns the first-half columns n, one per
-    F_q*-orbit, and the subset size c."""
-    n = size // (q - 1)
+def _check_rank_budget(q: int, m: int, budget: int) -> tuple[int, int]:
+    """The rank test's price from q and m alone, |D| = |Z|^2 - 1 by
+    codes._zero_count (module docstring): the census and at most q class
+    passes, and a subset rank for each of at most q^3 + q^2 + q classes.
+    Returns the first-half columns n, one per F_q*-orbit, and the subset size c."""
+    n = (_zero_count(q, m) ** 2 - 1) // (q - 1)
     c = min(n, 8 * m * q)
     check_budget((q + 1) * m * q**m + (q**3 + q**2 + q) * c * (2 * m) ** 2, budget,
                  "minimality rank test (class bound)")
@@ -251,7 +252,7 @@ def minimal_codewords_exhaustive(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGE
     """
     f = D.field
     q, m = f.q, f.m
-    n, c = _check_rank_budget(q, m, len(D), budget)
+    n, c = _check_rank_budget(q, m, budget)
     step = (2 * m) ** 2  # per column a rank reads
 
     quadric = np.zeros(f.order, dtype=bool)

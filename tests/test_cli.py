@@ -128,6 +128,50 @@ def test_identity_closed_exactness_error_is_a_fail(monkeypatch, capsys):
         "closed": "closed value 11/3 is not integral", "oracle": "5"}
 
 
+@pytest.mark.parametrize("q,m", [(3, 3), (3, 4), (5, 3), (5, 4), (7, 3), (3, 5)])
+def test_closed_table_exactness_error_is_a_fail(q, m, monkeypatch, capsys):
+    # a term whose exponents do not sum to 2n fails the check that reads the
+    # table, with the error as its closed value; every other result is written
+    from leecodes import codes
+    from test_mutants import exponent_plus_one
+
+    monkeypatch.setattr(codes, "_closed_cwe_terms", exponent_plus_one)
+    point = ["--q", str(q), "--m", str(m)]
+    expected = {  # argv -> (the failing check, a result still written)
+        ("spectrum",): ("lee-closed-vs-brute", "brute"),
+        ("cwe",): ("cwe-closed-vs-brute", "brute"),
+        ("cwe", "--mode", "closed"): ("cwe-closed", None),
+        ("minimality",): ("ab-soundness", "minimal_count"),
+    }
+    for argv, (check, result) in expected.items():
+        code, out = run([*argv, *point], capsys)
+        payload = json.loads(out)
+        assert code == cli.EXIT_FAIL
+        assert payload["verdicts"] == [{"check": check, "status": "FAIL",
+                                        "closed": payload["verdicts"][0]["closed"]}]
+        assert "!= " + str(codes.gray_image_length(q, m)) in payload["verdicts"][0]["closed"]
+        assert "closed" not in payload["results"] and (result is None or result in payload["results"])
+    code, out = run(["check-all", *point], capsys)
+    assert code == cli.EXIT_FAIL
+    failed = {v["check"] for v in json.loads(out)["verdicts"] if v["status"] == "FAIL"}
+    assert failed == {"lee-closed-vs-brute", "cwe-closed-vs-brute", "ab-soundness"}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "minimality"])
+def test_closed_table_that_cannot_be_built_is_a_fail(command, monkeypatch, capsys):
+    # a table whose own exact division fails has no length 2n either: the rank
+    # test's price reads q and m alone, so minimality still runs and FAILs
+    from leecodes import codes
+
+    monkeypatch.setattr(codes, "_closed_cwe_terms",
+                        lambda q, m: codes._exact(1, q, exponent=True))
+    code, out = run([command, "--q", "3", "--m", "4"], capsys)
+    payload = json.loads(out)
+    assert code == cli.EXIT_FAIL
+    assert [v["closed"] for v in payload["verdicts"]] == ["closed value 1/3 is not integral"]
+    assert {"brute", "minimal_count"} & payload["results"].keys()
+
+
 def _mutated_S(how):
     """charsums._S with one deliberate error."""
     from leecodes import charsums

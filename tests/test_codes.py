@@ -241,6 +241,8 @@ def test_trace_rows_at_a_dtype_boundary():
     D = codes.DefiningSet(f, np.arange(f.order))
     assert codes._trace_rows(D).tolist() == [
         [sum((q - 1) * d for d in f.coeffs(z)) % q for z in range(f.order)]] * m
+    j = np.random.default_rng(q * m).integers(0, f.order, 3 * f.order)
+    assert np.array_equal(codes._trace_rows(D, j), codes._trace_rows(D)[:, j])
 
 
 @pytest.mark.parametrize("q,m", [(3, 3), (3, 4), (5, 3), (7, 2), (5, 2), (13, 2)])
@@ -256,17 +258,45 @@ def test_square_classes_match_a_naive_loop(q, m):
 
 
 @pytest.mark.parametrize("q,m", [(3, 4), (7, 3)])
-def test_count_refuses_a_row_of_h_off_its_class(q, m):
+def test_count_refuses_a_row_of_h_off_its_class(q, m, monkeypatch):
     # H[x] depends only on Q(x) and on whether x = 0; a row changed inside its
     # class, keeping its sum, must stop the count
     D = codes.build_defining_set(make_field(q, m))  # fresh instance, empty cache
-    H = codes._enumeration_tables(D).copy()
+    H = codes._enumeration_tables(D)
     x = D.field.order - 1  # not the first of its class, which starts at 1 or later
     H[x, 0] += 1
     H[x, 1] -= 1
-    D._cache["H"] = H
+    monkeypatch.setattr(codes, "_enumeration_tables", lambda D: H)
     with pytest.raises(AssertionError, match="class"):
         codes.cwe_bruteforce(D)
+
+
+@pytest.mark.parametrize("q,m", [(3, 5), (13, 2)])
+def test_trace_rows_builds_the_columns_asked_for(q, m, defining_sets):
+    # the columns j, repeats included, equal those of the whole table, as at
+    # the dtype boundary of test_trace_rows_at_a_dtype_boundary
+    D = defining_sets(q, m)
+    j = np.random.default_rng(q * m).integers(0, D.zeros.size, 3 * D.zeros.size)
+    assert np.array_equal(codes._trace_rows(D, j), codes._trace_rows(D)[:, j])
+
+
+@pytest.mark.parametrize("q,m,reads", [(3, 5, [40]), (5, 4, [32]), (5, 2, [1, 1])])
+def test_gray_rank_reads_evenly_spaced_columns_first(q, m, reads, monkeypatch):
+    # min(|Z|, 8m) columns of rank m settle the rank; at (5,2), Z = {0}, that
+    # one column has rank 0 < m, and all |Z| = 1 columns are read again
+    calls = []
+    trace_rows = codes._trace_rows
+
+    def spy(D, j=slice(None)):
+        W = trace_rows(D, j)
+        calls.append(W.shape[1])
+        return W
+
+    monkeypatch.setattr(codes, "_trace_rows", spy)
+    D = codes.build_defining_set(make_field(q, m))  # fresh instance, empty cache
+    codes.gray_rank(D)
+    assert calls[0] == min(D.zeros.size, 8 * m)
+    assert calls == reads
 
 
 def test_closed_values_must_divide_exactly():

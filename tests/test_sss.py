@@ -308,6 +308,14 @@ def test_minimality_refusal_above_dense_table_limit_builds_no_lines(monkeypatch)
     assert D._cache == {}
 
 
+def test_a_defining_set_caches_results_only():
+    # the count and the rank test keep their results, never W or H
+    D = codes.build_defining_set(make_field(3, 4))  # fresh instance, empty cache
+    codes.cwe_bruteforce(D)
+    minimal_codewords_exhaustive(D)
+    assert set(D._cache) <= {"cwe", "rank"}
+
+
 def _class_key(f, alpha, beta):
     """(relation, Q(alpha), Q(beta), B(alpha, beta)) per message, from the
     dense tables: the relation is -1 for alpha = 0, 0 for beta = 0, c for
