@@ -232,9 +232,22 @@ def _count_results(args: argparse.Namespace, defining_set, command: str, route: 
         check = f"{route}-closed" + ("" if brute is None else "-vs-brute")
         verdicts.append({"check": check, "status": "FAIL", "closed": str(closed)})
     elif closed is not None and brute is not None:
-        ok = closed.entries == brute.entries
-        verdicts.append({"check": f"{route}-closed-vs-brute", "status": "PASS" if ok else "FAIL"})
+        verdict = {"check": f"{route}-closed-vs-brute", "status": "PASS"}
+        diff = _diff(closed.entries, brute.entries, "weight" if route == "lee" else "composition")
+        if diff:
+            verdict.update(status="FAIL", diff=diff)
+        verdicts.append(verdict)
     return verdicts, results
+
+
+def _diff(closed: dict, brute: dict, key: str) -> list[dict]:
+    """Each weight or composition whose multiplicity differs, in sorted order, with
+    its closed and brute values (0 where a spectrum lacks it)."""
+    return [
+        {key: list(k) if isinstance(k, tuple) else k, "closed": closed.get(k, 0),
+         "brute": brute.get(k, 0)}
+        for k in sorted(closed.keys() | brute.keys()) if closed.get(k, 0) != brute.get(k, 0)
+    ]
 
 
 def _minimality_results(args: argparse.Namespace, defining_set) -> tuple[list[dict], dict]:

@@ -16,9 +16,12 @@ and powers are polynomial products modulo the modulus, the quadratic character
 is Euler's criterion, and the table of c x over every x is the coordinate rows
 times the m x m matrix of multiplication by c.  The one size limit,
 _DENSE_TABLE_LIMIT, applies only to the dense q^m x q^m tables, which are
-built lazily.  No CLI command and no library route reads them (RingVector
-adds base-q digits): they serve only as an independent route in the test
-oracles and the benchmark's set-up.
+built lazily, each from a linear structure with no loop over the elements:
+add_array adds base-q digits mod q; mul_array is d(c x) = sum_i c_i d(x^i x),
+whose rows d(x^i x) are polynomial products; and trace_add_array is
+Tr(x + y) = Tr(x) + Tr(y), the outer sum of trace_array.  No CLI command and
+no library route reads them (RingVector adds base-q digits): only the test
+oracles and the benchmark's set-up build them.
 
 The quadratic Gauss sum of F_{q^m} (GaussValue, exact), the exact division
 _exact that ends every closed form, and the cyclic convolution of length-q
@@ -332,12 +335,29 @@ class Field:
 
     @property
     def mul_array(self) -> np.ndarray:
+        """(q^m, q^m) int32 table of c x.
+
+        d(c x) = sum_i c_i d(x^i x): the rows d(x^i x) over every x are the
+        coordinate rows times mul_matrix(x^i), the polynomial product.  The m
+        digit products sum below m (q - 1)^2 + 1, in the narrowest signed dtype
+        that holds that, and the element index is built one digit at a time,
+        from the highest, in int32."""
         if "mul" not in self._dense:
             self._dense_guard()
-            d = self.digit_matrix.astype(np.int64)
-            # d(c x) = sum_i c_i d(x^i x): rows[i] holds d(x^i x) for every x
-            rows = np.stack([d @ self.mul_matrix(self.q**i) % self.q for i in range(self.m)])
-            self._dense["mul"] = (np.tensordot(d, rows, axes=1) % self.q @ self._place).astype(np.int32)
+            q, m = self.q, self.m
+            acc = _signed_below(m * (q - 1) ** 2 + 1)
+            d = self.digit_matrix.astype(acc)
+            # rows[i][k] holds digit k of x^i x for every x
+            rows = [np.ascontiguousarray((self.digit_matrix @ self.mul_matrix(q**i) % q).T,
+                                         dtype=acc) for i in range(m)]
+            out = np.zeros((self.order, self.order), dtype=np.int32)
+            for k in reversed(range(m)):
+                s = np.multiply.outer(d[:, 0], rows[0][k])
+                for i in range(1, m):
+                    s += np.multiply.outer(d[:, i], rows[i][k])
+                out *= q
+                out += s % q
+            self._dense["mul"] = out
         return self._dense["mul"]
 
     @property
@@ -369,9 +389,12 @@ class Field:
 
     @property
     def trace_add_array(self) -> np.ndarray:
-        """(q^m, q^m) table of Tr(x + y), in the dtype of trace_array."""
+        """(q^m, q^m) table of Tr(x + y) = Tr(x) + Tr(y) mod q, in the dtype of
+        trace_array: the outer sum of trace_array, which stays below 2q."""
         if "trace_add" not in self._dense:
-            self._dense["trace_add"] = self.trace_array[self.add_array]
+            self._dense_guard()
+            t = self.trace_array.astype(_signed_below(2 * self.q))
+            self._dense["trace_add"] = (np.add.outer(t, t) % self.q).astype(self.trace_array.dtype)
         return self._dense["trace_add"]
 
     @property

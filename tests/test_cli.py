@@ -540,6 +540,7 @@ REPORTS = {
        for command in ["verify-identities", "spectrum", "cwe", "minimality", "check-all"]},
     "refused": ["spectrum", "--q", "3", "--m", "15", "--mode", "both"],
     "fail": ["verify-identities", "--q", "3", "--m", "2"],
+    "diff": ["cwe", "--q", "3", "--m", "3"],
     "timing": ["check-all", "--q", "3", "--m", "3", "--timing"],
 }
 
@@ -554,13 +555,19 @@ def test_report_shows_every_leaf_of_the_payload(report, output_format, monkeypat
     if report == "fail":
         monkeypatch.setattr(charsums, "square_trace_count",
                             _closed_off_by_one(charsums.square_trace_count))
+    if report == "diff":
+        from leecodes import codes
+        from test_mutants import swapped_y
+
+        monkeypatch.setattr(codes, "_closed_cwe_terms", swapped_y)
     ticks = itertools.cycle([0.0, 5.0])  # each run takes 5000 ms
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
     argv = REPORTS[report]
     code, out = run(argv, capsys)
     leaves = set(_leaves(json.loads(out)))
-    if report in ("fail", "timing"):  # the payload has the leaf the report must show
-        assert {"fail": ("verdicts", "FAIL"), "timing": ("elapsed_ms", "5000")}[report] in leaves
+    if report in ("fail", "diff", "timing"):  # the payload has the leaf the report must show
+        assert {"fail": ("verdicts", "FAIL"), "diff": ("verdicts", "FAIL"),
+                "timing": ("elapsed_ms", "5000")}[report] in leaves
     fmt_code, text = run(argv + ["--format", output_format], capsys)
     assert fmt_code == code
     lines = text.splitlines()

@@ -7,6 +7,7 @@ import pytest
 
 from leecodes import charsums, codes, gf
 from leecodes.errors import (
+    BudgetExceededError,
     ContextMismatchError,
     DegreeError,
     EvenCharacteristicError,
@@ -196,7 +197,9 @@ def test_frobenius_substitutes_x_to_the_q(q, m):
         assert f.frobenius(y) == image
 
 
-@pytest.mark.parametrize("q,m", [(q, m) for q, m in SMALL_FIELDS + [(7, 3)] if q**m <= 343])
+# (11, 2) is the first point whose digit-product sums m (q - 1)^2 = 200 need int16
+@pytest.mark.parametrize("q,m", [(q, m) for q, m in SMALL_FIELDS + [(7, 3), (11, 2)]
+                                 if q**m <= 343])
 def test_products_match_polynomial_product(q, m):
     f = make_field(q, m)
     for c in f.elements():
@@ -209,6 +212,38 @@ def test_products_match_polynomial_product(q, m):
 def test_mul_row_matches_dense_table(q, m):
     f = make_field(q, m)
     assert all(np.array_equal(f.mul_row(c), f.mul_array[c]) for c in f.elements())
+
+
+def test_products_at_the_size_limit():
+    # at (2039, 1) the digit-product sums (q - 1)^2 need int32; mul_row is an int64 route
+    f = Field(2039, 1)
+    assert f.order <= gf._DENSE_TABLE_LIMIT and f.mul_array.dtype == np.int32
+    for c in [1, 2, 1000, f.order - 2, f.order - 1]:
+        assert np.array_equal(f.mul_array[c], f.mul_row(c))
+
+
+@pytest.mark.parametrize("q,m", SMALL_FIELDS)
+def test_sum_tables_match_scalar_definitions(q, m):
+    f = make_field(q, m)
+    rows = f.elements() if f.order <= 243 else random.Random(q * m).sample(f.elements(), 20)
+    for x in rows:
+        sums = [f.add(x, y) for y in f.elements()]
+        assert f.add_array[x].tolist() == sums
+        assert f.trace_add_array[x].tolist() == [f.trace(s) for s in sums]
+    assert f.trace_add_array.dtype == f.trace_array.dtype
+
+
+# Tr(x) + Tr(y) reaches 2(q - 1): 252 at q = 127, whose traces are int8
+@pytest.mark.parametrize("q,dtype", [(127, np.int8), (131, np.int16)])
+def test_trace_sum_table_at_a_dtype_boundary(q, dtype):
+    f = Field(q, 1)
+    assert f.trace_add_array.dtype == dtype
+    assert f.trace_add_array.tolist() == [[(x + y) % q for y in range(q)] for x in range(q)]
+
+
+def test_trace_sum_table_refused_above_the_size_limit():
+    with pytest.raises(BudgetExceededError):
+        Field(3, 7).trace_add_array
 
 
 @pytest.mark.parametrize("q,m", SMALL_FIELDS + [(3, 9), (5, 6), (7, 5), (11, 4), (13, 4)])

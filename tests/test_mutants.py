@@ -75,3 +75,18 @@ def test_each_mutant_of_the_closed_table_is_caught_or_equivalent(mutant, q, m, c
             assert (code, verdicts[CHECKS[command]]) == (cli.EXIT_FAIL, "FAIL"), command
         else:
             assert (code, set(verdicts.values())) == (cli.EXIT_PASS, {"PASS"}), command
+
+
+def test_a_failed_comparison_lists_where_closed_and_count_differ(monkeypatch, capsys):
+    # at (3, 3) the swapped +-Y multiplicities change exactly the two +-Y compositions
+    q, m = 3, 3
+    (a, *plus), (b, *minus) = _closed_cwe_terms(q, m)[2:4]
+    monkeypatch.setattr(codes, "_closed_cwe_terms", swapped_y)
+    assert cli.main(["cwe", "--q", str(q), "--m", str(m)]) == cli.EXIT_FAIL
+    (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
+    def composition(n0, ni):
+        return [n0] + [ni] * (q - 1)
+
+    diff = sorted([(composition(*plus), b, a), (composition(*minus), a, b)])
+    assert verdict == {"check": "cwe-closed-vs-brute", "status": "FAIL", "diff": [
+        {"composition": comp, "closed": closed, "brute": brute} for comp, closed, brute in diff]}
