@@ -56,6 +56,8 @@ from .gf import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     # ring is imported where it is used, so no spectrum, CWE or minimality run loads it
     from .ring import RingElement, RingVector
 
@@ -489,12 +491,20 @@ def _trace_rows(D: DefiningSet, j=slice(None)) -> np.ndarray:
     return W
 
 
-def _evenly_spaced(n: int, c: int) -> np.ndarray:
-    """c indices into range(n), i n / c rounded down for i < c, without forming
-    i n.  A contiguous prefix is a poor subset of Z or of D: Z is in canonical
-    order, and D's first |Z| columns share one a."""
-    i = np.arange(c)
-    return i * (n // c) + i * (n % c) // c
+def _growing_samples(n: int, c: int) -> Iterator[np.ndarray]:
+    """The one schedule of a sampled rank: evenly spaced index sets into
+    range(n) (n >= 1) of c, 4c, 16c, ... indices, capped at n, the last being
+    all of range(n).  A set of k holds i n / k rounded down for i < k, without
+    forming i n.  A contiguous prefix is a poor subset of Z or of D: Z is in
+    canonical order, and D's first |Z| columns share one a.  A subset whose
+    rank falls short costs the next, four times larger, not all n."""
+    while True:
+        c = min(n, c)
+        i = np.arange(c)
+        yield i * (n // c) + i * (n % c) // c
+        if c == n:
+            return
+        c *= 4
 
 
 def gray_rank(D: DefiningSet) -> int:
@@ -505,15 +515,17 @@ def gray_rank(D: DefiningSet) -> int:
     As 0 is in Z, D holds (a, 0) and (0, b) for every nonzero a and b of Z, and
     every column is the sum of the columns there: the rank is that of the
     block-diagonal matrix of W and W, twice the rank of W.  W has m rows, so
-    8m evenly spaced columns of rank m settle it, and only those are built;
-    only a subset of lower rank sends the elimination to all |Z| columns.
+    columns of rank m settle it: the schedule of _growing_samples reads 8m
+    evenly spaced columns, then 32m, 128m, ... up to all |Z|, building only
+    those, and stops at the first of rank m.
     Cached per defining set: the minimality test and its report both read it.
     """
     if "rank" not in D._cache:
-        q, m, size = D.field.q, D.field.m, D.zeros.size
-        rank = _rank_mod_q(_trace_rows(D, _evenly_spaced(size, min(size, 8 * m))), q)
-        if rank < m:
-            rank = _rank_mod_q(_trace_rows(D), q)
+        q, m = D.field.q, D.field.m
+        for j in _growing_samples(D.zeros.size, 8 * m):
+            rank = _rank_mod_q(_trace_rows(D, j), q)
+            if rank == m:
+                break
         D._cache["rank"] = 2 * rank
     return D._cache["rank"]
 

@@ -58,17 +58,12 @@ def _signed_below(bound: int) -> np.dtype:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n > 1 and _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, increasing: the one trial division, which
+    _is_prime reads too."""
     out = []
     d = 2
     while d * d <= n:

@@ -41,14 +41,15 @@ The test keeps three exact reductions.
   that key, of which there are at most q^3 + q^2 + q whatever m is.  This
   needs Z to be the quadric itself: any other zero set is refused.
 
-Each class's message is ranked first on c = min(n, 8mq) evenly spaced
-columns.  A subset's rank never exceeds that of the full zero set, so a rank
-of r - 1 there makes the message minimal when its codeword is nonzero, as
-every nonzero message's is when r = 2m.  The others are ranked again on 4c,
-16c, ... columns, and last on all n: the subsets set the speed, never the
-verdict.  (A contiguous prefix is a poor subset: its first |Z| columns share
-one a.)  Only the columns a rank reads are built, by their index, from the
-columns of W at their b and a (codes._trace_rows); no table of W is kept.
+The columns are sampled on the schedule that codes.gray_rank also follows
+(codes._growing_samples): c = min(n, 8mq) evenly spaced columns, then 4c,
+16c, ... and last all n.  Each class's message is ranked first on c columns.
+A subset's rank never exceeds that of the full zero set, so a rank of r - 1
+there makes the message minimal when its codeword is nonzero, as every
+nonzero message's is when r = 2m.  Only the others are ranked on the next
+sample, and those left at the last on all n: the subsets set the speed, never
+the verdict.  Only the columns a rank reads are built, by their index, from
+the columns of W at their b and a (codes._trace_rows); no table of W is kept.
 
 The work is priced (2m)^2 steps per column a rank reads, plus m q^m for the
 census of Q's classes and for each of at most q class passes.  Before the
@@ -68,7 +69,7 @@ from .codes import (
     DefiningSet,
     LeeSpectrum,
     _count_and_first,
-    _evenly_spaced,
+    _growing_samples,
     _rank_mod_q,
     _square_classes,
     _trace_rows,
@@ -270,13 +271,13 @@ def minimal_codewords_exhaustive(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGE
     ranks = np.zeros(sizes.size, dtype=np.int64)
     todo = np.arange(sizes.size)
     cost = 0
-    while todo.size:
-        cost += todo.size * c * step
+    for j in _growing_samples(n, c):
+        cost += todo.size * j.size * step
         check_budget(cost, budget, "minimality rank test")
-        cols = _columns(D, Z1, _evenly_spaced(n, c))
-        ranks[todo] = _zero_set_ranks(X[todo], cols, q)
+        ranks[todo] = _zero_set_ranks(X[todo], _columns(D, Z1, j), q)
         # with r < 2m some messages give the zero codeword, which a subset cannot tell
-        todo = todo[(ranks[todo] != r - 1) | (r < 2 * m)] if c < n else todo[:0]
-        c = min(n, 4 * c)
+        todo = todo[(ranks[todo] != r - 1) | (r < 2 * m)]
+        if not todo.size:
+            break
     # rank r: the zero codeword; below r - 1: a smaller support exists
     return int(sizes[ranks == r - 1].sum()), not (ranks < r - 1).any()

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from leecodes import build_defining_set, make_field
@@ -22,6 +23,36 @@ DEFINING_SET_SIZES = {
     (5, 2): 0,
     (5, 3): 624,
 }
+
+
+@pytest.fixture(scope="session")
+def mul_table():
+    """mul_table(f)[a, b] = a b in f, from the polynomial product f._mul_raw
+    alone, an oracle for the tests that read every product.  The powers of the
+    first g whose powers reach all q^m - 1 nonzero elements, one _mul_raw
+    each, give exp and log, and a b = g^(log a + log b) for nonzero a and b:
+    q^m products, where the whole table by _mul_raw would take q^(2m)."""
+    cache = {}
+
+    def get(f):
+        if (f.q, f.m) not in cache:
+            n = f.order - 1
+            for g in range(1, f.order):
+                powers = [1]  # g^k for k below the order of g
+                while len(powers) <= n and (p := f._mul_raw(powers[-1], g)) != 1:
+                    powers.append(p)
+                if len(powers) == n:
+                    break
+            else:
+                raise AssertionError(f"no element of F_{f.q}^{f.m} has order {n}")
+            log = np.zeros(f.order, dtype=np.int64)
+            log[powers] = np.arange(n)
+            table = np.array(powers + powers)[log[:, None] + log]
+            table[0] = table[:, 0] = 0
+            cache[(f.q, f.m)] = table
+        return cache[(f.q, f.m)]
+
+    return get
 
 
 @pytest.fixture(scope="session")

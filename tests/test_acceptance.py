@@ -252,7 +252,7 @@ def test_criterion_7_minimality(defining_sets):
     _report("7 (minimality)", failures)
 
 
-def test_criterion_8_property_suites(defining_sets):
+def test_criterion_8_property_suites(defining_sets, mul_table):
     failures = []
 
     # Gray isometry on 1000 random pairs
@@ -289,7 +289,7 @@ def test_criterion_8_property_suites(defining_sets):
         f = make_field(q, m)
         if f.order > 729:
             continue
-        idx = f.trace_array[f.mul_array]
+        idx = f.trace_array[mul_table(f)]
         for a in range(f.order):
             counts = np.bincount(idx[a], minlength=q)
             ok = (

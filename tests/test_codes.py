@@ -195,12 +195,12 @@ def test_cwe_closed_equals_brute(q, m, defining_sets):
 
 
 @pytest.mark.parametrize("q,m", [(q, m) for q, m in CLOSED_EQ_BRUTE_PAIRS if q**m <= 2048])
-def test_trace_table_matches_dense_oracle(q, m, defining_sets):
+def test_trace_table_matches_dense_oracle(q, m, defining_sets, mul_table):
     # the histograms the count reads, H[x, s] = #{z in Z : Tr(x z) = s}, against
-    # the dense product table wherever that is built
+    # the tests' product table up to the dense-table limit
     D = defining_sets(q, m)
     f = D.field
-    T = f.trace_array[f.mul_array[:, D.zeros]]
+    T = f.trace_array[mul_table(f)[:, D.zeros]]
     assert np.array_equal(codes._enumeration_tables(D),
                           np.stack([(T == s).sum(1) for s in range(q)], 1))
 
@@ -280,10 +280,12 @@ def test_trace_rows_builds_the_columns_asked_for(q, m, defining_sets):
     assert np.array_equal(codes._trace_rows(D, j), codes._trace_rows(D)[:, j])
 
 
-@pytest.mark.parametrize("q,m,reads", [(3, 5, [40]), (5, 4, [32]), (5, 2, [1, 1])])
+@pytest.mark.parametrize("q,m,reads", [(3, 5, [40]), (5, 4, [32]), (5, 2, [1]),
+                                        (3, 13, [104, 416])])
 def test_gray_rank_reads_evenly_spaced_columns_first(q, m, reads, monkeypatch):
     # min(|Z|, 8m) columns of rank m settle the rank; at (5,2), Z = {0}, that
-    # one column has rank 0 < m, and all |Z| = 1 columns are read again
+    # one column is all of Z and its rank 0 is the rank; at (3,13) the first
+    # 104 columns have rank 12 < m, and the next 416 of the 3^12 settle it
     calls = []
     trace_rows = codes._trace_rows
 
@@ -297,6 +299,24 @@ def test_gray_rank_reads_evenly_spaced_columns_first(q, m, reads, monkeypatch):
     codes.gray_rank(D)
     assert calls[0] == min(D.zeros.size, 8 * m)
     assert calls == reads
+
+
+@pytest.mark.parametrize("n,c,sizes", [(1000, 8, [8, 32, 128, 512, 1000]),
+                                       (512, 8, [8, 32, 128, 512]), (1, 16, [1]),
+                                       (40, 40, [40]), (7, 2, [2, 7])])
+def test_growing_samples_grow_fourfold_to_all(n, c, sizes):
+    samples = list(codes._growing_samples(n, c))
+    assert [j.size for j in samples] == sizes
+    assert all((np.diff(j) > 0).all() and 0 <= j[0] and j[-1] < n for j in samples)
+    assert samples[-1].tolist() == list(range(n))
+
+
+def test_growing_samples_at_the_rank_tests_largest_n():
+    # n = (|Z|^2 - 1)/2 at (3,15): i n passes 2^63 at i > 8.06 10^5, so each
+    # index is i (n // k) + i (n % k) // k, never i n // k
+    n = (3**28 - 1) // 2
+    j = next(codes._growing_samples(n, 2**20))
+    assert j[-1] == (2**20 - 1) * n // 2**20 and (np.diff(j) > 0).all()
 
 
 def test_closed_values_must_divide_exactly():

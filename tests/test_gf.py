@@ -315,12 +315,12 @@ def test_quad_char_values():
 
 
 @pytest.mark.parametrize("q,m", SMALL_FIELDS)
-def test_quad_char_multiplicative_exhaustive(q, m):
+def test_quad_char_multiplicative_exhaustive(q, m, mul_table):
     f = make_field(q, m)
     if f.order > 729:
         pytest.skip("beyond the exhaustive budget")
     qc = np.array([f.quad_char(x) for x in f.elements()])
-    table = qc[f.mul_array]
+    table = qc[mul_table(f)]
     outer = np.outer(qc, qc)
     nz = np.nonzero(qc)[0]
     assert np.array_equal(table[np.ix_(nz, nz)], outer[np.ix_(nz, nz)])
@@ -383,11 +383,11 @@ def test_trivial_character():
 
 
 @pytest.mark.parametrize("q,m", SMALL_FIELDS)
-def test_character_orthogonality_exhaustive(q, m):
+def test_character_orthogonality_exhaustive(q, m, mul_table):
     f = make_field(q, m)
     if f.order > 729:
         pytest.skip("beyond the exhaustive budget")
-    idx = f.trace_array[f.mul_array]  # idx[a, x] = Tr(a x)
+    idx = f.trace_array[mul_table(f)]  # idx[a, x] = Tr(a x)
     for a in range(f.order):
         counts = np.bincount(idx[a], minlength=q)
         if a == 0:

@@ -316,20 +316,19 @@ def test_a_defining_set_caches_results_only():
     assert set(D._cache) <= {"cwe", "rank"}
 
 
-def _class_key(f, alpha, beta):
+def _class_key(f, mul, alpha, beta):
     """(relation, Q(alpha), Q(beta), B(alpha, beta)) per message, from the
-    dense tables: the relation is -1 for alpha = 0, 0 for beta = 0, c for
-    beta = c alpha and q when the two are independent."""
+    product table mul and the trace tables: the relation is -1 for alpha = 0,
+    0 for beta = 0, c for beta = c alpha and q when the two are independent."""
     q, tsq, tr = f.q, f.trace_sq_array, f.trace_array
     relation = np.where(alpha == 0, -1, np.where(beta == 0, 0, q))
     for c in range(1, q):
-        relation = np.where((alpha > 0) & (beta > 0) & (f.mul_array[c, alpha] == beta), c,
-                            relation)
-    return np.stack([relation, tsq[alpha], tsq[beta], tr[f.mul_array[alpha, beta]]], axis=1)
+        relation = np.where((alpha > 0) & (beta > 0) & (mul[c, alpha] == beta), c, relation)
+    return np.stack([relation, tsq[alpha], tsq[beta], tr[mul[alpha, beta]]], axis=1)
 
 
 @pytest.mark.parametrize("q,m", [(3, 2), (7, 2), (11, 2), (3, 3), (5, 3), (3, 4)])
-def test_rank_is_constant_on_each_class(q, m, defining_sets):
+def test_rank_is_constant_on_each_class(q, m, defining_sets, mul_table):
     # the full zero-set rank of every nonzero message, on the generator columns
     # read off the Gray images of the 2m basis messages x^i and u x^i
     f = make_field(q, m)
@@ -341,23 +340,23 @@ def test_rank_is_constant_on_each_class(q, m, defining_sets):
     digits = q ** np.arange(m)
     X = np.hstack([alpha[:, None] // digits % q, beta[:, None] // digits % q])
     ranks = _zero_set_ranks(X, G, q)
-    keys, first, label = np.unique(_class_key(f, alpha, beta), axis=0, return_index=True,
-                                   return_inverse=True)
+    keys, first, label = np.unique(_class_key(f, mul_table(f), alpha, beta), axis=0,
+                                   return_index=True, return_inverse=True)
     assert (ranks == ranks[first][label]).all()
     # _witt_classes finds each class once, with one of its messages and its size
     reps_alpha, reps_beta, sizes = _witt_classes(f)
-    rep_keys = _class_key(f, reps_alpha, reps_beta)
+    rep_keys = _class_key(f, mul_table(f), reps_alpha, reps_beta)
     assert len(np.unique(rep_keys, axis=0)) == len(keys) == sizes.size
     for key, size in zip(rep_keys, sizes):
         assert size == (label == np.flatnonzero((keys == key).all(axis=1))[0]).sum()
 
 
 @pytest.mark.parametrize("q,m", [(3, 3), (5, 2), (7, 2), (17, 2)])  # (17, 2): 306 keys need uint16
-def test_witt_classes_match_a_naive_key_loop(q, m):
+def test_witt_classes_match_a_naive_key_loop(q, m, mul_table):
     # one message per key over every nonzero message, and the size of its class
     f = make_field(q, m)
     Q = [f.trace(f.mul(x, x)) for x in f.elements()]
-    B = f.trace_array[f.mul_array].tolist()
+    B = f.trace_array[mul_table(f)].tolist()
     multiples = {alpha: {f.mul(c, alpha): c for c in range(1, q)} for alpha in f.elements()}
 
     def key(alpha, beta):
