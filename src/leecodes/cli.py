@@ -41,8 +41,6 @@ from ._budget import DEFAULT_OPS_BUDGET, check_budget
 from .errors import (BudgetExceededError, DegenerateSpectrumError, LeecodesError,
                       NonIntegralExponentError, NonIntegralValueError)
 
-ENV_PREFIX = "LEECODES_"
-
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -56,41 +54,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leecodes",
         description="Spectra and verification suites for the zero-trace code over F_q + uF_q (u^2 = 1).",
+        epilog="commands:\n"
+               "  verify-identities  closed-form vs oracle for every identity\n"
+               "  spectrum           Lee-weight distribution\n"
+               "  cwe                complete weight enumerator\n"
+               "  minimality         minimal-codeword analysis\n"
+               "  check-all          every check for one parameter set",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, with_mode: bool = False) -> None:
-        p.add_argument("--q", type=int, required=True, help="odd prime field characteristic")
-        p.add_argument("--m", type=int, required=True, help="extension degree")
-        p.add_argument(
-            "--budget", type=int,
-            default=os.environ.get(ENV_PREFIX + "BUDGET", DEFAULT_OPS_BUDGET),
-            help="cap on elementary enumeration steps (>= 10^6)",
-        )
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="accepted for compatibility and echoed in params; ignored, since "
-                 "enumeration runs in one thread",
-        )
-        p.add_argument(
-            "--format", dest="output_format",
-            choices=FORMATS,
-            default=os.environ.get(ENV_PREFIX + "FORMAT", "json"),
-        )
-        p.add_argument("--seed", type=int, default=os.environ.get(ENV_PREFIX + "SEED", 0),
-                       help="seed for sampled parameter tuples")
-        p.add_argument("--out", type=str, default=None, help="write output to this path (atomic)")
-        p.add_argument("--timing", action="store_true", help="include wall times in the report")
-        if with_mode:
-            p.add_argument("--mode", choices=("closed", "brute", "both"), default="both")
-        else:
-            p.set_defaults(mode="both")  # echoed in params
-
-    common(sub.add_parser("verify-identities", help="closed-form vs oracle for every identity"))
-    common(sub.add_parser("spectrum", help="Lee-weight distribution"), with_mode=True)
-    common(sub.add_parser("cwe", help="complete weight enumerator"), with_mode=True)
-    common(sub.add_parser("minimality", help="minimal-codeword analysis"))
-    common(sub.add_parser("check-all", help="every check for one parameter set"), with_mode=True)
+    parser.add_argument("command", choices=[*RUNNERS, "check-all"], metavar="command",
+                        help="one of the commands below")
+    parser.add_argument("--q", type=int, required=True, help="odd prime field characteristic")
+    parser.add_argument("--m", type=int, required=True, help="extension degree")
+    parser.add_argument("--budget", type=int, default=DEFAULT_OPS_BUDGET,
+                        help="cap on elementary enumeration steps (>= 10^6)")
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility and echoed in params; ignored, since "
+             "enumeration runs in one thread",
+    )
+    parser.add_argument("--format", dest="output_format", choices=FORMATS, default="json")
+    parser.add_argument("--seed", type=int, default=0, help="seed for sampled parameter tuples")
+    parser.add_argument("--out", type=str, default=None, help="write output to this path (atomic)")
+    parser.add_argument("--timing", action="store_true", help="include wall times in the report")
+    parser.add_argument("--mode", choices=("closed", "brute", "both"), default=None,
+                        help="spectrum, cwe and check-all only (default: both)")
     return parser
 
 
@@ -98,6 +86,10 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
     """Exit as a usage error unless args is a valid configuration."""
     from .gf import _is_prime
 
+    if args.mode is None:
+        args.mode = "both"  # echoed in params
+    elif args.command not in ("spectrum", "cwe", "check-all"):
+        parser.error(f"--mode applies to spectrum, cwe and check-all, not {args.command}")
     if args.q < 3 or not _is_prime(args.q):
         parser.error(f"--q must be an odd prime, got {args.q}")
     if args.m < 1:
@@ -113,8 +105,6 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         parser.error(f"--budget must be >= {MIN_BUDGET}")
     if args.threads < 1:
         parser.error("--threads must be >= 1")
-    if args.output_format not in FORMATS:  # argparse checks choices on argv, not on defaults
-        parser.error(f"--format must be one of {', '.join(FORMATS)}, got {args.output_format!r}")
     if args.out is not None:
         directory = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(directory):
@@ -130,10 +120,12 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
 def _identity_results(args: argparse.Namespace, defining_set) -> tuple[list[dict], dict]:
     """Each identity's closed form against its exhaustive oracle.
 
-    One row per check: (name, charsums function, parameter tuples).  A row's
-    function is called as fn(f, *params) and fn(f, *params, mode="oracle",
+    One row per check: (name, charsums function, call count, parameter tuples).
+    A row's function is called as fn(f, *params) and fn(f, *params, mode="oracle",
     budget=...); the tuples are every one at q^m <= 27 and seeded samples above.
-    A row's oracle calls share --budget: each gets budget // len(tuples).
+    A row's oracle calls share --budget: each gets budget // calls.  The rows
+    over every residue or residue pair yield their tuples one at a time, so a
+    row refused at its first call never holds q^2 of them.
     """
     from . import charsums, gf
 
@@ -161,18 +153,17 @@ def _identity_results(args: argparse.Namespace, defining_set) -> tuple[list[dict
                    for _ in range(100)]
         singles = [p[1:] for p in triples]
         pair_count = triples + [(0, *p[1:]) for p in triples[:20]]
-    residues = [(s,) for s in range(q)]
     checks = [
-        ("gauss-sum", charsums.gauss_sum, [("extension",), ("base",)]),
-        ("quadratic-sum", charsums.quadratic_sum, quadratic),
-        ("square-trace-count", charsums.square_trace_count, residues),
-        ("single-character-sum", charsums.square_trace_char_sum, residues),
-        ("pair-trace-count", charsums.square_trace_pair_count,
-         [(s, t) for s in range(q) for t in range(q)]),
-        ("nested-sum-single", nested("single"), singles),
-        ("nested-sum-split", nested("split"), singles),
-        ("nested-sum-coupled", nested("coupled"), triples),
-        ("zero-trace-pair-count", charsums.zero_trace_pair_count, pair_count),
+        ("gauss-sum", charsums.gauss_sum, 2, [("extension",), ("base",)]),
+        ("quadratic-sum", charsums.quadratic_sum, len(quadratic), quadratic),
+        ("square-trace-count", charsums.square_trace_count, q, ((s,) for s in range(q))),
+        ("single-character-sum", charsums.square_trace_char_sum, q, ((s,) for s in range(q))),
+        ("pair-trace-count", charsums.square_trace_pair_count, q * q,
+         ((s, t) for s in range(q) for t in range(q))),
+        ("nested-sum-single", nested("single"), len(singles), singles),
+        ("nested-sum-split", nested("split"), len(singles), singles),
+        ("nested-sum-coupled", nested("coupled"), len(triples), triples),
+        ("zero-trace-pair-count", charsums.zero_trace_pair_count, len(pair_count), pair_count),
     ]
 
     def plain(value):
@@ -182,12 +173,12 @@ def _identity_results(args: argparse.Namespace, defining_set) -> tuple[list[dict
         return value.embedding if isinstance(value, gf.GaussValue) else value
 
     verdicts = []
-    for name, fn, cases in checks:
+    for name, fn, calls, cases in checks:
         verdict = {"check": name, "status": "PASS"}
         try:
             for params in cases:
                 c = plain(_closed(fn, f, *params))
-                o = plain(fn(f, *params, mode="oracle", budget=args.budget // len(cases)))
+                o = plain(fn(f, *params, mode="oracle", budget=args.budget // calls))
                 if isinstance(c, complex) or isinstance(o, complex):
                     ok = abs(c - o) <= 1e-6 * max(1.0, abs(o))
                 else:
@@ -198,7 +189,7 @@ def _identity_results(args: argparse.Namespace, defining_set) -> tuple[list[dict
                                "oracle": repr(o)}
                     break
         except BudgetExceededError as exc:
-            verdict = _skipped(name, f"{exc}; the row's {len(cases)} calls share "
+            verdict = _skipped(name, f"{exc}; the row's {calls} calls share "
                                      f"--budget {args.budget}")
         verdicts.append(verdict)
     return verdicts, {}

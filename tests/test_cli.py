@@ -259,6 +259,21 @@ def test_identity_oracles_reach_large_q(q, m, capsys):
         (name, "PASS") for name in IDENTITY_CHECKS]
 
 
+def test_identity_rows_hold_no_list_of_residue_pairs():
+    # at q = 2003 pair-trace-count has q^2 = 4012009 calls, refused at the first;
+    # a list of all its tuples took ~440 MB
+    proc = subprocess.Popen([sys.executable, "-m", "leecodes.cli", "verify-identities",
+                             "--q", "2003", "--m", "1"], env=_child_env(), stdout=subprocess.PIPE)
+    with proc.stdout:
+        verdicts = json.loads(proc.stdout.read())["verdicts"]
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == cli.EXIT_BUDGET
+    assert {"check": "pair-trace-count", "status": "SKIPPED",
+            "reason": "square_trace_pair_count oracle needs ~4006 elementary steps, budget is "
+                      "249; the row's 4012009 calls share --budget 1000000000"} in verdicts
+    assert usage.ru_maxrss / 1024 < 150  # MB
+
+
 def test_spectrum_both_match(capsys):
     code, out = run(["spectrum", "--q", "3", "--m", "3", "--mode", "both", "--threads", "1"], capsys)
     assert code == cli.EXIT_PASS
@@ -606,51 +621,49 @@ def test_out_naming_a_directory_is_usage_error(tmp_path, capsys):
     assert os.listdir(tmp_path) == []  # no .leecodes-* temporary file left
 
 
-def test_env_override_format(monkeypatch, capsys):
-    monkeypatch.setenv("LEECODES_FORMAT", "csv")
-    code, out = run(["spectrum", "--q", "3", "--m", "2"], capsys)
-    assert code == cli.EXIT_PASS
-    assert out.startswith("kind,weight,multiplicity")
-
-
-def test_env_format_outside_choices_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("LEECODES_FORMAT", "xml")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["spectrum", "--q", "3", "--m", "2", "--mode", "closed"])
-    assert exc.value.code == cli.EXIT_USAGE
-    assert "--format must be one of json, csv, human" in capsys.readouterr().err
-
-
-def test_env_override_budget(monkeypatch, capsys):
-    monkeypatch.setenv("LEECODES_BUDGET", "1000000")
-    code, out = run(["spectrum", "--q", "31", "--m", "2", "--mode", "brute"], capsys)
-    assert code == cli.EXIT_BUDGET
-
-
 def test_params_do_not_depend_on_the_host(monkeypatch, capsys):
     # --threads defaults to 1, the thread count the count uses, not to the host's
-    # cpu count, and no LEECODES_THREADS variable overrides it
+    # cpu count
     argv = ["spectrum", "--q", "3", "--m", "2", "--mode", "closed"]
     _, first = run(argv, capsys)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setenv("LEECODES_THREADS", "7")
     _, second = run(argv, capsys)
     assert first == second
     assert json.loads(second)["params"]["threads"] == 1
 
 
-@pytest.mark.parametrize("name,flag,value", [("BUDGET", "--budget", "1000000"),
-                                             ("SEED", "--seed", "1")])
-def test_env_malformed_integer_is_usage_error(name, flag, value, monkeypatch, capsys):
-    monkeypatch.setenv("LEECODES_" + name, "abc")
-    argv = ["spectrum", "--q", "3", "--m", "2", "--mode", "closed"]
+@pytest.mark.parametrize("argv", [["spectrum", "--q", "3", "--m", "2", "--mode", "both"],
+                                  ["verify-identities", "--q", "3", "--m", "3"]])
+def test_no_environment_variable_changes_a_report(argv, monkeypatch, capsys):
+    # every value comes from argv: a fixed argv prints one report
+    unset = run(argv, capsys)
+    for name, value in [("FORMAT", "csv"), ("BUDGET", "1000000"), ("SEED", "9")]:
+        monkeypatch.setenv("LEECODES_" + name, value)
+    assert run(argv, capsys) == unset
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimality", "--q", "3", "--m", "2", "--mode", "both"],
+    ["verify-identities", "--q", "3", "--m", "2", "--mode", "closed"],
+    ["spectrum", "--q", "3", "--m", "2", "--format", "xml"],
+    ["spectrum", "--q", "3", "--m", "2", "--mode", "fast"],
+    ["bogus", "--q", "3", "--m", "2"],
+    ["spectrum", "--m", "2"],
+    [],
+])
+def test_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == cli.EXIT_USAGE
-    assert f"argument {flag}: invalid int value: 'abc'" in capsys.readouterr().err
-    # the flag, when given, stands in for the variable
-    code, _ = run(argv + [flag, value], capsys)
-    assert code == cli.EXIT_PASS
+    assert "leecodes: error:" in capsys.readouterr().err
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(f"\n  {command}  " in out for command in [*cli.RUNNERS, "check-all"])
 
 
 # -- start-up: a one-shot process loads only what its command runs -----------
@@ -670,12 +683,16 @@ def _main_passes(argv: list[str]) -> str:
 SPECTRUM_BOTH = _main_passes(["spectrum", "--q", "3", "--m", "3", "--mode", "both"])
 
 
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this leecodes."""
+    src = str(Path(leecodes.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_stdout(code: str) -> str:
     """What a fresh interpreter prints while running code and shutting down."""
-    src = str(Path(leecodes.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
+                          text=True, check=True)
     return proc.stdout
 
 
