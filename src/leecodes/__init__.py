@@ -15,15 +15,16 @@ _EXPORTS = {
          "square_trace_pair_count", "zero_trace_pair_count"),
         "charsums"),
     **dict.fromkeys(
-        ("CweSpectrum", "DefiningSet", "GrayReport", "LeeSpectrum", "build_defining_set",
-         "codeword", "cwe_bruteforce", "cwe_closed", "gray_dimension", "gray_image_length",
-         "lee_spectrum_bruteforce", "lee_spectrum_closed"),
-        "codes"),
+        ("GrayReport", "cwe_bruteforce", "gray_dimension", "lee_spectrum_bruteforce"), "codes"),
+    **dict.fromkeys(("DefiningSet", "build_defining_set", "codeword"), "defining_set"),
     **dict.fromkeys(("Field", "GaussValue", "make_field", "root_of_unity"), "gf"),
     **dict.fromkeys(
         ("RingElement", "RingVector", "from_crt", "gray_map", "lee_distance", "lee_weight",
          "ring_trace_frobenius"),
         "ring"),
+    **dict.fromkeys(
+        ("CweSpectrum", "LeeSpectrum", "cwe_closed", "gray_image_length", "lee_spectrum_closed"),
+        "spectra"),
     **dict.fromkeys(
         ("MinimalityReport", "MinimalityRatios", "ab_check", "covers",
          "minimal_codewords_exhaustive", "minimality_ratios"),

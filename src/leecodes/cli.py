@@ -11,10 +11,11 @@ interpreter, numpy, and compiling the leecodes modules (a spectrum or CWE
 at the benchmark grid counts in a few ms).  So this module imports the
 numeric submodules inside the runners that use them (spectrum and cwe never
 load sss or ring), and looks their functions up on the module at call time
-(codes.cwe_closed, not a bound name) so that replacing a module attribute
-reaches the CLI too.  The runners never call one count from the other: the
-one count runner calls codes.lee_spectrum_bruteforce for spectrum and
-codes.cwe_bruteforce for cwe, and the two share one cached count in codes.
+(codes.cwe_closed, which codes imports from spectra, not a bound name) so
+that replacing a module attribute reaches the CLI too.  The runners never
+call one count from the other: the one count runner calls
+codes.lee_spectrum_bruteforce for spectrum and codes.cwe_bruteforce for cwe,
+and the two share one cached count in codes.
 
 One table, RUNNERS, maps each command to its runner, and check-all runs them
 all in order.  Each runner takes args and a function that returns the one
@@ -243,6 +244,7 @@ def _diff(closed: dict, brute: dict, key: str) -> list[dict]:
 
 def _minimality_results(args: argparse.Namespace, defining_set) -> tuple[list[dict], dict]:
     from . import codes, sss
+    from .defining_set import _check_scan_budget
 
     spectrum = _closed(codes.lee_spectrum_closed, args.q, args.m)
     report, results = None, {}
@@ -265,7 +267,7 @@ def _minimality_results(args: argparse.Namespace, defining_set) -> tuple[list[di
     # whenever the ratio condition holds, the exhaustive scan must agree.
     try:
         # refuse past the reach from q and m alone, before the field is built
-        codes._check_scan_budget(args.q, args.m, args.budget)
+        _check_scan_budget(args.q, args.m, args.budget)
         sss._check_rank_budget(args.q, args.m, args.budget)
         D = defining_set()
         count, all_min = sss.minimal_codewords_exhaustive(D, budget=args.budget)
@@ -273,7 +275,7 @@ def _minimality_results(args: argparse.Namespace, defining_set) -> tuple[list[di
         results["all_minimal"] = all_min
         sound = report is None or not report.ab_holds or all_min
         verdict = {"check": "ab-soundness", "status": "PASS" if sound else "FAIL"}
-        results["gray_rank"] = codes.gray_rank(D)
+        results["gray_rank"] = sss.gray_rank(D)
     except BudgetExceededError as exc:
         results["exhaustive_scan"] = f"SKIPPED: {exc}"
         verdict = _skipped("ab-soundness", exc)

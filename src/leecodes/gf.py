@@ -25,9 +25,9 @@ oracles and the benchmark's set-up build them.
 
 The quadratic Gauss sum of F_{q^m} (GaussValue, exact), the exact division
 _exact that ends every closed form, and the cyclic convolution of length-q
-histograms live here too: codes reads them for the closed forms and the
-count, and charsums imports them, so the Gauss-sum formula has one source
-and a count never loads charsums.
+histograms live here too: spectra reads them for the closed forms, codes
+for the count, and charsums imports them, so the Gauss-sum formula has one
+source and a count never loads charsums.
 """
 
 from __future__ import annotations

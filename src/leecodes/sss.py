@@ -11,13 +11,13 @@ rank (A. Ashikhmin, A. Barg, "Minimal vectors in linear codes", IEEE Trans.
 IT 44(5), 1998; G. N. Alfarano, M. Borello, A. Neri, "A geometric
 characterization of minimal codes and their asymptotic performance", Adv.
 Math. Commun. 16(1), 2022).  The message x in F_q^(2m) has the value x . g at
-the generator column g; let r be the rank of all the columns
-(codes.gray_rank).  The support of c_y lies inside that of c_x exactly when y
-is orthogonal to every column at which c_x vanishes.  For a nonzero c_x those
-columns lie in the hyperplane of the column space orthogonal to x, so c_x is
-minimal iff they span it: their rank is r - 1.  A non-proportional y with an
-equal support gives a strictly smaller one, c_x - lambda c_y, so this is the
-strict definition above.
+the generator column g; let r be the rank of all the columns (gray_rank,
+which codes.gray_dimension reports too).  The support of c_y lies inside that
+of c_x exactly when y is orthogonal to every column at which c_x vanishes.
+For a nonzero c_x those columns lie in the hyperplane of the column space
+orthogonal to x, so c_x is minimal iff they span it: their rank is r - 1.
+A non-proportional y with an equal support gives a strictly smaller one,
+c_x - lambda c_y, so this is the strict definition above.
 
 The test keeps three exact reductions.
 
@@ -41,15 +41,16 @@ The test keeps three exact reductions.
   that key, of which there are at most q^3 + q^2 + q whatever m is.  This
   needs Z to be the quadric itself: any other zero set is refused.
 
-The columns are sampled on the schedule that codes.gray_rank also follows
-(codes._growing_samples): c = min(n, 8mq) evenly spaced columns, then 4c,
-16c, ... and last all n.  Each class's message is ranked first on c columns.
-A subset's rank never exceeds that of the full zero set, so a rank of r - 1
-there makes the message minimal when its codeword is nonzero, as every
-nonzero message's is when r = 2m.  Only the others are ranked on the next
-sample, and those left at the last on all n: the subsets set the speed, never
-the verdict.  Only the columns a rank reads are built, by their index, from
-the columns of W at their b and a (codes._trace_rows); no table of W is kept.
+Both ranks here, gray_rank's and the test's, sample columns on one schedule,
+_growing_samples, and rank by one elimination mod q, _rank_mod_q.  The test
+reads c = min(n, 8mq) evenly spaced columns, then 4c, 16c, ... and last all
+n.  Each class's message is ranked first on c columns.  A subset's rank never
+exceeds that of the full zero set, so a rank of r - 1 there makes the message
+minimal when its codeword is nonzero, as every nonzero message's is when
+r = 2m.  Only the others are ranked on the next sample, and those left at the
+last on all n: the subsets set the speed, never the verdict.  Only the
+columns a rank reads are built, by their index, from the columns of W at
+their b and a (defining_set._trace_rows); no table of W is kept.
 
 The work is priced (2m)^2 steps per column a rank reads, plus m q^m for the
 census of Q's classes and for each of at most q class passes.  Before the
@@ -60,22 +61,13 @@ classes are priced from q and m alone; after, each stage for what it ranks.
 from __future__ import annotations
 
 from math import gcd
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._budget import DEFAULT_OPS_BUDGET, check_budget
 from ._record import Record
-from .codes import (
-    DefiningSet,
-    LeeSpectrum,
-    _count_and_first,
-    _growing_samples,
-    _rank_mod_q,
-    _square_classes,
-    _trace_rows,
-    _zero_count,
-    gray_rank,
-)
+from .defining_set import DefiningSet, _count_and_first, _square_classes, _trace_rows, _zero_count
 from .errors import (
     ContextMismatchError,
     DegenerateSpectrumError,
@@ -83,6 +75,11 @@ from .errors import (
     UnsupportedParametersError,
 )
 from .gf import Field
+
+if TYPE_CHECKING:
+    from collections.abc import Iterator
+
+    from .spectra import LeeSpectrum
 
 _BATCH = 1 << 20  # codeword entries per batch of zero-set ranks
 _GROUPS = 8  # slices of a batch, by zero count, per batched rank
@@ -107,6 +104,7 @@ def _exceeds_threshold(ratio: tuple[int, int], q: int) -> bool:
     """num / den > (q-1)/q for ratio = (num, den), den > 0, by cross-multiplication."""
     num, den = ratio
     return q * num > (q - 1) * den
+
 
 
 class MinimalityReport(Record):
@@ -157,6 +155,73 @@ def minimality_ratios(q: int, m: int) -> MinimalityRatios:
     return MinimalityRatios(ratios, (q - 1, q), all(_exceeds_threshold(r, q) for r in ratios))
 
 
+def _rank_mod_q(mats: np.ndarray, q: int) -> int | np.ndarray:
+    """Rank mod q of one matrix, or of each matrix in a (B, rows, cols) batch.
+
+    Column by column, each matrix takes its first row that is nonzero there as
+    pivot, normalises it and subtracts its multiples from every row, the pivot
+    row included.  The pivot row then vanishes, so the rank is the number of
+    columns that found a pivot, and the column is zero everywhere and dropped.
+    Entries stay below q and every product below (q - 1)^2, which the working
+    dtype holds exactly.
+    """
+    dtype = np.min_scalar_type(-(q - 1) ** 2)
+    a = np.asarray(mats) % q
+    single = a.ndim == 2
+    a = (a[None] if single else a).astype(dtype)
+    if a.shape[1] < a.shape[2]:  # eliminate along the shorter side
+        a = a.transpose(0, 2, 1)
+    inv = np.array([0] + [pow(c, q - 2, q) for c in range(1, q)], dtype=dtype)
+    batch = np.arange(a.shape[0])
+    rank = np.zeros(a.shape[0], dtype=np.int64)
+    while a.shape[2]:
+        v = a[:, :, 0]
+        piv = a[batch, (v != 0).argmax(axis=1)]  # a zero row where the column is zero
+        rank += piv[:, 0] != 0
+        piv = piv[:, 1:] * inv[piv[:, 0]][:, None] % q
+        a = (a[:, :, 1:] - v[:, :, None] * piv[:, None, :]) % q
+    return int(rank[0]) if single else rank
+
+
+def _growing_samples(n: int, c: int) -> Iterator[np.ndarray]:
+    """The one schedule of a sampled rank: evenly spaced index sets into
+    range(n) (n >= 1) of c, 4c, 16c, ... indices, capped at n, the last being
+    all of range(n).  A set of k holds i n / k rounded down for i < k, without
+    forming i n.  A contiguous prefix is a poor subset of Z or of D: Z is in
+    canonical order, and D's first |Z| columns share one a.  A subset whose
+    rank falls short costs the next, four times larger, not all n."""
+    while True:
+        c = min(n, c)
+        i = np.arange(c)
+        yield i * (n // c) + i * (n % c) // c
+        if c == n:
+            return
+        c *= 4
+
+
+def gray_rank(D: DefiningSet) -> int:
+    """Rank over F_q of the Gray image, measured on its generator columns.
+
+    The basis messages x^i and u x^i give the column (W[:, a], W[:, b]) at the
+    first Gray coordinate of d = (a, b) and (W[:, b], W[:, a]) at the second.
+    As 0 is in Z, D holds (a, 0) and (0, b) for every nonzero a and b of Z, and
+    every column is the sum of the columns there: the rank is that of the
+    block-diagonal matrix of W and W, twice the rank of W.  W has m rows, so
+    columns of rank m settle it: the schedule of _growing_samples reads 8m
+    evenly spaced columns, then 32m, 128m, ... up to all |Z|, building only
+    those, and stops at the first of rank m.
+    Cached per defining set: the minimality test and its report both read it.
+    """
+    if "rank" not in D._cache:
+        q, m = D.field.q, D.field.m
+        for j in _growing_samples(D.zeros.size, 8 * m):
+            rank = _rank_mod_q(_trace_rows(D, j), q)
+            if rank == m:
+                break
+        D._cache["rank"] = 2 * rank
+    return D._cache["rank"]
+
+
 def _leading_digit(x: np.ndarray, q: int) -> np.ndarray:
     """The leading base-q digit of each x, on one copy of x divided in place; a
     scalar c in F_q* multiplies every digit of an element by c."""
@@ -171,7 +236,7 @@ def _witt_classes(f: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (relation, Q(alpha), Q(beta), B(alpha, beta)), and the size of each class
     (module docstring): the alphas, the betas and the sizes.
 
-    The census of Q's classes (codes._square_classes) gives the alpha = 0
+    The census of Q's classes (defining_set._square_classes) gives the alpha = 0
     classes, one per value of Q(beta), and the nonzero alphas, one pass over
     every beta each.  A pass keys beta by Q(beta) q + B(alpha, beta) when the
     two are independent, q^2 + c - 1 when beta = c alpha and q^2 + q - 1 when
@@ -232,7 +297,7 @@ def _zero_set_ranks(X: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
 
 def _check_rank_budget(q: int, m: int, budget: int) -> tuple[int, int]:
     """The rank test's price from q and m alone, |D| = |Z|^2 - 1 by
-    codes._zero_count (module docstring): the census and at most q class
+    defining_set._zero_count (module docstring): the census and at most q class
     passes, and a subset rank for each of at most q^3 + q^2 + q classes.
     Returns the first-half columns n, one per F_q*-orbit, and the subset size c."""
     n = (_zero_count(q, m) ** 2 - 1) // (q - 1)

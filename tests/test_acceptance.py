@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from leecodes import charsums as cs
-from leecodes import codes
+from leecodes import codes, defining_set, spectra
 from leecodes.gf import make_field
 from leecodes.ring import RingVector, gray_map, lee_distance
 from leecodes.sss import ab_check, minimal_codewords_exhaustive
@@ -78,7 +78,7 @@ def test_criterion_1_q3_m3_reproduction():
     if failures:
         _report("1 (q=3, m=3 reproduction)", failures)
     t0 = time.monotonic()
-    D = codes.build_defining_set(make_field(3, 3))
+    D = defining_set.build_defining_set(make_field(3, 3))
     spec = codes.lee_spectrum_bruteforce(D)
     elapsed = time.monotonic() - t0
     failures += _count_diffs("weight", expected, spec.entries)
@@ -99,7 +99,7 @@ def test_criterion_1_q3_m3_reproduction():
 def test_criterion_2_q3_m4_reproduction():
     failures = []
     t0 = time.monotonic()
-    D = codes.build_defining_set(make_field(3, 4))
+    D = defining_set.build_defining_set(make_field(3, 4))
     spec = codes.lee_spectrum_bruteforce(D)
     cwe = codes.cwe_bruteforce(D)
     elapsed = time.monotonic() - t0
@@ -140,7 +140,7 @@ def test_criterion_3_q3_m5_reproduction():
     if failures:
         _report("3 (q=3, m=5 reproduction)", failures)
     t0 = time.monotonic()
-    D = codes.build_defining_set(make_field(3, 5))
+    D = defining_set.build_defining_set(make_field(3, 5))
     spec = codes.lee_spectrum_bruteforce(D)
     cwe = codes.cwe_bruteforce(D)
     elapsed = time.monotonic() - t0
@@ -155,9 +155,9 @@ def test_criterion_4_closed_equals_bruteforce(defining_sets):
     failures = []
     for (q, m) in [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3)]:
         D = defining_sets(q, m)
-        if codes.lee_spectrum_closed(q, m).entries != codes.lee_spectrum_bruteforce(D).entries:
+        if spectra.lee_spectrum_closed(q, m).entries != codes.lee_spectrum_bruteforce(D).entries:
             failures.append(f"Lee spectra differ at ({q},{m})")
-        if codes.cwe_closed(q, m).entries != codes.cwe_bruteforce(D).entries:
+        if spectra.cwe_closed(q, m).entries != codes.cwe_bruteforce(D).entries:
             failures.append(f"CWE differ at ({q},{m})")
     _report("4 (closed == brute force, zero tolerance)", failures)
 

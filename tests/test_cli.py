@@ -132,10 +132,10 @@ def test_identity_closed_exactness_error_is_a_fail(monkeypatch, capsys):
 def test_closed_table_exactness_error_is_a_fail(q, m, monkeypatch, capsys):
     # a term whose exponents do not sum to 2n fails the check that reads the
     # table, with the error as its closed value; every other result is written
-    from leecodes import codes
+    from leecodes import spectra
     from test_mutants import exponent_plus_one
 
-    monkeypatch.setattr(codes, "_closed_cwe_terms", exponent_plus_one)
+    monkeypatch.setattr(spectra, "_closed_cwe_terms", exponent_plus_one)
     point = ["--q", str(q), "--m", str(m)]
     expected = {  # argv -> (the failing check, a result still written)
         ("spectrum",): ("lee-closed-vs-brute", "brute"),
@@ -149,7 +149,7 @@ def test_closed_table_exactness_error_is_a_fail(q, m, monkeypatch, capsys):
         assert code == cli.EXIT_FAIL
         assert payload["verdicts"] == [{"check": check, "status": "FAIL",
                                         "closed": payload["verdicts"][0]["closed"]}]
-        assert "!= " + str(codes.gray_image_length(q, m)) in payload["verdicts"][0]["closed"]
+        assert "!= " + str(spectra.gray_image_length(q, m)) in payload["verdicts"][0]["closed"]
         assert "closed" not in payload["results"] and (result is None or result in payload["results"])
     code, out = run(["check-all", *point], capsys)
     assert code == cli.EXIT_FAIL
@@ -161,10 +161,10 @@ def test_closed_table_exactness_error_is_a_fail(q, m, monkeypatch, capsys):
 def test_closed_table_that_cannot_be_built_is_a_fail(command, monkeypatch, capsys):
     # a table whose own exact division fails has no length 2n either: the rank
     # test's price reads q and m alone, so minimality still runs and FAILs
-    from leecodes import codes
+    from leecodes import gf, spectra
 
-    monkeypatch.setattr(codes, "_closed_cwe_terms",
-                        lambda q, m: codes._exact(1, q, exponent=True))
+    monkeypatch.setattr(spectra, "_closed_cwe_terms",
+                        lambda q, m: gf._exact(1, q, exponent=True))
     code, out = run([command, "--q", "3", "--m", "4"], capsys)
     payload = json.loads(out)
     assert code == cli.EXIT_FAIL
@@ -571,10 +571,10 @@ def test_report_shows_every_leaf_of_the_payload(report, output_format, monkeypat
         monkeypatch.setattr(charsums, "square_trace_count",
                             _closed_off_by_one(charsums.square_trace_count))
     if report == "diff":
-        from leecodes import codes
+        from leecodes import spectra
         from test_mutants import swapped_y
 
-        monkeypatch.setattr(codes, "_closed_cwe_terms", swapped_y)
+        monkeypatch.setattr(spectra, "_closed_cwe_terms", swapped_y)
     ticks = itertools.cycle([0.0, 5.0])  # each run takes 5000 ms
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
     argv = REPORTS[report]
@@ -668,8 +668,8 @@ def test_help_names_every_command(capsys):
 
 # -- start-up: a one-shot process loads only what its command runs -----------
 
-NUMERIC_MODULES = {"numpy", "leecodes.charsums", "leecodes.codes", "leecodes.gf",
-                   "leecodes.ring", "leecodes.sss"}
+NUMERIC_MODULES = {"numpy", "leecodes.charsums", "leecodes.codes", "leecodes.defining_set",
+                   "leecodes.gf", "leecodes.ring", "leecodes.spectra", "leecodes.sss"}
 
 
 def _main_passes(argv: list[str]) -> str:
@@ -732,13 +732,28 @@ def test_verify_identities_loads_neither_fractions_nor_the_code_modules():
     # the closed forms are Python-int expressions over one Gauss integer
     loaded = _modules_loaded_by(_main_passes(["verify-identities", "--q", "3", "--m", "3"]))
     assert {"leecodes.charsums", "leecodes.gf"} <= loaded
-    assert not {"fractions", "leecodes.codes", "leecodes.sss", "leecodes.ring"} & loaded
+    assert not {"fractions", "leecodes.codes", "leecodes.defining_set", "leecodes.spectra",
+                "leecodes.sss", "leecodes.ring"} & loaded
+
+
+def test_the_closed_route_loads_nothing_of_the_count():
+    loaded = _modules_loaded_by("import leecodes.spectra")
+    assert not {"leecodes.codes", "leecodes.defining_set", "leecodes.sss", "leecodes.ring",
+                "leecodes.charsums"} & loaded
+
+
+@pytest.mark.parametrize("name", ["gf", "defining_set", "spectra", "codes", "sss", "charsums",
+                                  "ring", "cli"])
+def test_each_submodule_imports_alone(name):
+    # no import cycle, e.g. through codes.gray_dimension's call-time import of sss
+    assert f"leecodes.{name}" in _modules_loaded_by(f"import leecodes.{name}")
 
 
 def test_public_names_resolve_to_their_submodules():
     for name in leecodes.__all__:
         module = importlib.import_module(f"leecodes.{leecodes._EXPORTS[name]}")
         assert getattr(leecodes, name) is getattr(module, name)
+        assert getattr(module, name).__module__ == "leecodes." + leecodes._EXPORTS[name]
         assert name in dir(leecodes)
 
 

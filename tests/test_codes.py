@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from leecodes import charsums as cs
-from leecodes import codes, gf
+from leecodes import codes, defining_set, gf, spectra, sss
 from leecodes.errors import (
     BudgetExceededError,
     NonIntegralExponentError,
@@ -49,20 +49,20 @@ def test_defining_set_members_and_order(defining_sets):
 
 def test_defining_set_deterministic(defining_sets):
     D1 = defining_sets(3, 3)
-    D2 = codes.build_defining_set(make_field(3, 3))
+    D2 = defining_set.build_defining_set(make_field(3, 3))
     assert np.array_equal(D1.a, D2.a) and np.array_equal(D1.b, D2.b)
 
 
 def test_defining_set_needs_zero_first():
     with pytest.raises(ValueError):
-        codes.DefiningSet(make_field(3, 2), [1, 0])
+        defining_set.DefiningSet(make_field(3, 2), [1, 0])
 
 
 def test_build_defining_set_budget():
     # the scan reads each of the q^m = 27 elements once
-    assert len(codes.build_defining_set(make_field(3, 3), budget=27)) == 80
+    assert len(defining_set.build_defining_set(make_field(3, 3), budget=27)) == 80
     with pytest.raises(BudgetExceededError):
-        codes.build_defining_set(make_field(3, 3), budget=26)
+        defining_set.build_defining_set(make_field(3, 3), budget=26)
 
 
 # -- codewords ---------------------------------------------------------------
@@ -70,7 +70,7 @@ def test_build_defining_set_budget():
 def test_zero_message_gives_zero_codeword(defining_sets):
     f = make_field(3, 3)
     D = defining_sets(3, 3)
-    c = codes.codeword(RingElement(f, 0, 0), D)
+    c = defining_set.codeword(RingElement(f, 0, 0), D)
     assert lee_weight(c) == 0
 
 
@@ -82,7 +82,7 @@ def test_codeword_matches_scalar_ring_evaluation(defining_sets):
         D = defining_sets(q, m)
         for _ in range(100):
             x = RingElement(f, rng.randrange(f.order), rng.randrange(f.order))
-            c = codes.codeword(x, D)
+            c = defining_set.codeword(x, D)
             i = rng.randrange(len(D))
             expected = (x * D.member(i)).trace()
             assert c[i] == expected
@@ -102,7 +102,7 @@ def test_extreme_weight_class_sizes(defining_sets):
     count144 = 0
     for alpha in range(27):
         for beta in range(27):
-            w = lee_weight(codes.codeword(RingElement(f, alpha, beta), D))
+            w = lee_weight(defining_set.codeword(RingElement(f, alpha, beta), D))
             count72 += w == 72
             count144 += w == 144
     assert count72 == 24
@@ -128,7 +128,7 @@ def test_bruteforce_matches_per_message_scan(q, m, defining_sets):
     cwe = {}
     for alpha in range(f.order):
         for beta in range(f.order):
-            c = codes.codeword(RingElement(f, alpha, beta), D)
+            c = defining_set.codeword(RingElement(f, alpha, beta), D)
             w = lee_weight(c)
             lee[w] = lee.get(w, 0) + 1
             comp = tuple(int(v) for v in np.bincount(gray_map(c), minlength=q))
@@ -138,14 +138,14 @@ def test_bruteforce_matches_per_message_scan(q, m, defining_sets):
 
 
 def test_bruteforce_budget(defining_sets):
-    D = codes.build_defining_set(make_field(3, 5))  # fresh instance, empty cache
+    D = defining_set.build_defining_set(make_field(3, 5))  # fresh instance, empty cache
     with pytest.raises(BudgetExceededError):
         # the transform and H need m q^(m+2) + q^(m+1) = 11664 steps
         codes.lee_spectrum_bruteforce(D, budget=10**4)
 
 
 def test_lee_and_cwe_calls_share_one_count(monkeypatch):
-    D = codes.build_defining_set(make_field(3, 3))  # fresh instance, empty cache
+    D = defining_set.build_defining_set(make_field(3, 3))  # fresh instance, empty cache
     calls = []
     compositions = codes._compositions
 
@@ -155,7 +155,7 @@ def test_lee_and_cwe_calls_share_one_count(monkeypatch):
 
     monkeypatch.setattr(codes, "_compositions", counting)
     assert codes.lee_spectrum_bruteforce(D).entries == BRUTE_LEE[(3, 3)]
-    assert codes.cwe_bruteforce(D).entries == codes.cwe_closed(3, 3).entries
+    assert codes.cwe_bruteforce(D).entries == spectra.cwe_closed(3, 3).entries
     assert len(calls) == 1
 
 
@@ -167,9 +167,9 @@ def test_public_counts_never_call_each_other(route, other, monkeypatch):
         raise AssertionError(f"{route} called {other}")
 
     monkeypatch.setattr(codes, other, unreachable)
-    D = codes.build_defining_set(make_field(5, 3))  # fresh instance, empty cache
+    D = defining_set.build_defining_set(make_field(5, 3))  # fresh instance, empty cache
     spec = getattr(codes, route)(D)
-    expected = BRUTE_LEE[(5, 3)] if route == "lee_spectrum_bruteforce" else codes.cwe_closed(5, 3).entries
+    expected = BRUTE_LEE[(5, 3)] if route == "lee_spectrum_bruteforce" else spectra.cwe_closed(5, 3).entries
     assert spec.entries == expected
 
 
@@ -180,7 +180,7 @@ def test_codeword_map_is_injective(defining_sets):
         rows = []
         for alpha in range(f.order):
             for beta in range(f.order):
-                rows.append(gray_map(codes.codeword(RingElement(f, alpha, beta), D)))
+                rows.append(gray_map(defining_set.codeword(RingElement(f, alpha, beta), D)))
         uniq = np.unique(np.stack(rows), axis=0)
         assert uniq.shape[0] == q ** (2 * m)
 
@@ -189,7 +189,7 @@ def test_codeword_map_is_injective(defining_sets):
 
 @pytest.mark.parametrize("q,m", CLOSED_EQ_BRUTE_PAIRS)
 def test_cwe_closed_equals_brute(q, m, defining_sets):
-    closed = codes.cwe_closed(q, m)
+    closed = spectra.cwe_closed(q, m)
     brute = codes.cwe_bruteforce(defining_sets(q, m))
     assert closed.entries == brute.entries
 
@@ -211,7 +211,7 @@ def test_trace_histogram_rows_above_dense_table_limit(q, m, defining_sets):
     D = defining_sets(q, m)
     f = D.field
     H = codes._enumeration_tables(D)
-    W = codes._trace_rows(D)
+    W = defining_set._trace_rows(D)
     for x in np.random.default_rng(q * m).integers(0, f.order, 200).tolist():
         assert np.array_equal(H[x], np.bincount(np.array(f.coeffs(x)) @ W % q, minlength=q))
         assert np.array_equal(H[x], np.bincount(f.trace_array[f.mul_row(x)[D.zeros]], minlength=q))
@@ -225,9 +225,9 @@ def test_gram_matrix_routes_match_product_routes(q, m, defining_sets):
     f = D.field
     T = np.stack([f.trace_array[f.mul_row(q**i)] for i in range(m)])  # T[i, x] = Tr(x^i x)
     W = T[:, D.zeros]
-    assert np.array_equal(codes._trace_rows(D), W)
+    assert np.array_equal(defining_set._trace_rows(D), W)
     assert np.array_equal(f.trace_sq_array, (f.digit_matrix.T * T.astype(np.int64)).sum(0) % q)
-    assert codes.gray_rank(D) == 2 * codes._rank_mod_q(W, q)
+    assert sss.gray_rank(D) == 2 * sss._rank_mod_q(W, q)
 
 
 def test_trace_rows_at_a_dtype_boundary():
@@ -238,11 +238,11 @@ def test_trace_rows_at_a_dtype_boundary():
     q, m = 131, 2
     f = gf.Field(q, m)
     f.Tm = np.full((m, m), q - 1)
-    D = codes.DefiningSet(f, np.arange(f.order))
-    assert codes._trace_rows(D).tolist() == [
+    D = defining_set.DefiningSet(f, np.arange(f.order))
+    assert defining_set._trace_rows(D).tolist() == [
         [sum((q - 1) * d for d in f.coeffs(z)) % q for z in range(f.order)]] * m
     j = np.random.default_rng(q * m).integers(0, f.order, 3 * f.order)
-    assert np.array_equal(codes._trace_rows(D, j), codes._trace_rows(D)[:, j])
+    assert np.array_equal(defining_set._trace_rows(D, j), defining_set._trace_rows(D)[:, j])
 
 
 @pytest.mark.parametrize("q,m", [(3, 3), (3, 4), (5, 3), (7, 2), (5, 2), (13, 2)])
@@ -252,7 +252,7 @@ def test_square_classes_match_a_naive_loop(q, m):
     f = make_field(q, m)
     Q = [f.trace(f.mul(x, x)) for x in f.elements()]
     values = sorted(set(Q[1:]))
-    reps, sizes = codes._square_classes(f)
+    reps, sizes = defining_set._square_classes(f)
     assert reps.tolist() == [0] + [Q.index(s, 1) for s in values]
     assert sizes.tolist() == [1] + [Q[1:].count(s) for s in values]
 
@@ -261,7 +261,7 @@ def test_square_classes_match_a_naive_loop(q, m):
 def test_count_refuses_a_row_of_h_off_its_class(q, m, monkeypatch):
     # H[x] depends only on Q(x) and on whether x = 0; a row changed inside its
     # class, keeping its sum, must stop the count
-    D = codes.build_defining_set(make_field(q, m))  # fresh instance, empty cache
+    D = defining_set.build_defining_set(make_field(q, m))  # fresh instance, empty cache
     H = codes._enumeration_tables(D)
     x = D.field.order - 1  # not the first of its class, which starts at 1 or later
     H[x, 0] += 1
@@ -277,7 +277,7 @@ def test_trace_rows_builds_the_columns_asked_for(q, m, defining_sets):
     # the dtype boundary of test_trace_rows_at_a_dtype_boundary
     D = defining_sets(q, m)
     j = np.random.default_rng(q * m).integers(0, D.zeros.size, 3 * D.zeros.size)
-    assert np.array_equal(codes._trace_rows(D, j), codes._trace_rows(D)[:, j])
+    assert np.array_equal(defining_set._trace_rows(D, j), defining_set._trace_rows(D)[:, j])
 
 
 @pytest.mark.parametrize("q,m,reads", [(3, 5, [40]), (5, 4, [32]), (5, 2, [1]),
@@ -287,16 +287,16 @@ def test_gray_rank_reads_evenly_spaced_columns_first(q, m, reads, monkeypatch):
     # one column is all of Z and its rank 0 is the rank; at (3,13) the first
     # 104 columns have rank 12 < m, and the next 416 of the 3^12 settle it
     calls = []
-    trace_rows = codes._trace_rows
+    trace_rows = defining_set._trace_rows
 
     def spy(D, j=slice(None)):
         W = trace_rows(D, j)
         calls.append(W.shape[1])
         return W
 
-    monkeypatch.setattr(codes, "_trace_rows", spy)
-    D = codes.build_defining_set(make_field(q, m))  # fresh instance, empty cache
-    codes.gray_rank(D)
+    monkeypatch.setattr(sss, "_trace_rows", spy)
+    D = defining_set.build_defining_set(make_field(q, m))  # fresh instance, empty cache
+    sss.gray_rank(D)
     assert calls[0] == min(D.zeros.size, 8 * m)
     assert calls == reads
 
@@ -305,7 +305,7 @@ def test_gray_rank_reads_evenly_spaced_columns_first(q, m, reads, monkeypatch):
                                        (512, 8, [8, 32, 128, 512]), (1, 16, [1]),
                                        (40, 40, [40]), (7, 2, [2, 7])])
 def test_growing_samples_grow_fourfold_to_all(n, c, sizes):
-    samples = list(codes._growing_samples(n, c))
+    samples = list(sss._growing_samples(n, c))
     assert [j.size for j in samples] == sizes
     assert all((np.diff(j) > 0).all() and 0 <= j[0] and j[-1] < n for j in samples)
     assert samples[-1].tolist() == list(range(n))
@@ -315,40 +315,40 @@ def test_growing_samples_at_the_rank_tests_largest_n():
     # n = (|Z|^2 - 1)/2 at (3,15): i n passes 2^63 at i > 8.06 10^5, so each
     # index is i (n // k) + i (n % k) // k, never i n // k
     n = (3**28 - 1) // 2
-    j = next(codes._growing_samples(n, 2**20))
+    j = next(sss._growing_samples(n, 2**20))
     assert j[-1] == (2**20 - 1) * n // 2**20 and (np.diff(j) > 0).all()
 
 
 def test_closed_values_must_divide_exactly():
     with pytest.raises(NonIntegralValueError):
-        codes._exact(7, 2)
+        gf._exact(7, 2)
     with pytest.raises(NonIntegralExponentError):
-        codes._exact(7, 2, exponent=True)
-    assert codes._exact(-8, 4) == -2
+        gf._exact(7, 2, exponent=True)
+    assert gf._exact(-8, 4) == -2
 
 
 def test_closed_forms_raise_on_a_non_integral_gauss_term(monkeypatch):
     # with g = 1 in place of +-q^(m/2), g/q is not an integer: the CWE's first
     # exponent comes out fractional, and the Lee spectrum, its collapse, with it
-    monkeypatch.setattr(codes, "quadratic_gauss_sum", lambda q, m: GaussValue(q, 1, 0, 0))
+    monkeypatch.setattr(spectra, "quadratic_gauss_sum", lambda q, m: GaussValue(q, 1, 0, 0))
     with pytest.raises(NonIntegralExponentError):
-        codes.lee_spectrum_closed(3, 4)
+        spectra.lee_spectrum_closed(3, 4)
     with pytest.raises(NonIntegralExponentError):
-        codes.cwe_closed(3, 4)
+        spectra.cwe_closed(3, 4)
 
 
 def test_closed_form_parameter_errors():
     with pytest.raises(UnsupportedParametersError):
-        codes.lee_spectrum_closed(3, 1)
+        spectra.lee_spectrum_closed(3, 1)
     with pytest.raises(UnsupportedParametersError):
-        codes.cwe_closed(3, 1)
+        spectra.cwe_closed(3, 1)
 
 
 def test_spectrum_mass():
     for (q, m) in [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2)]:
-        spec = codes.lee_spectrum_closed(q, m)
+        spec = spectra.lee_spectrum_closed(q, m)
         assert sum(spec.entries.values()) == q ** (2 * m)
-        cwe = codes.cwe_closed(q, m)
+        cwe = spectra.cwe_closed(q, m)
         assert sum(cwe.entries.values()) == q ** (2 * m)
 
 
@@ -370,8 +370,8 @@ def test_closed_spectrum_second_power_moment(q, m):
     # Z is closed under F_q* scaling, so the form of a coordinate (a, b) has
     # q - 2 other multiples in its Gray half and q - 1, the multiples of (b, a),
     # in the other: P = N(2q - 3).  No enumeration, so it reaches any (q, m)
-    spec = codes.lee_spectrum_closed(q, m)
-    N = codes.gray_image_length(q, m)
+    spec = spectra.lee_spectrum_closed(q, m)
+    N = spectra.gray_image_length(q, m)
     moment = sum(w * w * c for w, c in spec.entries.items())
     assert moment == _second_power_moment(q, m, N, N * (2 * q - 3))
 
@@ -421,7 +421,7 @@ def _check_symbol_pair_moments(cwe, q, m):
 @pytest.mark.parametrize("q,m", SECOND_MOMENT_POINTS + [(31, 12), (3, 41), (13, 20)])
 def test_closed_cwe_symbol_pair_moments(q, m):
     # no enumeration, so it reaches any (q, m)
-    _check_symbol_pair_moments(codes.cwe_closed(q, m), q, m)
+    _check_symbol_pair_moments(spectra.cwe_closed(q, m), q, m)
 
 
 @pytest.mark.parametrize("q,m", [(3, 3), (5, 3), (7, 2), (3, 4)])
@@ -431,7 +431,7 @@ def test_counted_cwe_symbol_pair_moments(q, m, defining_sets):
 
 def test_five_weight_property_odd_degree():
     for (q, m) in [(3, 3), (3, 5), (5, 3), (7, 3)]:
-        spec = codes.lee_spectrum_closed(q, m)
+        spec = spectra.lee_spectrum_closed(q, m)
         assert len(spec.nonzero_weights()) == 5
 
 
@@ -449,7 +449,7 @@ def test_cwe_zero_composition(defining_sets):
 
 
 def test_cwe_closed_examples(defining_sets):
-    assert codes.cwe_closed(3, 4).entries == {
+    assert spectra.cwe_closed(3, 4).entries == {
         (880, 0, 0): 1,
         (376, 252, 252): 120,
         (340, 270, 270): 400,
@@ -458,7 +458,7 @@ def test_cwe_closed_examples(defining_sets):
         (124, 378, 378): 40,
     }
     # enumeration-verified odd-degree compositions
-    assert codes.cwe_closed(3, 3).entries == {
+    assert spectra.cwe_closed(3, 3).entries == {
         (160, 0, 0): 1,
         (88, 36, 36): 24,
         (64, 48, 48): 180,
@@ -469,10 +469,10 @@ def test_cwe_closed_examples(defining_sets):
 
 
 def test_gray_image_length():
-    assert codes.gray_image_length(3, 3) == 160
-    assert codes.gray_image_length(3, 4) == 880
-    assert codes.gray_image_length(3, 5) == 13120
-    assert codes.gray_image_length(5, 2) == 0
+    assert spectra.gray_image_length(3, 3) == 160
+    assert spectra.gray_image_length(3, 4) == 880
+    assert spectra.gray_image_length(3, 5) == 13120
+    assert spectra.gray_image_length(5, 2) == 0
 
 
 # -- rank and diagnostics ---------------------------------------------------------
@@ -493,8 +493,8 @@ def test_rank_matches_sampled_codeword_rows(defining_sets):
     rows = []
     for _ in range(40):
         x = RingElement(f, rng.randrange(27), rng.randrange(27))
-        rows.append(gray_map(codes.codeword(x, D)))
-    sampled_rank = codes._rank_mod_q(np.stack(rows), 3)
+        rows.append(gray_map(defining_set.codeword(x, D)))
+    sampled_rank = sss._rank_mod_q(np.stack(rows), 3)
     assert sampled_rank <= codes.gray_dimension(D).rank == 6
 
 
@@ -515,9 +515,9 @@ def test_batched_rank_matches_sympy(q):
         batch[8] -= q  # negative representatives
         expected = [DomainMatrix([[K(int(v)) for v in row] for row in mat], (rows, cols), K).rank()
                     for mat in batch]
-        assert codes._rank_mod_q(batch, q).tolist() == expected
-        assert [codes._rank_mod_q(mat, q) for mat in batch] == expected
-    assert codes._rank_mod_q(np.zeros((3, 0, 4), dtype=int), q).tolist() == [0, 0, 0]
+        assert sss._rank_mod_q(batch, q).tolist() == expected
+        assert [sss._rank_mod_q(mat, q) for mat in batch] == expected
+    assert sss._rank_mod_q(np.zeros((3, 0, 4), dtype=int), q).tolist() == [0, 0, 0]
 
 
 @pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (5, 2), (7, 2), (3, 4), (5, 3)])
@@ -525,28 +525,28 @@ def test_gray_rank_matches_ring_route(q, m, defining_sets):
     # the Gray images of the basis messages x^j and u x^j by the ring route
     f = make_field(q, m)
     D = defining_sets(q, m)
-    rows = [gray_map(codes.codeword(RingElement(f, a, b), D))
+    rows = [gray_map(defining_set.codeword(RingElement(f, a, b), D))
             for j in range(m) for a, b in ((q**j, 0), (0, q**j))]
-    assert codes.gray_dimension(D).rank == codes._rank_mod_q(np.stack(rows), q)
+    assert codes.gray_dimension(D).rank == sss._rank_mod_q(np.stack(rows), q)
 
 
 def test_spectrum_container_validation():
     with pytest.raises(NonIntegralValueError):
-        codes.LeeSpectrum({0: 1, 4: 2}, total=5)
+        spectra.LeeSpectrum({0: 1, 4: 2}, total=5)
     with pytest.raises(NonIntegralValueError):
-        codes.CweSpectrum({(2, 1): 1}, total=1, gray_length=4)
+        spectra.CweSpectrum({(2, 1): 1}, total=1, gray_length=4)
 
 
 def test_records_are_immutable_values():
-    spec = codes.LeeSpectrum({0: 1, 4: 2}, 3)
-    assert spec == codes.LeeSpectrum(entries={0: 1, 4: 2}, total=3)
-    assert spec != codes.LeeSpectrum({0: 3}, 3)
+    spec = spectra.LeeSpectrum({0: 1, 4: 2}, 3)
+    assert spec == spectra.LeeSpectrum(entries={0: 1, 4: 2}, total=3)
+    assert spec != spectra.LeeSpectrum({0: 3}, 3)
     with pytest.raises(AttributeError):
         spec.total = 4
     with pytest.raises(TypeError):
-        codes.LeeSpectrum({0: 1}, 1, 1)
+        spectra.LeeSpectrum({0: 1}, 1, 1)
     with pytest.raises(TypeError):
-        codes.LeeSpectrum({0: 1}, totl=1)
+        spectra.LeeSpectrum({0: 1}, totl=1)
     with pytest.raises(TypeError):
         hash(spec)  # its entries are a dict
     report = codes.GrayReport(6, 72, 160, 3)

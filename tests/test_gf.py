@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from leecodes import charsums, codes, gf
+from leecodes import charsums, defining_set, gf
 from leecodes.errors import (
     BudgetExceededError,
     ContextMismatchError,
@@ -413,8 +413,8 @@ def test_canonical_order_is_coefficient_lex():
     for q, m in itertools.product((3, 5, 7), (1, 2, 3, 4)):
         f = make_field(q, m)
         full = np.ones(f.order, dtype=bool)
-        assert codes._in_canonical_order(f, full).tolist() == sorted(f.elements(), key=f.coeffs)
+        assert defining_set._in_canonical_order(f, full).tolist() == sorted(f.elements(), key=f.coeffs)
         quadric = f.trace_sq_array == 0
         Z = sorted(np.flatnonzero(quadric).tolist(), key=f.coeffs)
-        assert codes._in_canonical_order(f, quadric).tolist() == Z
-        assert codes.build_defining_set(f).zeros.tolist() == Z
+        assert defining_set._in_canonical_order(f, quadric).tolist() == Z
+        assert defining_set.build_defining_set(f).zeros.tolist() == Z

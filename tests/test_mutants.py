@@ -1,4 +1,4 @@
-"""Mutants of the closed CWE table, codes._closed_cwe_terms.
+"""Mutants of the closed CWE table, spectra._closed_cwe_terms.
 
 Each mutant replaces the table with a deliberately wrong one, and the CLI's
 own checks must catch it at the points it changes: the closed CWE and Lee
@@ -11,20 +11,30 @@ import json
 
 import pytest
 
-from leecodes import cli, codes
+from leecodes import cli, spectra
 from leecodes.gf import GaussValue
 
-_closed_cwe_terms = codes._closed_cwe_terms
-_quadratic_gauss_sum = codes.quadratic_gauss_sum
+_closed_cwe_terms = spectra._closed_cwe_terms
+_quadratic_gauss_sum = spectra.quadratic_gauss_sum
+
+
+def _swapped(q, m, pair):
+    """The multiplicities of the two terms at pair (a slice) swapped, at odd m."""
+    terms = _closed_cwe_terms(q, m)
+    if m % 2:
+        (a, *plus), (b, *minus) = terms[pair]
+        terms[pair] = [(b, *plus), (a, *minus)]
+    return terms
 
 
 def swapped_y(q, m):
     """The multiplicities of the +-Y terms swapped, at odd m."""
-    terms = _closed_cwe_terms(q, m)
-    if m % 2:
-        (a, *plus), (b, *minus) = terms[2:4]
-        terms[2:4] = [(b, *plus), (a, *minus)]
-    return terms
+    return _swapped(q, m, slice(2, 4))
+
+
+def swapped_z(q, m):
+    """The multiplicities of the +-Z terms swapped, at odd m."""
+    return _swapped(q, m, slice(4, 6))
 
 
 def negated_g(q, m):
@@ -34,7 +44,7 @@ def negated_g(q, m):
         return GaussValue(q, -g.sign, g.i_power, g.half_exp)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(codes, "quadratic_gauss_sum", negated)
+        mp.setattr(spectra, "quadratic_gauss_sum", negated)
         return _closed_cwe_terms(q, m)
 
 
@@ -54,6 +64,7 @@ CHECKS = {"cwe": "cwe-closed-vs-brute", "spectrum": "lee-closed-vs-brute",
 # (mutant, points, commands that exit 1, commands that exit 0)
 MUTANTS = [
     (swapped_y, ODD, ("cwe", "spectrum"), ("minimality",)),  # the AB ratio is unchanged
+    (swapped_z, ODD, ("cwe", "spectrum"), ("minimality",)),  # so are the weights
     (negated_g, EVEN, ("cwe", "spectrum", "minimality"), ()),
     (negated_g, ODD, (), ("cwe", "spectrum", "minimality")),  # equivalent: no g at odd m
     (exponent_plus_one, ODD + EVEN, ("cwe", "spectrum", "minimality"), ()),
@@ -67,7 +78,7 @@ def test_each_mutant_of_the_closed_table_is_caught_or_equivalent(mutant, q, m, c
                                                                 monkeypatch, capsys):
     equivalent = not caught
     assert (mutant(q, m) == _closed_cwe_terms(q, m)) == equivalent
-    monkeypatch.setattr(codes, "_closed_cwe_terms", mutant)
+    monkeypatch.setattr(spectra, "_closed_cwe_terms", mutant)
     for command in caught + passed:
         code = cli.main([command, "--q", str(q), "--m", str(m)])
         verdicts = {v["check"]: v["status"] for v in json.loads(capsys.readouterr().out)["verdicts"]}
@@ -81,7 +92,7 @@ def test_a_failed_comparison_lists_where_closed_and_count_differ(monkeypatch, ca
     # at (3, 3) the swapped +-Y multiplicities change exactly the two +-Y compositions
     q, m = 3, 3
     (a, *plus), (b, *minus) = _closed_cwe_terms(q, m)[2:4]
-    monkeypatch.setattr(codes, "_closed_cwe_terms", swapped_y)
+    monkeypatch.setattr(spectra, "_closed_cwe_terms", swapped_y)
     assert cli.main(["cwe", "--q", str(q), "--m", str(m)]) == cli.EXIT_FAIL
     (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
     def composition(n0, ni):

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from leecodes import codes
+from leecodes import codes, defining_set, spectra, sss
 from leecodes.errors import (
     BudgetExceededError,
     ContextMismatchError,
@@ -78,19 +78,19 @@ def _equals(ratio, threshold):
 
 
 def test_ab_check_examples():
-    r5 = ab_check(codes.lee_spectrum_closed(3, 5), 3)
+    r5 = ab_check(spectra.lee_spectrum_closed(3, 5), 3)
     assert r5.ab_ratio == (4, 5) and r5.ab_threshold == (2, 3)  # lowest terms
     assert r5.ab_holds
-    r3 = ab_check(codes.lee_spectrum_closed(3, 3), 3)
+    r3 = ab_check(spectra.lee_spectrum_closed(3, 3), 3)
     assert r3.ab_ratio == (1, 2) and not r3.ab_holds
-    r4 = ab_check(codes.lee_spectrum_closed(3, 4), 3)
+    r4 = ab_check(spectra.lee_spectrum_closed(3, 4), 3)
     assert r4.ab_ratio == (2, 3)
     assert not r4.ab_holds  # the inequality is strict
 
 
 def test_ab_check_degenerate():
     with pytest.raises(DegenerateSpectrumError):
-        ab_check(codes.lee_spectrum_closed(5, 2), 5)
+        ab_check(spectra.lee_spectrum_closed(5, 2), 5)
 
 
 def test_minimality_ratios():
@@ -113,7 +113,7 @@ def test_closed_ratios_match_spectrum_ratio():
     # the only transcriptions of the extreme weights
     for q in (3, 5, 7, 11, 13, 31):
         for m in range(2, 25):
-            spec = codes.lee_spectrum_closed(q, m)
+            spec = spectra.lee_spectrum_closed(q, m)
             if not spec.nonzero_weights():  # D is empty: no ratio to compare
                 continue
             report = ab_check(spec, q)
@@ -126,7 +126,7 @@ def test_closed_ratios_match_spectrum_ratio():
 def _naive_minimality(q, m, defining_sets):
     f = make_field(q, m)
     D = defining_sets(q, m)
-    sup = np.stack([gray_map(codes.codeword(RingElement(f, alpha, beta), D)) != 0
+    sup = np.stack([gray_map(defining_set.codeword(RingElement(f, alpha, beta), D)) != 0
                     for alpha in range(f.order) for beta in range(f.order)])
     sup = sup[sup.any(axis=1)]  # the nonzero codewords
     if not sup.size:
@@ -153,8 +153,8 @@ def test_minimality_scan_matches_naive_on_a_subfield_zero_set(q, m):
     # need not permute its coordinates and minimality need not be constant on
     # a class: the class route refuses it rather than disagree with the naive
     # oracle (which counts 5832 at (3,4), where one rank per class would give 5940)
-    D = codes.DefiningSet(make_field(q, m), range(q))
-    assert codes.gray_rank(D) == 2
+    D = defining_set.DefiningSet(make_field(q, m), range(q))
+    assert sss.gray_rank(D) == 2
     with pytest.raises(ContextMismatchError, match="Tr\\(x\\^2\\) = 0"):
         minimal_codewords_exhaustive(D)
     if (q, m) == (3, 4):
@@ -209,7 +209,7 @@ def test_scan_coordinates_cover_each_orbit_of_pairs_once(q, m, defining_sets):
     assert (hits[pairs] == 1).all() and (hits[~pairs] == 0).all()
     # _columns builds the column (W[:, b], W[:, a]) of each, in this order
     D = defining_sets(q, m)
-    W = codes._trace_rows(D)
+    W = defining_set._trace_rows(D)
     where = {int(z): j for j, z in enumerate(Z)}
     Z1_index = 1 + np.flatnonzero(_leading_digit(Z[1:], q) == 1)
     expected = np.hstack([W[:, [where[x] for x in b.tolist()]].T,
@@ -296,7 +296,7 @@ def test_minimality_refusal_above_dense_table_limit_builds_no_lines(monkeypatch)
     # q^m = 6561 at a budget of 10^6: the price, 4 * 8 * 6561 + 39 * 192 * 256,
     # is refused before a class pass, a column, W or the pair arrays D.a, D.b
     # (36 MB each) are built
-    D = codes.build_defining_set(make_field(3, 8))
+    D = defining_set.build_defining_set(make_field(3, 8))
 
     def unreachable(*args):
         raise AssertionError("classes built for a refused test")
@@ -310,7 +310,7 @@ def test_minimality_refusal_above_dense_table_limit_builds_no_lines(monkeypatch)
 
 def test_a_defining_set_caches_results_only():
     # the count and the rank test keep their results, never W or H
-    D = codes.build_defining_set(make_field(3, 4))  # fresh instance, empty cache
+    D = defining_set.build_defining_set(make_field(3, 4))  # fresh instance, empty cache
     codes.cwe_bruteforce(D)
     minimal_codewords_exhaustive(D)
     assert set(D._cache) <= {"cwe", "rank"}
@@ -335,7 +335,7 @@ def test_rank_is_constant_on_each_class(q, m, defining_sets, mul_table):
     D = defining_sets(q, m)
     basis = [RingElement(f, q**i, 0) for i in range(m)] + [RingElement(f, 0, q**i)
                                                            for i in range(m)]
-    G = np.stack([gray_map(codes.codeword(x, D)) for x in basis], axis=1)
+    G = np.stack([gray_map(defining_set.codeword(x, D)) for x in basis], axis=1)
     alpha, beta = np.divmod(np.arange(1, f.order**2), f.order)
     digits = q ** np.arange(m)
     X = np.hstack([alpha[:, None] // digits % q, beta[:, None] // digits % q])
@@ -374,7 +374,7 @@ def test_witt_classes_match_a_naive_key_loop(q, m, mul_table):
 # -- symmetries of the messages permute the Gray supports --------------------------
 
 def _gray_support(f, D, alpha, beta):
-    return gray_map(codes.codeword(RingElement(f, alpha, beta), D)) != 0
+    return gray_map(defining_set.codeword(RingElement(f, alpha, beta), D)) != 0
 
 
 @pytest.mark.parametrize("q,m", [(3, 3), (7, 2)])
