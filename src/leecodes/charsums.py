@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._budget import DEFAULT_OPS_BUDGET, check_budget
 from ._record import Record
-from .errors import ZeroLeadingCoefficientError, ZeroParameterError
+from .errors import DEFAULT_OPS_BUDGET, ZeroLeadingCoefficientError, ZeroParameterError, check_budget
 from .gf import (Field, GaussValue, _cyclic_convolve, _exact, _signed_below, quadratic_gauss_sum,
                  root_of_unity)
 

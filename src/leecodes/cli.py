@@ -38,9 +38,8 @@ import sys
 import tempfile
 import time
 
-from ._budget import DEFAULT_OPS_BUDGET, check_budget
-from .errors import (BudgetExceededError, DegenerateSpectrumError, LeecodesError,
-                      NonIntegralExponentError, NonIntegralValueError)
+from .errors import (DEFAULT_OPS_BUDGET, BudgetExceededError, DegenerateSpectrumError,
+                     LeecodesError, NonIntegralExponentError, NonIntegralValueError, check_budget)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1

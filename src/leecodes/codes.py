@@ -26,9 +26,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._budget import DEFAULT_OPS_BUDGET, check_budget
 from ._record import Record
 from .defining_set import _CHUNK, _square_classes, _trace_rows, _zero_count
+from .errors import DEFAULT_OPS_BUDGET, check_budget
 from .gf import _cyclic_convolve
 from .spectra import CweSpectrum
 

@@ -23,8 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._budget import DEFAULT_OPS_BUDGET, check_budget
-from .errors import ContextMismatchError
+from .errors import DEFAULT_OPS_BUDGET, ContextMismatchError, check_budget
 from .gf import Field, _signed_below, quadratic_gauss_sum
 
 if TYPE_CHECKING:
@@ -33,8 +32,9 @@ if TYPE_CHECKING:
 
 
 class DefiningSet:
-    """Nonzero pairs (a, b) of Z x Z in canonical order; Z (zero first) has Tr(z^2) = 0.
+    """Nonzero pairs (a, b) of Z x Z in row-major order; Z (zero first) has Tr(z^2) = 0.
 
+    Any listing of Z gives the same code up to a permutation of coordinates.
     The pair arrays a and b (|Z|^2 - 1 entries each) are built on first use:
     the counts and the minimality scan read only Z.  _cache holds results
     only, the count ("cwe") and the Gray rank ("rank"), never W or H.
@@ -77,30 +77,10 @@ def _check_scan_budget(q: int, m: int, budget: int) -> None:
 
 
 def build_defining_set(field: Field, budget: int = DEFAULT_OPS_BUDGET) -> DefiningSet:
-    """Scan F_{q^m} in canonical order and keep Z; D's pairs follow in pair order."""
+    """Scan F_{q^m} and keep Z in increasing integer order, 0 first; D's pairs
+    follow in pair order."""
     _check_scan_budget(field.q, field.m, budget)
-    return DefiningSet(field, _in_canonical_order(field, field.trace_sq_array == 0))
-
-
-def _in_canonical_order(field: Field, mask: np.ndarray) -> np.ndarray:
-    """The elements x with mask[x], sorted by coefficient tuple, low degree
-    compared first, i.e. by their digit-reversed values.
-
-    Read as a (q,)*m array, the mask has digit i on axis m-1-i; transposing
-    reverses the axes, so its flat nonzero indices are the digit-reversed values,
-    in increasing order.  Each is reversed back in two halves, the high
-    ceil(m/2) digits and the low floor(m/2), by one table of reversals each,
-    in place, a _CHUNK of them at a time.
-    """
-    q, m = field.q, field.m
-    out = np.flatnonzero(mask.reshape((q,) * m).T)
-    low = m // 2
-    rev_low, rev_high = (np.arange(q**n).reshape((q,) * n).T.ravel() for n in (low, m - low))
-    for lo in range(0, out.size, _CHUNK):
-        # head: digits 0..low-1, reversed
-        head, tail = np.divmod(out[lo:lo + _CHUNK], q ** (m - low))
-        out[lo:lo + _CHUNK] = rev_low[head] + q**low * rev_high[tail]
-    return out
+    return DefiningSet(field, np.flatnonzero(field.trace_sq_array == 0))
 
 
 def codeword(x: RingElement, D: DefiningSet) -> RingVector:

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules, and the one enumeration budget check."""
 
 
 class LeecodesError(Exception):
@@ -39,6 +39,14 @@ class ZeroParameterError(LeecodesError):
 
 class BudgetExceededError(LeecodesError):
     """Requested enumeration exceeds the configured operation budget."""
+
+
+DEFAULT_OPS_BUDGET = 1_000_000_000
+
+
+def check_budget(cost: int, budget: int, what: str) -> None:
+    if cost > budget:
+        raise BudgetExceededError(f"{what} needs ~{cost} elementary steps, budget is {budget}")
 
 
 class UnsupportedParametersError(LeecodesError):

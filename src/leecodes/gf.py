@@ -1,10 +1,9 @@
 """Arithmetic in F_{q^m} for an odd prime q.
 
 Elements are plain ints in [0, q**m); the base-q digits of an element are its
-polynomial-basis coordinates (digit i = coefficient of x^i).  The canonical
-order on elements compares coefficient tuples low-degree-first, and the field
-modulus is the canonically smallest monic irreducible polynomial of degree m,
-so construction is deterministic across runs.
+polynomial-basis coordinates (digit i = coefficient of x^i).  The field
+modulus is the smallest monic irreducible polynomial of degree m, coefficient
+tuples compared low degree first, so construction is deterministic across runs.
 
 Every trace the count, the defining set and the rank test read comes from the
 Gram matrix Tm[i, j] = Tr(x^(i+j)) of the trace form (Field.Tm): Tr is
@@ -142,8 +141,8 @@ def _poly_is_irreducible(f: tuple[int, ...], q: int) -> bool:
 
 
 def _smallest_irreducible(q: int, m: int) -> tuple[int, ...]:
-    # candidates in canonical order, less those with a zero constant term when
-    # m > 1: x divides them
+    # candidates by coefficient tuple, low degree compared first, less those
+    # with a zero constant term when m > 1: x divides them
     for tail in itertools.product(range(1 if m > 1 else 0, q), *[range(q)] * (m - 1)):
         f = tail + (1,)
         if _poly_is_irreducible(f, q):

@@ -65,14 +65,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._budget import DEFAULT_OPS_BUDGET, check_budget
 from ._record import Record
 from .defining_set import DefiningSet, _count_and_first, _square_classes, _trace_rows, _zero_count
 from .errors import (
+    DEFAULT_OPS_BUDGET,
     ContextMismatchError,
     DegenerateSpectrumError,
     LengthMismatchError,
     UnsupportedParametersError,
+    check_budget,
 )
 from .gf import Field
 
@@ -187,9 +188,10 @@ def _growing_samples(n: int, c: int) -> Iterator[np.ndarray]:
     """The one schedule of a sampled rank: evenly spaced index sets into
     range(n) (n >= 1) of c, 4c, 16c, ... indices, capped at n, the last being
     all of range(n).  A set of k holds i n / k rounded down for i < k, without
-    forming i n.  A contiguous prefix is a poor subset of Z or of D: Z is in
-    canonical order, and D's first |Z| columns share one a.  A subset whose
-    rank falls short costs the next, four times larger, not all n."""
+    forming i n.  A contiguous prefix is a poor subset of Z or of D: a prefix
+    of Z in integer order holds only low-degree elements, and D's first |Z|
+    columns share one a.  A subset whose rank falls short costs the next, four
+    times larger, not all n."""
     while True:
         c = min(n, c)
         i = np.arange(c)

@@ -267,7 +267,8 @@ def test_identity_rows_hold_no_list_of_residue_pairs():
     with proc.stdout:
         verdicts = json.loads(proc.stdout.read())["verdicts"]
     _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == cli.EXIT_BUDGET
+    proc.returncode = os.waitstatus_to_exitcode(status)  # wait4 reaped it: tell Popen
+    assert proc.returncode == cli.EXIT_BUDGET
     assert {"check": "pair-trace-count", "status": "SKIPPED",
             "reason": "square_trace_pair_count oracle needs ~4006 elementary steps, budget is "
                       "249; the row's 4012009 calls share --budget 1000000000"} in verdicts

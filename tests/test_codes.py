@@ -42,7 +42,7 @@ def test_defining_set_members_and_order(defining_sets):
         assert (a, b) != (0, 0)
         assert f.trace(f.mul(a, a)) == 0
         assert f.trace(f.mul(b, b)) == 0
-        keys.append(f.coeffs(a) + f.coeffs(b))
+        keys.append((a, b))
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -63,6 +63,31 @@ def test_build_defining_set_budget():
     assert len(defining_set.build_defining_set(make_field(3, 3), budget=27)) == 80
     with pytest.raises(BudgetExceededError):
         defining_set.build_defining_set(make_field(3, 3), budget=26)
+
+
+@pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (7, 3),
+                                 (3, 5), (13, 2)])
+def test_results_do_not_depend_on_the_order_of_z(q, m):
+    # D is a set: another listing of Z, 0 kept first, permutes the coordinates
+    f = make_field(q, m)
+    D = defining_set.build_defining_set(f)
+    rest = D.zeros[1:]
+    expected = (codes.cwe_bruteforce(D).entries, sss.gray_rank(D),
+                sss.minimal_codewords_exhaustive(D))
+    for order in (np.random.default_rng(q * m).permutation(rest), rest[::-1]):
+        other = defining_set.DefiningSet(f, np.append(0, order))
+        assert (codes.cwe_bruteforce(other).entries, sss.gray_rank(other),
+                sss.minimal_codewords_exhaustive(other)) == expected
+
+
+@pytest.mark.parametrize("q,m", [(q, m) for q in (3, 5, 7, 11, 13) for m in range(1, 7)
+                                 if q**m <= 3**9])
+def test_zero_count_prices_the_built_z(q, m):
+    # |Z| from q and m alone, as the count and the rank test price it before
+    # the field is built
+    f = make_field(q, m)
+    assert defining_set._zero_count(q, m) == defining_set.build_defining_set(f).zeros.size
+    assert defining_set._zero_count(q, m) == cs.square_trace_count(f, 0).value
 
 
 # -- codewords ---------------------------------------------------------------
