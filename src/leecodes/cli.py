@@ -412,6 +412,8 @@ def main(argv: list[str] | None = None) -> int:
         # the OS frees the heap at exit; a frozen heap spares finalization a full collection
         atexit.register(gc.freeze)
         _freeze_at_exit = True
+    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.10.7 caps int-to-str at 4300 digits
+        sys.set_int_max_str_digits(0)  # a closed count at large m has more
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(args, parser)

@@ -14,9 +14,9 @@ onto Z, and by Witt's extension theorem (E. Witt, J. reine angew. Math. 176,
 1937) the nonzero x with one value of Q form one orbit, so H[x] depends only
 on its class, x = 0 or Q(x): at most q + 1 rows, which the count checks
 against one census of the classes (defining_set._square_classes), which the
-rank test (sss) reads too.  H is built from the columns of W
-(defining_set._trace_rows) by an exact q-ary transform (_enumeration_tables)
-on each call, and dropped after: a defining set caches the count only.
+rank test (sss) reads too.  H is built from W = Field.trace_columns(Z) by
+an exact q-ary transform (_enumeration_tables) on each call, and dropped
+after: a defining set caches the count only.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._record import Record
-from .defining_set import _CHUNK, _square_classes, _trace_rows, _zero_count
+from .defining_set import _square_classes, _zero_count
 from .errors import DEFAULT_OPS_BUDGET, check_budget
-from .gf import _cyclic_convolve
+from .gf import _CHUNK, _cyclic_convolve
 from .spectra import CweSpectrum
 
 # the CLI calls these through codes, as it calls the counts (module docstring)
@@ -60,7 +60,7 @@ def _enumeration_tables(D: DefiningSet) -> np.ndarray:
     r = np.arange(q)
     shift = (r - r[:, None, None] * r[:, None]) % q  # shift[x_i, a, s] = s - x_i a
     F = np.zeros((q,) * m + (q,), dtype=np.int32)  # counts up to |Z|
-    F[tuple(_trace_rows(D)[::-1]) + (0,)] = 1  # the columns of W are distinct
+    F[tuple(D.field.trace_columns(D.zeros)[::-1]) + (0,)] = 1  # the columns of W are distinct
     for _ in range(m):
         F = F.reshape(q, -1, q)
         # the leading digit axis comes out as x_i, just before s

@@ -7,13 +7,13 @@ Gray image has coordinates Tr(alpha a + beta b), Tr(alpha b + beta a) per
 defining-set member.
 
 Every Tr(x z) the count (codes) and the rank test (sss) read comes from
-W[i, j] = Tr(x^i z_j) (_trace_rows), read off the Gram matrix of the trace
-form, W = Tm . d(Z)^T mod q (gf): Tr is F_q-linear, so Tr(x z_j) =
-sum_i x_i W[i, j] over the base-q digits x_i of x (Lidl-Niederreiter, Finite
-Fields, Thm 2.23).  codeword() reads two digit products with W.  A defining
-set caches results, never these tables: each reader builds the columns of W
-it reads, and drops them after.  The census of Q(x) = Tr(x^2)'s classes
-(_square_classes) and |Z| from q and m alone (_zero_count) serve both readers.
+W[i, j] = Tr(x^i z_j) = (Tm . d(z_j))_i mod q (Field.trace_columns): Tr is
+F_q-linear, so Tr(x z_j) = sum_i x_i W[i, j] over the base-q digits x_i of x
+(Lidl-Niederreiter, Finite Fields, Thm 2.23).  codeword() reads two digit
+products with W.  A defining set caches results, never these tables: each
+reader builds the columns of W it reads, and drops them after.  The census of
+Q(x) = Tr(x^2)'s classes (_square_classes) and |Z| from q and m alone
+(_zero_count) serve both readers.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DEFAULT_OPS_BUDGET, ContextMismatchError, check_budget
-from .gf import Field, _signed_below, quadratic_gauss_sum
+from .gf import _CHUNK, Field, quadratic_gauss_sum
 
 if TYPE_CHECKING:
     # ring is imported where it is used, so no spectrum, CWE or minimality run loads it
@@ -32,7 +32,7 @@ if TYPE_CHECKING:
 
 
 class DefiningSet:
-    """Nonzero pairs (a, b) of Z x Z in row-major order; Z (zero first) has Tr(z^2) = 0.
+    """Nonzero pairs (a, b) of Z x Z in row-major order; Z (elements, 0 first) has Tr(z^2) = 0.
 
     Any listing of Z gives the same code up to a permutation of coordinates.
     The pair arrays a and b (|Z|^2 - 1 entries each) are built on first use:
@@ -45,6 +45,8 @@ class DefiningSet:
         self.zeros = np.asarray(zeros, dtype=np.int64)
         if self.zeros.size == 0 or self.zeros[0] != 0:  # the first pair dropped must be (0, 0)
             raise ValueError("zeros must list Z with 0 first")
+        if self.zeros.min() < 0 or self.zeros.max() >= field.order:
+            raise ContextMismatchError(f"zeros must be elements of F_{field.q}^{field.m}")
         self._cache: dict[str, object] = {}
 
     @cached_property
@@ -90,7 +92,7 @@ def codeword(x: RingElement, D: DefiningSet) -> RingVector:
     if x.field != D.field:
         raise ContextMismatchError("message and defining set use different contexts")
     f = D.field
-    W = _trace_rows(D)
+    W = f.trace_columns(D.zeros)
     # Tr(alpha a + beta b) = Tr(alpha a) + Tr(beta b) over the pairs of Z x Z in
     # row-major order, the first of which, (0, 0), is not in D
     ta = np.array(f.coeffs(x.a)) @ W
@@ -98,31 +100,6 @@ def codeword(x: RingElement, D: DefiningSet) -> RingVector:
     t1 = (ta[:, None] + tb[None, :]).ravel()[1:] % f.q
     t2 = (tb[:, None] + ta[None, :]).ravel()[1:] % f.q
     return RingVector(f.prime_subfield(), t1, t2)
-
-
-_CHUNK = 1 << 16  # rows of H, or elements of Z, per chunk
-
-
-def _trace_rows(D: DefiningSet, j=slice(None)) -> np.ndarray:
-    """The columns j of W, W[i, j] = Tr(x^i z_j) = (Tm . d(z_j))_i mod q, in the
-    dtype of trace_array, built on each call: the one source of Tr(x z), since
-    Tr(x z_j) = sum_i x_i W[i, j] over the base-q digits x_i of x.  j indexes Z
-    (a slice, or an index array that may repeat).  A _CHUNK of columns at a
-    time, the m products Tm[:, k] d_k(z_j) are summed in the narrowest signed
-    dtype that holds m (q - 1)^2."""
-    f = D.field
-    zeros = D.zeros[j]
-    acc = _signed_below(f.m * (f.q - 1) ** 2 + 1)
-    Tm = f.Tm.astype(acc)[:, :, None]
-    W = np.empty((f.m, zeros.size), dtype=np.min_scalar_type(1 - f.q))
-    for lo in range(0, zeros.size, _CHUNK):
-        rest = zeros[lo:lo + _CHUNK]
-        total = np.zeros((f.m, rest.size), dtype=acc)
-        for k in range(f.m):
-            rest, digit = np.divmod(rest, f.q)
-            total += Tm[:, k] * digit.astype(acc)
-        W[:, lo:lo + _CHUNK] = total % f.q
-    return W
 
 
 def _count_and_first(key: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:

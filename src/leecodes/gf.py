@@ -1,25 +1,27 @@
 """Arithmetic in F_{q^m} for an odd prime q.
 
 Elements are plain ints in [0, q**m); the base-q digits of an element are its
-polynomial-basis coordinates (digit i = coefficient of x^i).  The field
-modulus is the smallest monic irreducible polynomial of degree m, coefficient
-tuples compared low degree first, so construction is deterministic across runs.
+polynomial-basis coordinates (digit i = coefficient of x^i).  No module but
+this one decodes an element: Field.digits is the one array decoder, one row
+per digit, from_digits its inverse, and coeffs and element the scalar pair the
+polynomial product reads.  The field modulus is the smallest monic irreducible
+polynomial of degree m, coefficient tuples compared low degree first.
 
 Every trace the count, the defining set and the rank test read comes from the
 Gram matrix Tm[i, j] = Tr(x^(i+j)) of the trace form (Field.Tm): Tr is
 F_q-linear, so Tr(y z) = d(y) . Tm . d(z) over the coordinate vectors d
-(Lidl-Niederreiter, Finite Fields, S6.2).  Tr(x), Tr(c x) and Q(x) = Tr(x^2)
-are tables built from Tm one digit axis at a time, with no loop over the
-elements.  The field has this one model: scalar products, inverses (x^(q^m-2))
-and powers are polynomial products modulo the modulus, the quadratic character
-is Euler's criterion, and the table of c x over every x is the coordinate rows
-times the m x m matrix of multiplication by c.  The one size limit,
-_DENSE_TABLE_LIMIT, applies only to the dense q^m x q^m tables, which are
-built lazily, each from a linear structure with no loop over the elements:
-add_array adds base-q digits mod q; mul_array is d(c x) = sum_i c_i d(x^i x),
-whose rows d(x^i x) are polynomial products; and trace_add_array is
-Tr(x + y) = Tr(x) + Tr(y), the outer sum of trace_array.  No CLI command and
-no library route reads them (RingVector adds base-q digits): only the test
+(Lidl-Niederreiter, Finite Fields, S6.2).  Field.trace_columns, W[i, j] =
+Tr(x^i z_j) over an array of z, is the one builder of Tm . d(z).  Tr(x),
+Tr(c x) and Q(x) = Tr(x^2) are tables built from Tm one digit axis at a time.
+Scalar products, inverses (x^(q^m-2)) and powers are polynomial products
+modulo the modulus, the quadratic character is Euler's criterion, and the
+table of c x over every x is the digits times the m x m matrix of
+multiplication by c.  The one size limit, _DENSE_TABLE_LIMIT, applies only to
+the dense q^m x q^m tables, which are built lazily, each from a linear
+structure with no loop over the elements: add_array adds base-q digits mod q;
+mul_array is d(c x) = sum_i c_i d(x^i x), whose rows d(x^i x) are polynomial
+products; and trace_add_array is Tr(x + y) = Tr(x) + Tr(y), the outer sum of
+trace_array.  No CLI command and no library route reads them: only the test
 oracles and the benchmark's set-up build them.
 
 The quadratic Gauss sum of F_{q^m} (GaussValue, exact), the exact division
@@ -49,6 +51,7 @@ from .errors import (
 )
 
 _DENSE_TABLE_LIMIT = 2048
+_CHUNK = 1 << 16  # elements per chunk of an array pass
 
 
 def _signed_below(bound: int) -> np.dtype:
@@ -232,6 +235,21 @@ class Field:
             x //= self.q
         return tuple(out)
 
+    def digits(self, x) -> np.ndarray:
+        """(m, len(x)) array of the coordinates of each element of the int array
+        x, row i holding digit i of every element, in the dtype of trace_array:
+        the one array decoder (coeffs is the scalar one)."""
+        rest = np.array(x, dtype=np.int64)  # a copy, divided in place
+        out = np.empty((self.m, rest.size), dtype=np.min_scalar_type(1 - self.q))
+        for i in range(self.m):
+            np.divmod(rest, self.q, out=(rest, out[i]))
+        return out
+
+    def from_digits(self, d) -> np.ndarray:
+        """The int64 elements whose coordinates d holds along its first axis, as
+        digits lays them out: the inverse of digits."""
+        return np.tensordot(self._place, d, axes=1)
+
     def prime_subfield(self) -> "Field":
         return self if self.m == 1 else make_field(self.q, 1)
 
@@ -263,9 +281,9 @@ class Field:
         )
 
     def mul_row(self, c: int) -> np.ndarray:
-        """(q^m,) array of c * x for every x: the coordinate rows times
+        """(q^m,) array of c * x for every x: the digits of every x times
         mul_matrix(c), built on each call."""
-        return self.digit_matrix @ self.mul_matrix(c) % self.q @ self._place
+        return self.from_digits(self.mul_matrix(c).T @ self.digits(np.arange(self.order)) % self.q)
 
     def inv(self, x: int) -> int:
         self.check_element(x)
@@ -308,23 +326,12 @@ class Field:
             )
 
     @property
-    def digit_matrix(self) -> np.ndarray:
-        """(q^m, m) array of polynomial coordinates, in the dtype of trace_array."""
-        if "digits" not in self._dense:
-            digits = np.empty((self.order, self.m), dtype=np.min_scalar_type(1 - self.q))
-            rest = np.arange(self.order, dtype=np.int64)
-            for i in range(self.m):
-                rest, digits[:, i] = np.divmod(rest, self.q)
-            self._dense["digits"] = digits
-        return self._dense["digits"]
-
-    @property
     def add_array(self) -> np.ndarray:
         if "add" not in self._dense:
             self._dense_guard()
-            d = self.digit_matrix.astype(np.int32)
-            s = (d[:, None, :] + d[None, :, :]) % self.q
-            self._dense["add"] = (s.astype(np.int64) @ self._place).astype(np.int32)
+            d = self.digits(np.arange(self.order)).astype(np.int32)
+            s = (d[:, :, None] + d[:, None, :]) % self.q
+            self._dense["add"] = self.from_digits(s).astype(np.int32)
         return self._dense["add"]
 
     @property
@@ -332,7 +339,7 @@ class Field:
         """(q^m, q^m) int32 table of c x.
 
         d(c x) = sum_i c_i d(x^i x): the rows d(x^i x) over every x are the
-        coordinate rows times mul_matrix(x^i), the polynomial product.  The m
+        digits times mul_matrix(x^i), the polynomial product.  The m
         digit products sum below m (q - 1)^2 + 1, in the narrowest signed dtype
         that holds that, and the element index is built one digit at a time,
         from the highest, in int32."""
@@ -340,15 +347,14 @@ class Field:
             self._dense_guard()
             q, m = self.q, self.m
             acc = _signed_below(m * (q - 1) ** 2 + 1)
-            d = self.digit_matrix.astype(acc)
+            d = self.digits(np.arange(self.order)).astype(acc)
             # rows[i][k] holds digit k of x^i x for every x
-            rows = [np.ascontiguousarray((self.digit_matrix @ self.mul_matrix(q**i) % q).T,
-                                         dtype=acc) for i in range(m)]
+            rows = [(self.mul_matrix(q**i).T @ d % q).astype(acc) for i in range(m)]
             out = np.zeros((self.order, self.order), dtype=np.int32)
             for k in reversed(range(m)):
-                s = np.multiply.outer(d[:, 0], rows[0][k])
+                s = np.multiply.outer(d[0], rows[0][k])
                 for i in range(1, m):
-                    s += np.multiply.outer(d[:, i], rows[i][k])
+                    s += np.multiply.outer(d[i], rows[i][k])
                 out *= q
                 out += s % q
             self._dense["mul"] = out
@@ -363,10 +369,27 @@ class Field:
             self._dense["trace"] = self.linear_form_array(self.Tm[0].tolist())
         return self._dense["trace"]
 
+    def trace_columns(self, x) -> np.ndarray:
+        """(m, len(x)) table W[i, j] = Tr(x^i x_j) = (Tm . d(x_j))_i mod q over
+        the elements x, in the dtype of trace_array, built on each call, a
+        _CHUNK of x at a time: the m products Tm[:, k] d_k(x_j) are summed in
+        the narrowest signed dtype that holds m (q - 1)^2."""
+        acc = _signed_below(self.m * (self.q - 1) ** 2 + 1)
+        Tm = self.Tm.astype(acc)[:, :, None]
+        W = np.empty((self.m, len(x)), dtype=np.min_scalar_type(1 - self.q))
+        for lo in range(0, len(x), _CHUNK):
+            d = self.digits(x[lo:lo + _CHUNK])
+            total = np.zeros(d.shape, dtype=acc)
+            for k in range(self.m):
+                total += Tm[:, k] * d[k]
+            W[:, lo:lo + _CHUNK] = total % self.q
+        return W
+
     def trace_mul_row(self, c: int) -> np.ndarray:
         """(q^m,) table of Tr(c x) = d(x) . Tm . d(c) over every x, in the dtype
         of trace_array; built on each call (callers keep what they need)."""
-        return self.linear_form_array((self.Tm @ self.coeffs(c) % self.q).tolist())
+        self.check_element(c)
+        return self.linear_form_array(self.trace_columns([c])[:, 0].tolist())
 
     def linear_form_array(self, coeffs) -> np.ndarray:
         """(q^m,) table of sum_i coeffs[i] x_i mod q over the coordinates x_i of

@@ -3,7 +3,8 @@
 An element is a pair (a, b) meaning a + u*b over one shared field.  Since q
 is odd, e1 = (1+u)/2 and e2 = (1-u)/2 are orthogonal idempotents and the ring
 splits as two field copies; the split is used internally for unit/ideal tests
-while the public representation stays in the (1, u) basis.
+while the public representation stays in the (1, u) basis.  RingVector adds
+base-q digits (Field.digits), so it reads no q^m x q^m table at any size.
 """
 
 from __future__ import annotations
@@ -132,16 +133,12 @@ class RingVector:
             raise LengthMismatchError(f"lengths differ: {len(self)} vs {len(other)}")
 
     def _digitwise(self, other: "RingVector", sign: int) -> "RingVector":
-        # x // q^i is base-q digit i of x plus q times the higher digits, which
-        # drop out mod q; no q^m x q^m table is read, so any field size works
         self._check(other)
         f = self.field
-        place = f._place
-
-        def op(x, y):
-            return (x[:, None] // place + sign * (y[:, None] // place)) % f.q @ place
-
-        return RingVector(f, op(self.a, other.a), op(self.b, other.b))
+        # widened: a sum of two digits can pass their narrow dtype
+        a, b = (f.from_digits((f.digits(x) + sign * f.digits(y).astype(np.int64)) % f.q)
+                for x, y in ((self.a, other.a), (self.b, other.b)))
+        return RingVector(f, a, b)
 
     def __add__(self, other: "RingVector") -> "RingVector":
         return self._digitwise(other, 1)
@@ -158,10 +155,11 @@ class RingVector:
         )
 
     def scalar_mul(self, c: int) -> "RingVector":
-        """Multiply every coordinate by the field scalar c."""
+        """Multiply every coordinate by the field scalar c: its digits times mul_matrix(c)."""
         f = self.field
-        row = f.mul_row(c)
-        return RingVector(f, row[self.a], row[self.b])
+        M = f.mul_matrix(c).T
+        a, b = (f.from_digits(M @ f.digits(x) % f.q) for x in (self.a, self.b))
+        return RingVector(f, a, b)
 
     def __repr__(self) -> str:
         return f"RingVector(n={len(self)}, q={self.field.q}, m={self.field.m})"

@@ -50,7 +50,7 @@ minimal when its codeword is nonzero, as every nonzero message's is when
 r = 2m.  Only the others are ranked on the next sample, and those left at the
 last on all n: the subsets set the speed, never the verdict.  Only the
 columns a rank reads are built, by their index, from the columns of W at
-their b and a (defining_set._trace_rows); no table of W is kept.
+their b and a (Field.trace_columns); no table of W is kept.
 
 The work is priced (2m)^2 steps per column a rank reads, plus m q^m for the
 census of Q's classes and for each of at most q class passes.  Before the
@@ -66,7 +66,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._record import Record
-from .defining_set import DefiningSet, _count_and_first, _square_classes, _trace_rows, _zero_count
+from .defining_set import DefiningSet, _count_and_first, _square_classes, _zero_count
 from .errors import (
     DEFAULT_OPS_BUDGET,
     ContextMismatchError,
@@ -217,7 +217,7 @@ def gray_rank(D: DefiningSet) -> int:
     if "rank" not in D._cache:
         q, m = D.field.q, D.field.m
         for j in _growing_samples(D.zeros.size, 8 * m):
-            rank = _rank_mod_q(_trace_rows(D, j), q)
+            rank = _rank_mod_q(D.field.trace_columns(D.zeros[j]), q)
             if rank == m:
                 break
         D._cache["rank"] = 2 * rank
@@ -274,7 +274,7 @@ def _columns(D: DefiningSet, Z1: np.ndarray, j: np.ndarray) -> np.ndarray:
     tail = a >= Z1.size
     b[tail] = Z1[j[tail] - Z1.size * D.zeros.size]
     a = np.where(tail, 0, Z1[np.minimum(a, Z1.size - 1)])  # index 0 of Z is 0
-    return np.hstack([_trace_rows(D, b).T, _trace_rows(D, a).T])
+    return np.hstack([D.field.trace_columns(D.zeros[b]).T, D.field.trace_columns(D.zeros[a]).T])
 
 
 def _zero_set_ranks(X: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
@@ -330,8 +330,7 @@ def minimal_codewords_exhaustive(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGE
     if not n:  # Z = {0}: every codeword is zero
         return 0, True
     alphas, betas, sizes = _witt_classes(f)
-    digits = q ** np.arange(m)
-    X = np.hstack([betas[:, None] // digits % q, alphas[:, None] // digits % q])
+    X = np.vstack([f.digits(betas), f.digits(alphas)]).T.astype(np.int64)  # int8 X @ cols.T overflows
     Z1 = 1 + np.flatnonzero(_leading_digit(D.zeros[1:], q) == 1)  # indices into Z
     r = gray_rank(D)
 

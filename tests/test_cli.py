@@ -40,6 +40,22 @@ def test_usage_error_small_budget(capsys):
     assert exc.value.code == cli.EXIT_USAGE
 
 
+def test_a_report_past_the_int_to_str_limit(capsys):
+    # at (3,4600) the closed multiplicities pass 4300 decimal digits, Python's
+    # default limit (from 3.10.7) on converting an int to str and back
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    try:
+        code, out = run(["spectrum", "--q", "3", "--m", "4600", "--mode", "closed"], capsys)
+        assert code == cli.EXIT_PASS
+        assert json.loads(out)["results"]["closed"]
+        code, out = run(["minimality", "--q", "3", "--m", "4600"], capsys)
+        assert code == cli.EXIT_BUDGET
+        assert json.loads(out)["command"] == "minimality"
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_verify_identities_passes(capsys):
     code, out = run(["verify-identities", "--q", "3", "--m", "2", "--seed", "7"], capsys)
     assert code == cli.EXIT_PASS

@@ -7,6 +7,7 @@ from leecodes import charsums as cs
 from leecodes import codes, defining_set, gf, spectra, sss
 from leecodes.errors import (
     BudgetExceededError,
+    ContextMismatchError,
     NonIntegralExponentError,
     NonIntegralValueError,
     UnsupportedParametersError,
@@ -56,6 +57,16 @@ def test_defining_set_deterministic(defining_sets):
 def test_defining_set_needs_zero_first():
     with pytest.raises(ValueError):
         defining_set.DefiningSet(make_field(3, 2), [1, 0])
+
+
+@pytest.mark.parametrize("outside", [28, -1])
+def test_defining_set_refuses_a_non_element(outside):
+    # at (3,3), 28 = 27 + 1 would be read as the digits of 1, and -1 would
+    # index the tables from their end
+    f = make_field(3, 3)
+    Z = defining_set.build_defining_set(f).zeros
+    with pytest.raises(ContextMismatchError):
+        defining_set.DefiningSet(f, np.append(Z, outside))
 
 
 def test_build_defining_set_budget():
@@ -236,7 +247,7 @@ def test_trace_histogram_rows_above_dense_table_limit(q, m, defining_sets):
     D = defining_sets(q, m)
     f = D.field
     H = codes._enumeration_tables(D)
-    W = defining_set._trace_rows(D)
+    W = f.trace_columns(D.zeros)
     for x in np.random.default_rng(q * m).integers(0, f.order, 200).tolist():
         assert np.array_equal(H[x], np.bincount(np.array(f.coeffs(x)) @ W % q, minlength=q))
         assert np.array_equal(H[x], np.bincount(f.trace_array[f.mul_row(x)[D.zeros]], minlength=q))
@@ -250,8 +261,9 @@ def test_gram_matrix_routes_match_product_routes(q, m, defining_sets):
     f = D.field
     T = np.stack([f.trace_array[f.mul_row(q**i)] for i in range(m)])  # T[i, x] = Tr(x^i x)
     W = T[:, D.zeros]
-    assert np.array_equal(defining_set._trace_rows(D), W)
-    assert np.array_equal(f.trace_sq_array, (f.digit_matrix.T * T.astype(np.int64)).sum(0) % q)
+    assert np.array_equal(f.trace_columns(D.zeros), W)
+    d = f.digits(np.arange(f.order))
+    assert np.array_equal(f.trace_sq_array, (d * T.astype(np.int64)).sum(0) % q)
     assert sss.gray_rank(D) == 2 * sss._rank_mod_q(W, q)
 
 
@@ -264,10 +276,10 @@ def test_trace_rows_at_a_dtype_boundary():
     f = gf.Field(q, m)
     f.Tm = np.full((m, m), q - 1)
     D = defining_set.DefiningSet(f, np.arange(f.order))
-    assert defining_set._trace_rows(D).tolist() == [
+    assert f.trace_columns(D.zeros).tolist() == [
         [sum((q - 1) * d for d in f.coeffs(z)) % q for z in range(f.order)]] * m
     j = np.random.default_rng(q * m).integers(0, f.order, 3 * f.order)
-    assert np.array_equal(defining_set._trace_rows(D, j), defining_set._trace_rows(D)[:, j])
+    assert np.array_equal(f.trace_columns(D.zeros[j]), f.trace_columns(D.zeros)[:, j])
 
 
 @pytest.mark.parametrize("q,m", [(3, 3), (3, 4), (5, 3), (7, 2), (5, 2), (13, 2)])
@@ -301,8 +313,9 @@ def test_trace_rows_builds_the_columns_asked_for(q, m, defining_sets):
     # the columns j, repeats included, equal those of the whole table, as at
     # the dtype boundary of test_trace_rows_at_a_dtype_boundary
     D = defining_sets(q, m)
+    f = D.field
     j = np.random.default_rng(q * m).integers(0, D.zeros.size, 3 * D.zeros.size)
-    assert np.array_equal(defining_set._trace_rows(D, j), defining_set._trace_rows(D)[:, j])
+    assert np.array_equal(f.trace_columns(D.zeros[j]), f.trace_columns(D.zeros)[:, j])
 
 
 @pytest.mark.parametrize("q,m,reads", [(3, 5, [40]), (5, 4, [32]), (5, 2, [1]),
@@ -312,14 +325,14 @@ def test_gray_rank_reads_evenly_spaced_columns_first(q, m, reads, monkeypatch):
     # one column is all of Z and its rank 0 is the rank; at (3,13) the first
     # 104 columns have rank 12 < m, and the next 416 of the 3^12 settle it
     calls = []
-    trace_rows = defining_set._trace_rows
+    trace_columns = gf.Field.trace_columns
 
-    def spy(D, j=slice(None)):
-        W = trace_rows(D, j)
+    def spy(self, x):
+        W = trace_columns(self, x)
         calls.append(W.shape[1])
         return W
 
-    monkeypatch.setattr(sss, "_trace_rows", spy)
+    monkeypatch.setattr(gf.Field, "trace_columns", spy)
     D = defining_set.build_defining_set(make_field(q, m))  # fresh instance, empty cache
     sss.gray_rank(D)
     assert calls[0] == min(D.zeros.size, 8 * m)

@@ -182,6 +182,21 @@ def test_element_tables_match_scalar_definitions(q, m):
     assert [f.quad_char(x) for x in xs] == [0] + [1 if x in squares else -1 for x in xs[1:]]
 
 
+@pytest.mark.parametrize("q,m", itertools.product([3, 5, 131], [1, 2, 3]))
+def test_digits_round_trip_and_match_coeffs(q, m):
+    # row i of digits holds digit i of every element; the place values q^i
+    # (from_digits) turn the rows back into the elements, and each column is
+    # the element's coeffs
+    f = make_field(q, m)
+    x = np.append(np.random.default_rng(q * m).integers(0, f.order, 200), [0, f.order - 1])
+    for xs in (x, x[:0]):
+        d = f.digits(xs)
+        assert d.shape == (m, xs.size)
+        assert np.array_equal(f._place @ d, xs)
+        assert np.array_equal(f.from_digits(d), xs)
+        assert d.T.tolist() == [list(f.coeffs(v)) for v in xs.tolist()]
+
+
 @pytest.mark.parametrize("q,m", [(3, 3), (5, 2), (7, 2)])
 def test_frobenius_substitutes_x_to_the_q(q, m):
     # over F_q, (sum_i a_i x^i)^q = sum_i a_i (x^q)^i

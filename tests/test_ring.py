@@ -181,6 +181,26 @@ def test_lee_distance_past_the_dense_table_limit():
     assert (x + y).a.tolist() == [1, 2051, 2000] and (x + y).b.tolist() == [10, 7, 2052]
 
 
+def test_vector_arithmetic_at_the_digit_dtype_boundary():
+    # the digits of F_127 are int8, and a sum of two of them reaches 252
+    f = R(127, 2)
+    rng = random.Random(37)
+    x = _random_vector(f, 50, rng)
+    y = _random_vector(f, 50, rng)
+    assert [(x + y)[i] for i in range(50)] == [x[i] + y[i] for i in range(50)]
+    assert [(x - y)[i] for i in range(50)] == [x[i] - y[i] for i in range(50)]
+
+
+def test_scalar_mul_by_digits_matches_ring_elements():
+    # past the dense-table limit: c (a + u b) = c a + u c b for a field scalar c
+    f = R(3, 7)
+    rng = random.Random(31)
+    x = _random_vector(f, 50, rng)
+    for c in (0, 1, 2, rng.randrange(f.order)):
+        y = x.scalar_mul(c)
+        assert [y[i] for i in range(50)] == [RingElement(f, c, 0) * x[i] for i in range(50)]
+
+
 def test_vector_arithmetic_by_digits_matches_ring_elements():
     f = R(3, 7)  # q^m = 2187, past the dense-table limit
     rng = random.Random(29)

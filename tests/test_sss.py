@@ -209,7 +209,7 @@ def test_scan_coordinates_cover_each_orbit_of_pairs_once(q, m, defining_sets):
     assert (hits[pairs] == 1).all() and (hits[~pairs] == 0).all()
     # _columns builds the column (W[:, b], W[:, a]) of each, in this order
     D = defining_sets(q, m)
-    W = defining_set._trace_rows(D)
+    W = D.field.trace_columns(D.zeros)
     where = {int(z): j for j, z in enumerate(Z)}
     Z1_index = 1 + np.flatnonzero(_leading_digit(Z[1:], q) == 1)
     expected = np.hstack([W[:, [where[x] for x in b.tolist()]].T,
