@@ -1,8 +1,10 @@
 """Codes over F_q + uF_q with u^2 = 1: construction, spectra, verification.
 
 The public names below load on first use (PEP 562), so ``import leecodes``
-and ``import leecodes.cli`` compile no numeric submodule and do not import
-numpy; a one-shot CLI process pays only for the submodules its command runs.
+and ``import leecodes.cli`` compile no numeric submodule; a one-shot CLI
+process pays only for the submodules its command runs.  Importing a numeric
+submodule does not import numpy either: numpy loads at the first field a run
+builds (gf.make_field), after every submodule the run needs is compiled.
 """
 
 import importlib

@@ -31,8 +31,7 @@ code's closed forms read them without loading this module.
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._numpy import np
 from ._record import Record
 from .errors import DEFAULT_OPS_BUDGET, ZeroLeadingCoefficientError, ZeroParameterError, check_budget
 from .gf import (Field, GaussValue, _cyclic_convolve, _exact, _signed_below, quadratic_gauss_sum,

@@ -12,7 +12,11 @@ at the benchmark grid counts in a few ms).  So this module imports the
 numeric submodules inside the runners that use them (spectrum and cwe never
 load sss or ring), and looks their functions up on the module at call time
 (codes.cwe_closed, which codes imports from spectra, not a bound name) so
-that replacing a module attribute reaches the CLI too.  The runners never
+that replacing a module attribute reaches the CLI too.  numpy loads at a
+run's first field (gf.make_field), so each runner imports its modules before
+it builds one, and check-all imports codes and sss before its first runner
+builds the field: every module a run needs is compiled before numpy, and a
+closed, refused or invalid run never loads numpy.  The runners never
 call one count from the other: the one count runner calls
 codes.lee_spectrum_bruteforce for spectrum and codes.cwe_bruteforce for cwe,
 and the two share one cached count in codes.
@@ -320,6 +324,10 @@ RUNNERS = {
 
 
 def _check_all(args: argparse.Namespace, defining_set) -> tuple[list[dict], dict]:
+    # the identity runner builds the field, which loads numpy: compile the
+    # later runners' modules first (module docstring)
+    from . import codes, sss  # noqa: F401
+
     verdicts, results = [], {}
     for command, runner in RUNNERS.items():
         v, results[command] = runner(args, defining_set)

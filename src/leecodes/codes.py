@@ -24,8 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from ._numpy import np
 from ._record import Record
 from .defining_set import _square_classes, _zero_count
 from .errors import DEFAULT_OPS_BUDGET, check_budget

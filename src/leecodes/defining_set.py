@@ -21,8 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DEFAULT_OPS_BUDGET, ContextMismatchError, check_budget
 from .gf import _CHUNK, Field, quadratic_gauss_sum
 

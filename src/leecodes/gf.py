@@ -29,6 +29,12 @@ _exact that ends every closed form, and the cyclic convolution of length-q
 histograms live here too: spectra reads them for the closed forms, codes
 for the count, and charsums imports them, so the Gauss-sum formula has one
 source and a count never loads charsums.
+
+Importing this module does not import numpy (np comes from _numpy, lazily):
+make_field does, before it builds a field, so every module a run needs is
+compiled before numpy loads, and a run that builds no field (the closed
+route, which checks q by _check_odd_prime, or a refused or invalid run)
+never loads it.
 """
 
 from __future__ import annotations
@@ -36,8 +42,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
-import numpy as np
-
+from ._numpy import load as load_numpy, np
 from ._record import Record
 from .errors import (
     BudgetExceededError,
@@ -61,6 +66,17 @@ def _signed_below(bound: int) -> np.dtype:
 
 def _is_prime(n: int) -> bool:
     return n > 1 and _prime_factors(n) == [n]
+
+
+def _check_odd_prime(q: int) -> None:
+    """Raise unless q is an int and an odd prime: the check of every field's q,
+    which the closed route makes without building a field."""
+    if not isinstance(q, int):
+        raise DegreeError("q and m must be ints")
+    if q >= 2 and q % 2 == 0:
+        raise EvenCharacteristicError(f"q={q} is even; q must be an odd prime")
+    if not _is_prime(q):
+        raise NonPrimeError(f"q={q} is not prime")
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -157,12 +173,9 @@ class Field:
     """The finite field F_{q^m}, q an odd prime, with a fixed canonical model."""
 
     def __init__(self, q: int, m: int = 1):
-        if not isinstance(q, int) or not isinstance(m, int):
+        if not isinstance(m, int):
             raise DegreeError("q and m must be ints")
-        if q >= 2 and q % 2 == 0:
-            raise EvenCharacteristicError(f"q={q} is even; q must be an odd prime")
-        if not _is_prime(q):
-            raise NonPrimeError(f"q={q} is not prime")
+        _check_odd_prime(q)
         if m < 1:
             raise DegreeError(f"extension degree m={m} must be >= 1")
         self.q = q
@@ -238,8 +251,13 @@ class Field:
     def digits(self, x) -> np.ndarray:
         """(m, len(x)) array of the coordinates of each element of the int array
         x, row i holding digit i of every element, in the dtype of trace_array:
-        the one array decoder (coeffs is the scalar one)."""
+        the one array decoder (coeffs is the scalar one), so every decoder
+        rejects a non-element here."""
         rest = np.array(x, dtype=np.int64)  # a copy, divided in place
+        if rest.size and not (rest.min() >= 0 and rest.max() < self.order):
+            raise ContextMismatchError(
+                f"values in [{rest.min()}, {rest.max()}] are not all elements of "
+                f"F_{self.q}^{self.m}")
         out = np.empty((self.m, rest.size), dtype=np.min_scalar_type(1 - self.q))
         for i in range(self.m):
             np.divmod(rest, self.q, out=(rest, out[i]))
@@ -463,7 +481,9 @@ class Field:
 
 @lru_cache(maxsize=None)
 def make_field(q: int, m: int = 1) -> Field:
-    """Deterministic cached field constructor."""
+    """Deterministic cached field constructor: the one point where a run imports
+    numpy (module docstring), before Field.__init__ runs."""
+    load_numpy()
     return Field(q, m)
 
 

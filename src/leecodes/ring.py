@@ -9,8 +9,7 @@ base-q digits (Field.digits), so it reads no q^m x q^m table at any size.
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._numpy import np
 from ._record import Record
 from .errors import ContextMismatchError, ExtensionContextError, LengthMismatchError
 from .gf import Field

@@ -13,7 +13,7 @@ from collections import Counter
 
 from ._record import Record
 from .errors import NonIntegralExponentError, NonIntegralValueError, UnsupportedParametersError
-from .gf import _exact, make_field, quadratic_gauss_sum
+from .gf import _check_odd_prime, _exact, quadratic_gauss_sum
 
 
 # ----------------------------------------------------------------------
@@ -81,7 +81,7 @@ class CweSpectrum(Record):
 # ----------------------------------------------------------------------
 
 def _validate_closed_params(q: int, m: int) -> None:
-    make_field(q, 1)  # raises for even/composite q
+    _check_odd_prime(q)  # raises for a non-int, even or composite q, building no field
     if m < 2:
         raise UnsupportedParametersError("closed-form tables need m >= 2")
 

@@ -63,8 +63,7 @@ from __future__ import annotations
 from math import gcd
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from ._numpy import np
 from ._record import Record
 from .defining_set import DefiningSet, _count_and_first, _square_classes, _zero_count
 from .errors import (

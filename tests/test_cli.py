@@ -689,12 +689,22 @@ NUMERIC_MODULES = {"numpy", "leecodes.charsums", "leecodes.codes", "leecodes.def
                    "leecodes.gf", "leecodes.ring", "leecodes.spectra", "leecodes.sss"}
 
 
-def _main_passes(argv: list[str]) -> str:
-    """Code that runs cli.main(argv) quietly and asserts it exits 0."""
+def _main_exits(argv: list[str], status: int) -> str:
+    """Code that runs cli.main(argv) quietly and asserts it exits with status."""
     return ("import contextlib, io\n"
             "from leecodes import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main({argv!r}) == 0\n")
+            "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "        contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        status = cli.main({argv!r})\n"
+            "    except SystemExit as exc:\n"
+            "        status = exc.code\n"
+            f"assert status == {status}, status\n")
+
+
+def _main_passes(argv: list[str]) -> str:
+    """Code that runs cli.main(argv) quietly and asserts it exits 0."""
+    return _main_exits(argv, 0)
 
 
 SPECTRUM_BOTH = _main_passes(["spectrum", "--q", "3", "--m", "3", "--mode", "both"])
@@ -757,6 +767,70 @@ def test_the_closed_route_loads_nothing_of_the_count():
     loaded = _modules_loaded_by("import leecodes.spectra")
     assert not {"leecodes.codes", "leecodes.defining_set", "leecodes.sss", "leecodes.ring",
                 "leecodes.charsums"} & loaded
+
+
+def _numpy_ran(loaded: set[str]) -> bool:
+    """Whether numpy's own import ran, not only its lazy module (numpy 2 and 1)."""
+    return bool({"numpy._core", "numpy.core"} & loaded)
+
+
+@pytest.mark.parametrize("argv,status", [
+    (["spectrum", "--q", "3", "--m", "21", "--mode", "closed"], 0),
+    (["cwe", "--q", "3", "--m", "21", "--mode", "closed"], 0),
+    (["spectrum", "--q", "3", "--m", "15", "--mode", "both"], 3),
+    (["minimality", "--q", "3", "--m", "16"], 3),
+    (["spectrum", "--q", "4", "--m", "3"], 2),
+])
+def test_a_run_that_builds_no_field_loads_no_numpy(argv, status):
+    # closed, refused and invalid runs: numpy loads at a run's first field
+    assert not _numpy_ran(_modules_loaded_by(_main_exits(argv, status)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--q", "3", "--m", "3", "--mode", "both"],
+    ["cwe", "--q", "3", "--m", "3", "--mode", "both"],
+    ["minimality", "--q", "3", "--m", "3"],
+    ["verify-identities", "--q", "3", "--m", "3"],
+    ["check-all", "--q", "3", "--m", "3"],
+])
+def test_a_command_compiles_its_modules_before_numpy(argv):
+    # a run that builds a field loads numpy's core, and sys.modules keeps import
+    # order: no leecodes module is imported after it
+    code = _main_passes(argv) + (
+        "import sys\n"
+        "names = list(sys.modules)\n"
+        "core = next(n for n in names if n in ('numpy._core', 'numpy.core'))\n"
+        "print(*[n for n in names[names.index(core):] if n.startswith('leecodes')])\n")
+    assert _fresh_stdout(code) == "\n"
+
+
+def test_importing_the_numeric_modules_loads_no_numpy():
+    loaded = _modules_loaded_by(
+        "import leecodes.gf, leecodes.codes, leecodes.defining_set, leecodes.sss, "
+        "leecodes.charsums, leecodes.ring")
+    assert "leecodes.sss" in loaded and not _numpy_ran(loaded)
+
+
+@pytest.mark.parametrize("first,then", [("numpy", "leecodes.gf"), ("leecodes.gf", "numpy")])
+def test_leecodes_and_numpy_share_one_numpy(first, then):
+    # numpy imported first is used as is; imported after, it is the lazy module,
+    # loaded in place
+    code = f"import {first}, {then}\nprint(leecodes.gf.np is numpy, numpy.ndarray.__name__)"
+    assert _fresh_stdout(code) == "True ndarray\n"
+
+
+def test_the_closed_route_checks_q_without_a_field():
+    # the same error types as when it built F_q; 3.0 is refused as a non-int
+    code = ("from leecodes import errors, spectra\n"
+            "for q in (4, 9, 1, 3.0):\n"
+            "    try:\n"
+            "        spectra.cwe_closed(q, 3)\n"
+            "    except errors.LeecodesError as exc:\n"
+            "        print(type(exc).__name__)\n"
+            "import sys\n"
+            "print(sorted({'numpy._core', 'numpy.core'} & set(sys.modules)))\n")
+    assert _fresh_stdout(code).split("\n") == [
+        "EvenCharacteristicError", "NonPrimeError", "NonPrimeError", "DegreeError", "[]", ""]
 
 
 @pytest.mark.parametrize("name", ["gf", "defining_set", "spectra", "codes", "sss", "charsums",

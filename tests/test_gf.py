@@ -197,6 +197,17 @@ def test_digits_round_trip_and_match_coeffs(q, m):
         assert d.T.tolist() == [list(f.coeffs(v)) for v in xs.tolist()]
 
 
+@pytest.mark.parametrize("outside", [28, -1])
+def test_decoders_refuse_a_non_element(outside):
+    # at (3,3), 28 = 27 + 1 would decode as the digits of 1 and -1 as those
+    # of 26; trace_columns decodes through digits
+    f = make_field(3, 3)
+    with pytest.raises(ContextMismatchError):
+        f.digits([5, outside])
+    with pytest.raises(ContextMismatchError):
+        f.trace_columns([outside])
+
+
 @pytest.mark.parametrize("q,m", [(3, 3), (5, 2), (7, 2)])
 def test_frobenius_substitutes_x_to_the_q(q, m):
     # over F_q, (sum_i a_i x^i)^q = sum_i a_i (x^q)^i
