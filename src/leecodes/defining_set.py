@@ -31,21 +31,21 @@ if TYPE_CHECKING:
 
 
 class DefiningSet:
-    """Nonzero pairs (a, b) of Z x Z in row-major order; Z (elements, 0 first) has Tr(z^2) = 0.
+    """Nonzero pairs (a, b) of Z x Z in row-major order, Z = {z : Tr(z^2) = 0}
+    in increasing integer order, 0 first.
 
-    Any listing of Z gives the same code up to a permutation of coordinates.
-    The pair arrays a and b (|Z|^2 - 1 entries each) are built on first use:
-    the counts and the minimality scan read only Z.  _cache holds results
-    only, the count ("cwe") and the Gray rank ("rank"), never W or H.
+    The constructor scans the field for Z, so every defining set is the
+    quadric, which the count's class rows and the rank test's one rank per
+    class (codes, sss) need.  Any listing of Z gives the same code up to a
+    permutation of coordinates.  The pair arrays a and b (|Z|^2 - 1 entries
+    each) are built on first use: the counts and the minimality scan read only
+    Z.  _cache holds results only, the count ("cwe") and the Gray rank
+    ("rank"), never W or H.
     """
 
-    def __init__(self, field: Field, zeros):
+    def __init__(self, field: Field):
         self.field = field
-        self.zeros = np.asarray(zeros, dtype=np.int64)
-        if self.zeros.size == 0 or self.zeros[0] != 0:  # the first pair dropped must be (0, 0)
-            raise ValueError("zeros must list Z with 0 first")
-        if self.zeros.min() < 0 or self.zeros.max() >= field.order:
-            raise ContextMismatchError(f"zeros must be elements of F_{field.q}^{field.m}")
+        self.zeros = np.flatnonzero(field.trace_sq_array == 0)  # 0 first: the pair dropped is (0, 0)
         self._cache: dict[str, object] = {}
 
     @cached_property
@@ -78,10 +78,9 @@ def _check_scan_budget(q: int, m: int, budget: int) -> None:
 
 
 def build_defining_set(field: Field, budget: int = DEFAULT_OPS_BUDGET) -> DefiningSet:
-    """Scan F_{q^m} and keep Z in increasing integer order, 0 first; D's pairs
-    follow in pair order."""
+    """DefiningSet(field), once its scan of F_{q^m} is within budget."""
     _check_scan_budget(field.q, field.m, budget)
-    return DefiningSet(field, np.flatnonzero(field.trace_sq_array == 0))
+    return DefiningSet(field)
 
 
 def codeword(x: RingElement, D: DefiningSet) -> RingVector:

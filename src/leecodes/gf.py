@@ -479,10 +479,11 @@ class Field:
         return f"Field(q={self.q}, m={self.m})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def make_field(q: int, m: int = 1) -> Field:
     """Deterministic cached field constructor: the one point where a run imports
-    numpy (module docstring), before Field.__init__ runs."""
+    numpy (module docstring), before Field.__init__ runs.  The cache is keyed by
+    type too, so a float q or m, equal as a key to an int, reaches Field's check."""
     load_numpy()
     return Field(q, m)
 

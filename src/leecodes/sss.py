@@ -39,7 +39,7 @@ The test keeps three exact reductions.
   Q(beta), B(alpha, beta)), the relation being alpha = 0, beta = 0,
   beta = c alpha or independent.  So minimality is constant on each class of
   that key, of which there are at most q^3 + q^2 + q whatever m is.  This
-  needs Z to be the quadric itself: any other zero set is refused.
+  needs Z to be the quadric itself, as every DefiningSet is by construction.
 
 Both ranks here, gray_rank's and the test's, sample columns on one schedule,
 _growing_samples, and rank by one elimination mod q, _rank_mod_q.  The test
@@ -68,7 +68,6 @@ from ._record import Record
 from .defining_set import DefiningSet, _count_and_first, _square_classes, _zero_count
 from .errors import (
     DEFAULT_OPS_BUDGET,
-    ContextMismatchError,
     DegenerateSpectrumError,
     LengthMismatchError,
     UnsupportedParametersError,
@@ -312,8 +311,7 @@ def minimal_codewords_exhaustive(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGE
                                  ) -> tuple[int, bool]:
     """Hyperplane-rank test of one message per class, on one column per
     F_q*-orbit of coordinates, evenly spaced subsets of them first (module
-    docstring).  Z must be {x : Tr(x^2) = 0}, as build_defining_set makes it;
-    any other D raises ContextMismatchError.
+    docstring).
 
     Returns (number of minimal nonzero codewords, whether all are minimal).
     """
@@ -322,10 +320,6 @@ def minimal_codewords_exhaustive(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGE
     n, c = _check_rank_budget(q, m, budget)
     step = (2 * m) ** 2  # per column a rank reads
 
-    quadric = np.zeros(f.order, dtype=bool)
-    quadric[D.zeros] = True
-    if quadric.sum() != D.zeros.size or not np.array_equal(quadric, f.trace_sq_array == 0):
-        raise ContextMismatchError("the class route needs Z = {x : Tr(x^2) = 0}")
     if not n:  # Z = {0}: every codeword is zero
         return 0, True
     alphas, betas, sizes = _witt_classes(f)

@@ -7,7 +7,6 @@ from leecodes import charsums as cs
 from leecodes import codes, defining_set, gf, spectra, sss
 from leecodes.errors import (
     BudgetExceededError,
-    ContextMismatchError,
     NonIntegralExponentError,
     NonIntegralValueError,
     UnsupportedParametersError,
@@ -54,21 +53,6 @@ def test_defining_set_deterministic(defining_sets):
     assert np.array_equal(D1.a, D2.a) and np.array_equal(D1.b, D2.b)
 
 
-def test_defining_set_needs_zero_first():
-    with pytest.raises(ValueError):
-        defining_set.DefiningSet(make_field(3, 2), [1, 0])
-
-
-@pytest.mark.parametrize("outside", [28, -1])
-def test_defining_set_refuses_a_non_element(outside):
-    # at (3,3), 28 = 27 + 1 would be read as the digits of 1, and -1 would
-    # index the tables from their end
-    f = make_field(3, 3)
-    Z = defining_set.build_defining_set(f).zeros
-    with pytest.raises(ContextMismatchError):
-        defining_set.DefiningSet(f, np.append(Z, outside))
-
-
 def test_build_defining_set_budget():
     # the scan reads each of the q^m = 27 elements once
     assert len(defining_set.build_defining_set(make_field(3, 3), budget=27)) == 80
@@ -86,7 +70,8 @@ def test_results_do_not_depend_on_the_order_of_z(q, m):
     expected = (codes.cwe_bruteforce(D).entries, sss.gray_rank(D),
                 sss.minimal_codewords_exhaustive(D))
     for order in (np.random.default_rng(q * m).permutation(rest), rest[::-1]):
-        other = defining_set.DefiningSet(f, np.append(0, order))
+        other = defining_set.build_defining_set(f)
+        other.zeros = np.append(0, order)
         assert (codes.cwe_bruteforce(other).entries, sss.gray_rank(other),
                 sss.minimal_codewords_exhaustive(other)) == expected
 
@@ -271,15 +256,15 @@ def test_trace_rows_at_a_dtype_boundary():
     # W sums m digit products in the narrowest dtype that holds m (q - 1)^2:
     # 2 * 130^2 = 33800 needs int32.  The field's own Gram matrix at (131, 2) is
     # diag(2, 129) and never comes near that bound, so the test puts q - 1 in
-    # every entry of Tm, on a fresh field, and takes every element as Z.
+    # every entry of Tm, on a fresh field, and reads the columns of every element.
     q, m = 131, 2
     f = gf.Field(q, m)
     f.Tm = np.full((m, m), q - 1)
-    D = defining_set.DefiningSet(f, np.arange(f.order))
-    assert f.trace_columns(D.zeros).tolist() == [
+    every = np.arange(f.order)
+    assert f.trace_columns(every).tolist() == [
         [sum((q - 1) * d for d in f.coeffs(z)) % q for z in range(f.order)]] * m
     j = np.random.default_rng(q * m).integers(0, f.order, 3 * f.order)
-    assert np.array_equal(f.trace_columns(D.zeros[j]), f.trace_columns(D.zeros)[:, j])
+    assert np.array_equal(f.trace_columns(j), f.trace_columns(every)[:, j])
 
 
 @pytest.mark.parametrize("q,m", [(3, 3), (3, 4), (5, 3), (7, 2), (5, 2), (13, 2)])

@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -98,6 +100,22 @@ def test_make_field_deterministic():
     b = Field(3, 3)
     assert a.modulus == b.modulus
     assert make_field(3, 3) is make_field(3, 3)
+
+
+def test_make_field_refuses_a_float_in_either_call_order():
+    # 3.0 == 3 as a cache key, so the float must be refused whether or not the
+    # int call has run; a fresh interpreter has made no field yet
+    code = ("from leecodes.errors import DegreeError\n"
+            "from leecodes.gf import make_field\n"
+            "def refused(q, m):\n"
+            "    try:\n"
+            "        make_field(q, m)\n"
+            "    except DegreeError:\n"
+            "        return True\n"
+            "    return False\n"
+            "print([refused(q, m) for q, m in [(3.0, 2), (3, 2.0), (3, 2), (3.0, 2), (3, 2.0)]])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out == "[True, True, False, True, True]\n"
 
 
 def test_field_above_former_table_limit():

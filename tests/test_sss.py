@@ -7,7 +7,6 @@ import pytest
 from leecodes import codes, defining_set, spectra, sss
 from leecodes.errors import (
     BudgetExceededError,
-    ContextMismatchError,
     DegenerateSpectrumError,
     LengthMismatchError,
     UnsupportedParametersError,
@@ -148,17 +147,19 @@ def test_minimality_scan_matches_naive(q, m, defining_sets):
 
 
 @pytest.mark.parametrize("q,m", [(3, 3), (3, 4)])
-def test_minimality_scan_matches_naive_on_a_subfield_zero_set(q, m):
+def test_minimality_scan_matches_naive_on_a_subfield_zero_set(q, m, monkeypatch):
     # Z = F_q is not the quadric Tr(x^2) = 0, so an isometry of the trace form
     # need not permute its coordinates and minimality need not be constant on
-    # a class: the class route refuses it rather than disagree with the naive
-    # oracle (which counts 5832 at (3,4), where one rank per class would give 5940)
-    D = defining_set.DefiningSet(make_field(q, m), range(q))
+    # a class: at (3,4) one rank per class counts 5940 minimal codewords where
+    # the naive oracle counts 5832.  A DefiningSet is the quadric by
+    # construction, so Z is set by hand here, and the rank test prices |Z| = q.
+    D = defining_set.build_defining_set(make_field(q, m))
+    D.zeros = np.arange(q)
+    monkeypatch.setattr(sss, "_zero_count", lambda q, m: q)
     assert sss.gray_rank(D) == 2
-    with pytest.raises(ContextMismatchError, match="Tr\\(x\\^2\\) = 0"):
-        minimal_codewords_exhaustive(D)
-    if (q, m) == (3, 4):
-        assert _naive_minimality(q, m, lambda *_: D) == (5832, True)
+    naive, by_class = {(3, 3): (648, 648), (3, 4): (5832, 5940)}[q, m]
+    assert _naive_minimality(q, m, lambda *_: D) == (naive, True)
+    assert minimal_codewords_exhaustive(D) == (by_class, True)
 
 
 def test_minimality_counts(defining_sets):
