@@ -441,7 +441,10 @@ def main(argv: list[str] | None = None) -> int:
         "verdicts": verdicts,
         "timing": timing,
     }
-    _write_output(_render(payload, args.output_format), args.out)
+    try:
+        _write_output(_render(payload, args.output_format), args.out)
+    except OSError as exc:  # a failed write is not a failed check
+        parser.exit(EXIT_USAGE, f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}\n")
 
     if any(v.get("status") == "FAIL" for v in verdicts):
         return EXIT_FAIL

@@ -159,4 +159,4 @@ def gray_dimension(D: DefiningSet, budget: int = DEFAULT_OPS_BUDGET) -> GrayRepo
     from .sss import gray_rank
 
     spec = lee_spectrum_bruteforce(D, budget=budget)
-    return GrayReport(gray_rank(D), spec.min_nonzero(), 2 * len(D), D.field.m)
+    return GrayReport(gray_rank(D), min(spec.nonzero_weights(), default=0), 2 * len(D), D.field.m)

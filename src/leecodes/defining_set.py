@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from ._numpy import np
 from .errors import DEFAULT_OPS_BUDGET, ContextMismatchError, check_budget
-from .gf import _CHUNK, Field, quadratic_gauss_sum
+from .gf import _CHUNK, Field, _signed_below, quadratic_gauss_sum
 
 if TYPE_CHECKING:
     # ring is imported where it is used, so no spectrum, CWE or minimality run loads it
@@ -32,20 +32,20 @@ if TYPE_CHECKING:
 
 class DefiningSet:
     """Nonzero pairs (a, b) of Z x Z in row-major order, Z = {z : Tr(z^2) = 0}
-    in increasing integer order, 0 first.
+    in increasing integer order, 0 first: the pair dropped is (0, 0).
 
     The constructor scans the field for Z, so every defining set is the
     quadric, which the count's class rows and the rank test's one rank per
     class (codes, sss) need.  Any listing of Z gives the same code up to a
-    permutation of coordinates.  The pair arrays a and b (|Z|^2 - 1 entries
-    each) are built on first use: the counts and the minimality scan read only
-    Z.  _cache holds results only, the count ("cwe") and the Gray rank
-    ("rank"), never W or H.
+    permutation of coordinates.  Z and the pair arrays a and b (|Z|^2 - 1 each,
+    built on first use: the counts and the rank test read only Z) are held in
+    the narrowest signed dtype, no wider than int32 up to q^m = 2^31.  _cache
+    holds results only, the count ("cwe") and the Gray rank ("rank"), never W or H.
     """
 
     def __init__(self, field: Field):
         self.field = field
-        self.zeros = np.flatnonzero(field.trace_sq_array == 0)  # 0 first: the pair dropped is (0, 0)
+        self.zeros = np.flatnonzero(field.trace_sq_array == 0).astype(_signed_below(field.order))
         self._cache: dict[str, object] = {}
 
     @cached_property

@@ -188,15 +188,12 @@ class Field:
 
     # -- the polynomial product -----------------------------------------
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        return self.element(_poly_mulmod(self.coeffs(a), self.coeffs(b), self.modulus, self.q))
-
     def _pow_raw(self, a: int, e: int) -> int:
         r, b = 1, a
         while e:
             if e & 1:
-                r = self._mul_raw(r, b)
-            b = self._mul_raw(b, b)
+                r = self.mul(r, b)
+            b = self.mul(b, b)
             e >>= 1
         return r
 
@@ -288,13 +285,13 @@ class Field:
         return self.element((-a) % self.q for a in self._coeffs_unchecked(x))
 
     def mul(self, x: int, y: int) -> int:
-        return self._mul_raw(x, y)
+        return self.element(_poly_mulmod(self.coeffs(x), self.coeffs(y), self.modulus, self.q))
 
     def mul_matrix(self, c: int) -> np.ndarray:
         """(m, m) matrix of multiplication by c: row i holds the coordinates of
         c x^i, so d(c y) = d(y) @ mul_matrix(c) mod q."""
         return np.array(
-            [self._coeffs_unchecked(self._mul_raw(c, self.q**i)) for i in range(self.m)],
+            [self._coeffs_unchecked(self.mul(c, self.q**i)) for i in range(self.m)],
             dtype=np.int64,
         )
 
@@ -412,15 +409,16 @@ class Field:
     def linear_form_array(self, coeffs) -> np.ndarray:
         """(q^m,) table of sum_i coeffs[i] x_i mod q over the coordinates x_i of
         every x, in the dtype of trace_array; built on each call.  The
-        coefficients are reduced to Python ints in [0, q), so every
-        intermediate is below q^2, and the build runs in the narrowest signed
-        dtype that holds it."""
+        coefficients are reduced to Python ints in [0, q), so every intermediate
+        is below q^2, and the build runs, reduced in place, in the narrowest
+        signed dtype that holds it: that of trace_array, uncopied, up to q = 11."""
         coeffs = [int(c) % self.q for c in coeffs]
         out = np.zeros(1, dtype=_signed_below(self.q**2))
         digit = np.arange(self.q, dtype=out.dtype)
         for i in reversed(range(self.m)):  # appends digit i below the higher ones
-            out = (out[:, None] + coeffs[i] * digit).ravel() % self.q
-        return out.astype(np.min_scalar_type(1 - self.q))
+            out = (out[:, None] + coeffs[i] * digit).ravel()
+            out %= self.q
+        return out.astype(np.min_scalar_type(1 - self.q), copy=False)
 
     @property
     def trace_add_array(self) -> np.ndarray:

@@ -38,9 +38,6 @@ class LeeSpectrum(Record):
     def nonzero_weights(self) -> list[int]:
         return sorted(w for w in self.entries if w > 0)
 
-    def min_nonzero(self) -> int:
-        return min((w for w in self.entries if w > 0), default=0)
-
     def records(self) -> list[dict]:
         return [{"weight": w, "multiplicity": self.entries[w]} for w in sorted(self.entries)]
 

@@ -73,7 +73,7 @@ from .errors import (
     UnsupportedParametersError,
     check_budget,
 )
-from .gf import Field
+from .gf import Field, _signed_below
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
@@ -242,15 +242,16 @@ def _witt_classes(f: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     two are independent, q^2 + c - 1 when beta = c alpha and q^2 + q - 1 when
     beta = 0, and keeps the first beta of each key.  The nonzero alpha with one
     value of Q form one orbit, so a class's size is its count times their number.
+    The key is built as charsums._joint builds its key: no copy of Q is held.
     """
     q = f.q
     n_keys = q * q + q
-    tsq = f.trace_sq_array.astype(np.min_scalar_type(n_keys))
     reps, per_q = _square_classes(f)
     alphas, betas, sizes = [np.zeros_like(reps[1:])], [reps[1:]], [per_q[1:]]
     for alpha, size in zip(reps[1:].tolist(), per_q[1:].tolist()):
         # B(alpha, beta) = d(alpha) . Tm . d(beta), below q
-        key = tsq * q + f.trace_mul_row(alpha).astype(tsq.dtype)
+        key = np.multiply(f.trace_sq_array, q, dtype=_signed_below(n_keys))
+        key += f.trace_mul_row(alpha)
         for c in range(1, q):
             key[f.mul(c, alpha)] = q * q + c - 1
         key[0] = q * q + q - 1

@@ -27,11 +27,11 @@ DEFINING_SET_SIZES = {
 
 @pytest.fixture(scope="session")
 def mul_table():
-    """mul_table(f)[a, b] = a b in f, from the polynomial product f._mul_raw
+    """mul_table(f)[a, b] = a b in f, from the polynomial product f.mul
     alone, an oracle for the tests that read every product.  The powers of the
-    first g whose powers reach all q^m - 1 nonzero elements, one _mul_raw
+    first g whose powers reach all q^m - 1 nonzero elements, one f.mul
     each, give exp and log, and a b = g^(log a + log b) for nonzero a and b:
-    q^m products, where the whole table by _mul_raw would take q^(2m)."""
+    q^m products, where the whole table by f.mul would take q^(2m)."""
     cache = {}
 
     def get(f):
@@ -39,7 +39,7 @@ def mul_table():
             n = f.order - 1
             for g in range(1, f.order):
                 powers = [1]  # g^k for k below the order of g
-                while len(powers) <= n and (p := f._mul_raw(powers[-1], g)) != 1:
+                while len(powers) <= n and (p := f.mul(powers[-1], g)) != 1:
                     powers.append(p)
                 if len(powers) == n:
                     break

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import types
 from pathlib import Path
 
@@ -635,6 +636,22 @@ def test_out_naming_a_directory_is_usage_error(tmp_path, capsys):
         cli.main(["spectrum", "--q", "3", "--m", "2", "--out", str(tmp_path)])
     assert exc.value.code == cli.EXIT_USAGE
     assert "--out names a directory" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []  # no .leecodes-* temporary file left
+
+
+def test_an_unwritable_out_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # exit 1 means a check failed; a report the OS refuses to write is not that
+    target = tmp_path / "report.json"
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(tempfile, "mkstemp", refuse)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--q", "3", "--m", "2", "--mode", "closed", "--out", str(target)])
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {target}: Permission denied\n"
     assert os.listdir(tmp_path) == []  # no .leecodes-* temporary file left
 
 

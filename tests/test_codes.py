@@ -53,6 +53,12 @@ def test_defining_set_deterministic(defining_sets):
     assert np.array_equal(D1.a, D2.a) and np.array_equal(D1.b, D2.b)
 
 
+def test_z_is_held_in_the_narrowest_signed_dtype():
+    # 3^12 elements need int32, not numpy's default int64 index type
+    D = defining_set.DefiningSet(make_field(3, 12))
+    assert D.zeros.dtype == np.int32
+
+
 def test_build_defining_set_budget():
     # the scan reads each of the q^m = 27 elements once
     assert len(defining_set.build_defining_set(make_field(3, 3), budget=27)) == 80

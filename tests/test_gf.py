@@ -128,7 +128,7 @@ def test_field_above_former_table_limit():
     for _ in range(50):
         x = rng.randrange(1, f.order)
         assert f._pow_raw(x, n) == 1
-        assert f._mul_raw(x, f.inv(x)) == 1
+        assert f.mul(x, f.inv(x)) == 1
         acc = 0
         for i in range(f.m):  # Tr(x) = x + x^q + x^(q^2)
             acc = f.add(acc, f._pow_raw(x, f.q**i))
@@ -195,8 +195,8 @@ def test_element_tables_match_scalar_definitions(q, m):
     f = make_field(q, m)
     xs = range(f.order)
     assert f.trace_array.tolist() == [f.trace(x) for x in xs]
-    assert f.trace_sq_array.tolist() == [f.trace(f._mul_raw(x, x)) for x in xs]
-    squares = {f._mul_raw(x, x) for x in xs}
+    assert f.trace_sq_array.tolist() == [f.trace(f.mul(x, x)) for x in xs]
+    squares = {f.mul(x, x) for x in xs}
     assert [f.quad_char(x) for x in xs] == [0] + [1 if x in squares else -1 for x in xs[1:]]
 
 
@@ -233,11 +233,11 @@ def test_frobenius_substitutes_x_to_the_q(q, m):
     xq = f._pow_raw(q, q)  # the element x is the integer q
     powers = [1]
     for _ in range(m - 1):
-        powers.append(f._mul_raw(powers[-1], xq))
+        powers.append(f.mul(powers[-1], xq))
     for y in f.elements():
         image = 0
         for a, p in zip(f.coeffs(y), powers):
-            image = f.add(image, f._mul_raw(a, p))
+            image = f.add(image, f.mul(a, p))
         assert f.frobenius(y) == image
 
 
@@ -247,7 +247,7 @@ def test_frobenius_substitutes_x_to_the_q(q, m):
 def test_products_match_polynomial_product(q, m):
     f = make_field(q, m)
     for c in f.elements():
-        row = [f._mul_raw(c, x) for x in f.elements()]
+        row = [f.mul(c, x) for x in f.elements()]
         assert f.mul_row(c).tolist() == row
         assert f.mul_array[c].tolist() == row
 
@@ -312,6 +312,22 @@ def test_trace_mul_row_matches_product_route(q, m):
     f = make_field(q, m)
     for c in random.Random(q * m).sample(range(f.order), 20) + [0, 1]:
         assert np.array_equal(f.trace_mul_row(c), f.trace_array[f.mul_row(c)])
+
+
+def test_trace_mul_row_holds_no_second_table():
+    # each digit step is reduced in place, and at q = 3 the build dtype is the
+    # table's, so no cast copy is made: the last step holds the q^(m-1) prefix
+    # and the q^m table, 1.33 q^m bytes at int8
+    f = make_field(3, 12)
+    f.Tm, f.trace_sq_array  # noqa: B018 - built before tracing
+    tracemalloc.start()
+    try:
+        row = f.trace_mul_row(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.nbytes == f.order
+    assert peak < 1.5 * f.order
 
 
 @pytest.mark.parametrize("q,m", SMALL_FIELDS)

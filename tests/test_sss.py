@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -352,7 +353,7 @@ def test_rank_is_constant_on_each_class(q, m, defining_sets, mul_table):
         assert size == (label == np.flatnonzero((keys == key).all(axis=1))[0]).sum()
 
 
-@pytest.mark.parametrize("q,m", [(3, 3), (5, 2), (7, 2), (17, 2)])  # (17, 2): 306 keys need uint16
+@pytest.mark.parametrize("q,m", [(3, 3), (5, 2), (7, 2), (17, 2)])  # (17, 2): 306 keys need int16
 def test_witt_classes_match_a_naive_key_loop(q, m, mul_table):
     # one message per key over every nonzero message, and the size of its class
     f = make_field(q, m)
@@ -370,6 +371,20 @@ def test_witt_classes_match_a_naive_key_loop(q, m, mul_table):
     keys = [key(alpha, beta) for alpha, beta in zip(alphas.tolist(), betas.tolist())]
     assert len(set(keys)) == len(keys)
     assert dict(zip(keys, counts.tolist())) == sizes
+
+
+def test_witt_classes_hold_no_copy_of_q():
+    # a class pass holds its key and B(alpha, .), q^m bytes each at (3,12), and
+    # a chunk of the key as intp: no narrowed copy of Q and no cast copy of B
+    f = make_field(3, 12)
+    f.Tm, f.trace_sq_array  # noqa: B018 - built before tracing
+    tracemalloc.start()
+    try:
+        _witt_classes(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * f.order
 
 
 # -- symmetries of the messages permute the Gray supports --------------------------
